@@ -19,7 +19,7 @@ import sys
 
 from . import corpus as corpus_mod
 from . import evaluation, filters, ranking, skipgram, weighting
-from .vlt import PatternSyntaxError, format_chord, parse_pattern
+from .vlt import PatternSyntaxError, encode_piece, format_chord, parse_pattern
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -97,8 +97,7 @@ def _cmd_encode(args) -> int:
     out, close = _open_out(args.output)
     try:
         for piece in corpus.pieces:
-            encoded = skipgram.EncodedPiece.from_piece(piece)
-            for index, vlt in enumerate(encoded.vlts()):
+            for index, vlt in enumerate(encode_piece(piece.slices)):
                 motion = "" if vlt.bass_motion is None else str(vlt.bass_motion)
                 out.write(f"{piece.piece_id}\t{index}\t{format_chord(vlt)}\t{motion}\n")
     finally:
@@ -121,16 +120,12 @@ def _cmd_mine(args) -> int:
         print(f"error: query has {len(query)} chords but --n is {args.n}", file=sys.stderr)
         return USAGE_ERROR
 
-    pieces = skipgram.encode_corpus(corpus)
-    tokens = weighting.apply_weights(
-        skipgram.enumerate_corpus(pieces, skip), config.weight)
+    ranked, rank = evaluation.run_config(corpus, config, query)
     if args.dump_tokens:
+        tokens = weighting.apply_weights(
+            skipgram.enumerate_corpus(skipgram.encode_corpus(corpus), skip), config.weight)
         with open(args.dump_tokens, "w", encoding="utf-8", newline="") as handle:
             skipgram.dump_tokens(tokens, handle)
-    table = ranking.build_type_table(tokens, corpus.n_compositions, args.n, config.weight)
-    filtered = filters.apply_filter(table, config.filter)
-    ranked = ranking.rank_table(filtered, config.measure)
-    rank = ranked.rank_of(query.key) if query else None
 
     out, close = _open_out(args.output)
     try:
@@ -234,14 +229,9 @@ def _cmd_report(args) -> int:
         for stage in ("skip", "weight", "filter", "rank"):
             for level in grid.levels(stage):
                 rrs = grid.group(stage, level)
-                n = len(rrs)
-                mean = sum(rrs) / n
-                if n > 1:
-                    var = sum((x - mean) ** 2 for x in rrs) / (n - 1)
-                    se = (var / n) ** 0.5
-                else:
-                    se = 0.0
-                writer.writerow([stage, level, n, _fmt(mean), _fmt(se)])
+                mean, var = evaluation.mean_var(rrs)
+                se = (var / len(rrs)) ** 0.5
+                writer.writerow([stage, level, len(rrs), _fmt(mean), _fmt(se)])
     finally:
         if close:
             out.close()

@@ -1,7 +1,7 @@
 """Note-event corpora: parsing, vertical expansion, and chord reduction.
 
-The interchange format is line-oriented UTF-8, one note per line with
-tab-separated fields::
+The interchange format is line-oriented UTF-8 (a leading byte-order mark
+is ignored), one note per line with tab-separated fields::
 
     piece_id  onset_score  duration_score  pitch  [onset_perf  duration_perf]
 
@@ -18,6 +18,7 @@ distinct pieces may be processed concurrently and merged in piece order.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -88,10 +89,6 @@ class Slice:
         return self.pitches[-1]
 
     @property
-    def pitch_classes(self) -> frozenset[int]:
-        return frozenset(p % 12 for p in self.pitches)
-
-    @property
     def interval_classes(self) -> tuple[int, ...]:
         """Distinct non-zero interval classes above the bass, ascending."""
         bass = self.pitches[0]
@@ -118,12 +115,6 @@ class Corpus:
     @property
     def n_compositions(self) -> int:
         return len(self.pieces)
-
-    def piece(self, piece_id: str) -> Piece:
-        for p in self.pieces:
-            if p.piece_id == piece_id:
-                return p
-        raise KeyError(piece_id)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -157,6 +148,9 @@ def _parse_line(line: str, line_no: int, source: str) -> NoteEvent:
             duration_perf = float(fields[5])
         except ValueError as exc:
             raise CorpusParseError(f"bad performed time: {exc}", line_no, source) from None
+        if not (math.isfinite(onset_perf) and math.isfinite(duration_perf)):
+            raise CorpusParseError(
+                f"non-finite performed time ({fields[4]!r}, {fields[5]!r})", line_no, source)
         if onset_perf < 0:
             raise CorpusParseError(f"negative performed onset {onset_perf}", line_no, source)
         if duration_perf <= 0:
@@ -169,7 +163,7 @@ def _iter_sources(source) -> Iterable[tuple[str, Iterable[str]]]:
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         yield getattr(source, "name", "<stream>"), data.splitlines()
         return
     path = Path(source)
@@ -178,9 +172,9 @@ def _iter_sources(source) -> Iterable[tuple[str, Iterable[str]]]:
         if not files:
             raise EmptyCorpusError(f"no corpus files in {path}")
         for p in files:
-            yield str(p), p.read_text(encoding="utf-8").splitlines()
+            yield str(p), p.read_text(encoding="utf-8-sig").splitlines()
     else:
-        yield str(path), path.read_text(encoding="utf-8").splitlines()
+        yield str(path), path.read_text(encoding="utf-8-sig").splitlines()
 
 
 def parse_corpus(source: "str | Path | IO") -> Corpus:
@@ -385,7 +379,7 @@ class PrepareStats:
         return self.n_reduced / self.n_slices if self.n_slices else 0.0
 
 
-def reduce_corpus(corpus: Corpus, window: int = REDUCTION_WINDOW) -> PrepareStats:
+def reduce_corpus(corpus: Corpus) -> PrepareStats:
     """Apply oversized-chord reduction across an expanded corpus, in place.
 
     Reference populations are measured on the original, pre-reduction
@@ -405,8 +399,8 @@ def reduce_corpus(corpus: Corpus, window: int = REDUCTION_WINDOW) -> PrepareStat
             stats.n_slices += 1
             if len(s.interval_classes) <= MAX_INTERVAL_CLASSES:
                 continue
-            lo = max(0, i - window)
-            neighbors = Counter(sets[lo:i] + sets[i + 1:i + 1 + window])
+            lo = max(0, i - REDUCTION_WINDOW)
+            neighbors = Counter(sets[lo:i] + sets[i + 1:i + 1 + REDUCTION_WINDOW])
             reduced, replaced = reduce_oversized(s, neighbors, piece_pop, corpus_pop)
             piece.slices[i] = reduced
             if replaced:
@@ -414,11 +408,10 @@ def reduce_corpus(corpus: Corpus, window: int = REDUCTION_WINDOW) -> PrepareStat
     return stats
 
 
-def prepare_corpus(corpus: Corpus, *, fallback_bpm: float = FALLBACK_BPM,
-                   reduce: bool = True, window: int = REDUCTION_WINDOW) -> PrepareStats:
+def prepare_corpus(corpus: Corpus) -> PrepareStats:
     """Expand every piece, assign performed onsets, and reduce oversized chords.
 
-    Pieces with no performed times anywhere are rendered at ``fallback_bpm``
+    Pieces with no performed times anywhere are rendered at FALLBACK_BPM
     and flagged; pieces with performed times on fewer than two distinct
     onsets raise PerformanceDataError.
     """
@@ -427,9 +420,8 @@ def prepare_corpus(corpus: Corpus, *, fallback_bpm: float = FALLBACK_BPM,
         if any(n.onset_perf is not None for n in piece.notes):
             piece.slices = assign_performed_onsets(piece.notes, slices)
         else:
-            piece.slices = render_fixed_tempo(slices, fallback_bpm)
+            piece.slices = render_fixed_tempo(slices)
             piece.synthetic_tempo = True
-    stats = reduce_corpus(corpus, window) if reduce else PrepareStats(
-        n_slices=sum(len(p.slices) for p in corpus.pieces))
+    stats = reduce_corpus(corpus)
     stats.fallback_pieces = [p.piece_id for p in corpus.pieces if p.synthetic_tempo]
     return stats

@@ -7,9 +7,11 @@ in its final list (or absence), summarized per pipeline level as mean
 reciprocal rank and compared against baseline levels with pooled
 two-sample t statistics, Bonferroni-adjusted p values, and Cohen's d.
 
-Configurations are independent jobs over an immutable corpus; token
-enumeration and aggregation are shared across configurations that differ
-only in weighting, filtering, or ranking, and results are collated in a
+Every command computes its ranks through one level kernel: a skip level
+is enumerated once, every weighting is aggregated in the same pass, and
+each weighting's scores and filter keep-masks are shared by all the
+configurations that differ only in filter or measure. Skip levels are
+independent jobs over an immutable corpus, and results are collated in a
 fixed configuration order regardless of worker scheduling.
 
 A seeded synthetic-corpus generator provides desk-scale corpora with a
@@ -24,14 +26,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import Corpus, NoteEvent, Piece
-from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, FilterSpec, apply_filter, harmony_pass
-from .ranking import MEASURES, RankedList, TableBuilder, build_type_table, rank_table, score_all
-from .skipgram import EncodedPiece, SkipConfig, encode_corpus, enumerate_corpus, enumerate_piece
-from .vlt import VltPattern
-from .weighting import WEIGHT_KINDS, apply_weights, weigh_all
+from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
+from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all
+from .skipgram import EncodedPiece, SkipConfig, encode_corpus, enumerate_piece
+from .vlt import PatternKey, VltPattern
+from .weighting import WEIGHT_KINDS, weigh_all, weigh_onsets
 
 FIXED_SKIPS = (0, 1, 2, 3, 4, 5, 6, 7, 8)
 VARIABLE_WINDOWS = (0.5, 1.0, 1.5, 2.0)
@@ -142,91 +144,82 @@ def mrr(ranks: Iterable["int | None"]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def run_config(corpus: Corpus, config: PipelineConfig,
-               query: VltPattern) -> tuple[RankedList, int | None]:
-    """Execute one full pipeline configuration and locate the query."""
-    if len(query) != config.skip.n:
-        raise ValueError(
-            f"query cardinality {len(query)} does not match n={config.skip.n}")
-    pieces = encode_corpus(corpus)
-    tokens = apply_weights(enumerate_corpus(pieces, config.skip), config.weight)
-    table = build_type_table(tokens, corpus.n_compositions, config.skip.n, config.weight)
-    filtered = apply_filter(table, config.filter)
-    ranked = rank_table(filtered, config.measure)
-    return ranked, ranked.rank_of(query.key)
+def _level(pieces: list[EncodedPiece], skip: SkipConfig, weights: Sequence[str],
+           measures: Sequence[str], filter_kinds: Sequence[str], min_count: float,
+           similarity: str) -> tuple[list[PatternKey], Iterator[tuple]]:
+    """The level kernel behind run_grid, run_config and ``vlgram mine``.
 
-
-def _grid_level(pieces: list[EncodedPiece], skip: SkipConfig, query_key,
-                weights: Sequence[str], filter_kinds: Sequence[str],
-                measures: Sequence[str], min_count: float,
-                similarity: str) -> list[ConfigResult]:
-    """All (weight, filter, measure) results for one skip level.
-
-    Tokens are enumerated once; every weighting accumulates in the same
-    token order run_config uses, so the two paths agree bit for bit.
+    Enumerates the skip level once and aggregates every weighting in the
+    same pass. Returns the level's type keys in first-seen order and, one
+    weighting at a time in ``weights`` order, a (table, scores, masks)
+    triple: score_all's scores for ``measures`` and keep_masks' masks for
+    ``filter_kinds``, both aligned with the keys.
     """
-    n = skip.n
-    builder = TableBuilder(n, len(pieces), weights)
-    widx = [WEIGHT_KINDS.index(w) for w in weights]
+    builder = TableBuilder(skip.n, len(pieces), weights)
+    all_weights = tuple(weights) == WEIGHT_KINDS
     add = builder.add
     for piece in pieces:
         pid = piece.piece_id
         for tok in enumerate_piece(piece, skip):
-            ws = weigh_all(tok.onsets_perf)
-            add(pid, tok.type_key, [ws[i] for i in widx])
+            onsets = tok.onsets_perf
+            add(pid, tok.type_key, weigh_all(onsets) if all_weights
+                else [weigh_onsets(onsets, kind) for kind in weights])
+    keys = list(builder.tables[0].joint)
+    harmony = harmony_mask(keys, filter_kinds, similarity)
+    return keys, ((table, score_all(table, keys, measures),
+                   keep_masks(filter_kinds, [table.joint[k] for k in keys], min_count, harmony))
+                  for table in builder.tables)
 
-    keys = list(builder.tables[0].joint.keys())
-    key_index = {k: i for i, k in enumerate(keys)}
-    harm = [harmony_pass(k, similarity) for k in keys]
-    qpos = key_index.get(query_key)
+
+def run_config(corpus: Corpus, config: PipelineConfig,
+               query: VltPattern | None = None) -> tuple[RankedList, int | None]:
+    """Execute one full pipeline configuration and locate the query, if any."""
+    if query is not None and len(query) != config.skip.n:
+        raise ValueError(
+            f"query cardinality {len(query)} does not match n={config.skip.n}")
+    kind, measure = config.filter.kind, config.measure
+    keys, weighted = _level(encode_corpus(corpus), config.skip, (config.weight,), (measure,),
+                            (kind,), config.filter.min_count, config.filter.similarity)
+    table, scores, masks = next(weighted)
+    scored = [(key, score) for key, score, keep in zip(keys, scores[measure], masks[kind])
+              if keep and score is not None]
+    ranked = rank_types(scored, table, measure)
+    return ranked, None if query is None else ranked.rank_of(query.key)
+
+
+def _query_ranks(scores: list, masks: dict[str, list[bool]],
+                 qpos: int | None) -> dict[str, int | None]:
+    """The query's competition rank under each filter, or None where it is absent.
+
+    The rank is one more than the number of kept types scoring strictly
+    higher, as rank_types assigns it.
+    """
+    qscore = None if qpos is None else scores[qpos]
+    if qscore is None:
+        return dict.fromkeys(masks)
+    above = [i for i, s in enumerate(scores) if s is not None and s > qscore]
+    return {kind: sum(map(mask.__getitem__, above)) + 1 if mask[qpos] else None
+            for kind, mask in masks.items()}
+
+
+def _grid_level(pieces: list[EncodedPiece], skip: SkipConfig, query_key: PatternKey,
+                min_count: float, similarity: str) -> list[ConfigResult]:
+    """All (weight, filter, measure) results for one skip level."""
+    keys, weighted = _level(pieces, skip, WEIGHT_KINDS, MEASURES, FILTER_KINDS,
+                            min_count, similarity)
+    qpos = keys.index(query_key) if query_key in keys else None
     mode, level = skip.mode, _skip_level_label(skip)
-
     rows = []
-    for table, wkind in zip(builder.tables, weights):
-        scores = score_all(table, keys)
-        counts = scores["counts"]
-        freq = [c >= min_count for c in counts]
-        ranks: dict[tuple[str, str], int | None] = {}
-        for measure in measures:
-            arr = scores[measure]
-            qscore = arr[qpos] if qpos is not None else None
-            if qscore is None:
-                for fkind in filter_kinds:
-                    ranks[(fkind, measure)] = None
-                continue
-            greater = [0, 0, 0, 0]  # none, frequency, harmony, both
-            for i, s in enumerate(arr):
-                if s is None or s <= qscore:
-                    continue
-                greater[0] += 1
-                if freq[i]:
-                    greater[1] += 1
-                if harm[i]:
-                    greater[2] += 1
-                    if freq[i]:
-                        greater[3] += 1
-            kept = {
-                "none": True,
-                "frequency": freq[qpos],
-                "harmony": harm[qpos],
-                "both": freq[qpos] and harm[qpos],
-            }
-            at = {"none": 0, "frequency": 1, "harmony": 2, "both": 3}
-            for fkind in filter_kinds:
-                ranks[(fkind, measure)] = greater[at[fkind]] + 1 if kept[fkind] else None
-        for fkind in filter_kinds:
-            for measure in measures:
-                rows.append(ConfigResult(mode, level, wkind, fkind, measure,
-                                         ranks[(fkind, measure)]))
+    for wkind, (_table, scores, masks) in zip(WEIGHT_KINDS, weighted):
+        ranks = {measure: _query_ranks(scores[measure], masks, qpos) for measure in MEASURES}
+        rows += [ConfigResult(mode, level, wkind, fkind, measure, ranks[measure][fkind])
+                 for fkind in FILTER_KINDS for measure in MEASURES]
     return rows
 
 
 def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
              min_count: float = DEFAULT_MIN_COUNT, similarity: str = "intersect",
              skip_configs: Sequence[SkipConfig] | None = None,
-             weights: Sequence[str] = WEIGHT_KINDS,
-             filter_kinds: Sequence[str] = FILTER_KINDS,
-             measures: Sequence[str] = MEASURES,
              jobs: int = 1) -> GridResult:
     """Evaluate the query under every configuration of the grid.
 
@@ -237,8 +230,7 @@ def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
         raise ValueError(f"query cardinality {len(query)} does not match n={n}")
     pieces = encode_corpus(corpus)
     skips = list(skip_configs) if skip_configs is not None else default_skip_configs(n)
-    args = [(pieces, skip, query.key, tuple(weights), tuple(filter_kinds),
-             tuple(measures), min_count, similarity) for skip in skips]
+    args = [(pieces, skip, query.key, min_count, similarity) for skip in skips]
     if jobs > 1 and len(skips) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_level = list(pool.map(_grid_level_star, args))
@@ -273,7 +265,7 @@ class LevelComparison:
                                self.p, -self.d)
 
 
-def _mean_var(xs: Sequence[float]) -> tuple[float, float]:
+def mean_var(xs: Sequence[float]) -> tuple[float, float]:
     n = len(xs)
     m = sum(xs) / n
     if n < 2:
@@ -292,8 +284,8 @@ def pooled_t_test(xs: Sequence[float], ys: Sequence[float],
     n1, n2 = len(xs), len(ys)
     if n1 < 2 or n2 < 2:
         raise ValueError("each group needs at least two observations")
-    m1, v1 = _mean_var(xs)
-    m2, v2 = _mean_var(ys)
+    m1, v1 = mean_var(xs)
+    m2, v2 = mean_var(ys)
     df = n1 + n2 - 2
     sp2 = ((n1 - 1) * v1 + (n2 - 1) * v2) / df
     if sp2 <= 0.0:
@@ -395,10 +387,6 @@ class PlantRecord:
     @property
     def total_gap(self) -> int:
         return sum(self.gaps)
-
-    @property
-    def max_gap(self) -> int:
-        return max(self.gaps)
 
 
 ChordShape = tuple[tuple[int, ...], "int | None"]

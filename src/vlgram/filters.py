@@ -8,14 +8,17 @@ class while sharing interval classes above it. The first two keep only
 types touching tertian sonorities, the latter two demand genuine pitch
 change between adjacent members.
 
-Filters act on aggregated types, never on individual tokens. The harmony
-criteria read nothing but the type key, so the predicate is cached.
+Filters act on aggregated types, never on individual tokens, and are
+written once, as keep-masks over a level's types (keep_masks). The
+harmony criteria read nothing but the type key, so the predicate is
+cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .ranking import TypeTable
 from .vlt import PatternKey
@@ -62,30 +65,46 @@ def harmony_pass(key: PatternKey, similarity: str = "intersect") -> bool:
     return True
 
 
+def harmony_mask(keys: Sequence[PatternKey], kinds: Sequence[str],
+                 similarity: str = "intersect") -> list[bool] | None:
+    """harmony_pass of each key, or None when no filter in ``kinds`` reads it."""
+    if not {"harmony", "both"} & set(kinds):
+        return None
+    return [harmony_pass(k, similarity) for k in keys]
+
+
+def keep_masks(kinds: Sequence[str], counts: Sequence[float], min_count: float,
+               harmony: Sequence[bool] | None) -> dict[str, list[bool]]:
+    """Which types each filter kind keeps, aligned with ``counts``.
+
+    ``frequency`` keeps a weighted count of at least ``min_count``,
+    ``harmony`` keeps a type passing harmony_pass (``harmony``, from
+    harmony_mask), and ``both`` keeps a type both of them keep.
+    """
+    freq = [c >= min_count for c in counts]
+    masks = {"none": [True] * len(counts), "frequency": freq, "harmony": harmony,
+             "both": harmony and [f and h for f, h in zip(freq, harmony)]}
+    return {kind: masks[kind] for kind in kinds}
+
+
+def apply_filter(table: TypeTable, spec: FilterSpec) -> TypeTable:
+    """The types of ``table`` that ``spec`` keeps, as a restricted table."""
+    if spec.kind == "none":
+        return table
+    keys = list(table.joint)
+    harmony = harmony_mask(keys, (spec.kind,), spec.similarity)
+    mask = keep_masks((spec.kind,), list(table.joint.values()), spec.min_count, harmony)
+    return table.restricted(k for k, keep in zip(keys, mask[spec.kind]) if keep)
+
+
 def filter_frequency(table: TypeTable, threshold: float = DEFAULT_MIN_COUNT) -> TypeTable:
-    """Keep types whose weighted count meets the threshold (inclusive)."""
-    if threshold < 0:
-        raise ValueError("frequency threshold must be non-negative")
-    return table.restricted(k for k, count in table.joint.items() if count >= threshold)
+    return apply_filter(table, FilterSpec("frequency", threshold))
 
 
 def filter_harmony(table: TypeTable, similarity: str = "intersect") -> TypeTable:
-    return table.restricted(k for k in table.joint if harmony_pass(k, similarity))
+    return apply_filter(table, FilterSpec("harmony", similarity=similarity))
 
 
 def filter_both(table: TypeTable, threshold: float = DEFAULT_MIN_COUNT,
                 similarity: str = "intersect") -> TypeTable:
-    """Both filters at once: the intersection of the two keep-sets."""
-    return table.restricted(
-        k for k, count in table.joint.items()
-        if count >= threshold and harmony_pass(k, similarity))
-
-
-def apply_filter(table: TypeTable, spec: FilterSpec) -> TypeTable:
-    if spec.kind == "none":
-        return table
-    if spec.kind == "frequency":
-        return filter_frequency(table, spec.min_count)
-    if spec.kind == "harmony":
-        return filter_harmony(table, spec.similarity)
-    return filter_both(table, spec.min_count, spec.similarity)
+    return apply_filter(table, FilterSpec("both", threshold, similarity))

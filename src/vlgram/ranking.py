@@ -141,9 +141,6 @@ class TableBuilder:
                 sub = key[i:]
                 sdict[sub] = sdict.get(sub, 0.0) + w
 
-    def add_token(self, token, weights: Sequence[float]) -> None:
-        self.add(token.piece_id, token.type_key, weights)
-
 
 def build_type_table(tokens: Iterable, n_compositions: int, n: int,
                      weight_kind: str = "count") -> TypeTable:
@@ -307,25 +304,37 @@ def score_type(key: PatternKey, table: TypeTable, measure: str) -> float | None:
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def score_all(table: TypeTable, keys: Sequence[PatternKey]) -> dict[str, list]:
-    """Scores for every measure aligned to ``keys``, sharing the shared work."""
+def score_all(table: TypeTable, keys: Sequence[PatternKey],
+              measures: Sequence[str] = MEASURES) -> dict[str, list]:
+    """Scores for ``measures`` aligned to ``keys``, sharing the shared work.
+
+    A type a measure cannot score gets None, as from score_type. Only the
+    parts the requested measures need are computed.
+    """
+    for measure in measures:
+        if measure not in MEASURES:
+            raise ValueError(f"unknown measure {measure!r}")
     n = table.n
     total = table.total
     cov = table.coverage
     comps = table.n_compositions
     joint = table.joint
-    out = {m: [None] * len(keys) for m in MEASURES}
-    counts = out["counts"]
-    pmis = out["pmi"]
-    locals_ = out["pmi-local"]
-    covs = out["pmi-cov"]
-    dices = out["dice"]
-    chis = out["chi2"]
-    g2s = out["g2"]
+    out = {m: [None] * len(keys) for m in measures}
+    counts = out.get("counts")
+    pmis = out.get("pmi")
+    locals_ = out.get("pmi-local")
+    covs = out.get("pmi-cov")
+    dices = out.get("dice")
+    chis = out.get("chi2")
+    g2s = out.get("g2")
+    only_counts = out.keys() <= {"counts"}
+    need_pmi = pmis is not None or locals_ is not None or covs is not None
+    need_splits = chis is not None or g2s is not None
     for idx, key in enumerate(keys):
         f = joint.get(key, 0.0)
-        counts[idx] = f
-        if f <= 0.0:
+        if counts is not None:
+            counts[idx] = f
+        if f <= 0.0 or only_counts:
             continue
         p_t = f / total
         denom = 1.0
@@ -340,19 +349,28 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey]) -> dict[str, list]:
             msum += m
         if not ok:
             continue
-        pmi = math.log2(p_t / denom)
-        pmis[idx] = pmi
-        locals_[idx] = p_t * pmi
-        covs[idx] = (cov.get(key, 0) / comps) * pmi
-        dices[idx] = n * f / msum
-        chi_sum = 0.0
-        g2_sum = 0.0
-        for i in range(1, n):
-            cells = g5_split(key, i, table)
-            chi_sum += cells.chi2()
-            g2_sum += cells.g2()
-        chis[idx] = chi_sum / (n - 1)
-        g2s[idx] = g2_sum / (n - 1)
+        if need_pmi:
+            pmi = math.log2(p_t / denom)
+            if pmis is not None:
+                pmis[idx] = pmi
+            if locals_ is not None:
+                locals_[idx] = p_t * pmi
+            if covs is not None:
+                covs[idx] = (cov.get(key, 0) / comps) * pmi
+        if dices is not None:
+            dices[idx] = n * f / msum
+        if need_splits:
+            chi_sum = g2_sum = 0.0
+            for i in range(1, n):
+                cells = g5_split(key, i, table)
+                if chis is not None:
+                    chi_sum += cells.chi2()
+                if g2s is not None:
+                    g2_sum += cells.g2()
+            if chis is not None:
+                chis[idx] = chi_sum / (n - 1)
+            if g2s is not None:
+                g2s[idx] = g2_sum / (n - 1)
     return out
 
 
@@ -363,10 +381,7 @@ class RankedEntry:
     key: PatternKey
     count: float
     coverage: int
-
-    @property
-    def text(self) -> str:
-        return format_pattern(VltPattern.from_key(self.key))
+    text: str
 
 
 @dataclass
@@ -392,10 +407,6 @@ class RankedList:
         entry = self._by_key.get(key)
         return entry.rank if entry else None
 
-    def score_of(self, key: PatternKey) -> float | None:
-        entry = self._by_key.get(key)
-        return entry.score if entry else None
-
 
 def rank_types(scored: Iterable[tuple[PatternKey, float]], table: TypeTable,
                measure: str) -> RankedList:
@@ -406,10 +417,10 @@ def rank_types(scored: Iterable[tuple[PatternKey, float]], table: TypeTable,
     entries = []
     prev_score: float | None = None
     prev_rank = 0
-    for pos, (score, _text, key) in enumerate(decorated, start=1):
+    for pos, (score, text, key) in enumerate(decorated, start=1):
         rank = prev_rank if score == prev_score else pos
-        entries.append(RankedEntry(rank, score, key,
-                                   table.joint_count(key), table.coverage.get(key, 0)))
+        entries.append(RankedEntry(rank, score, key, table.joint_count(key),
+                                   table.coverage.get(key, 0), text))
         prev_score, prev_rank = score, rank
     return RankedList(measure, entries)
 

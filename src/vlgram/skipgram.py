@@ -3,10 +3,9 @@
 Tokens are index tuples over a piece's slice sequence, strictly increasing
 and emitted in lexicographic order. Fixed mode admits a tuple when the
 total number of skipped slices across all gaps stays within the skip
-budget (a per-gap budget is available as an alternative reading).
-Variable mode admits a tuple when every consecutive pair of selected
-members lies within the inter-onset window in performed time, regardless
-of how many slices are skipped in between.
+budget. Variable mode admits a tuple when every consecutive pair of
+selected members lies within the inter-onset window in performed time,
+regardless of how many slices are skipped in between.
 
 The type key of a token recomputes each bass motion between the selected
 members, so the same chords picked at different distances can form the
@@ -21,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import Corpus, PerformanceDataError, Piece, Slice
-from .vlt import PatternKey, Vlt, VltPattern
+from .vlt import PatternKey, VltPattern
 
 ChordId = tuple[tuple[int, ...], "int | None"]
 
@@ -34,7 +33,6 @@ class SkipConfig:
     n: int
     t: int | None = None            # fixed: total skips allowed (None = unlimited)
     w: float | None = None          # variable: max inter-onset interval, seconds
-    gap_budget: str = "total"       # "total" | "per_gap"
 
     def __post_init__(self):
         if self.mode not in ("fixed", "variable"):
@@ -51,8 +49,6 @@ class SkipConfig:
                 raise ValueError("variable mode takes a window, not a skip count")
             if self.w is None or self.w <= 0:
                 raise ValueError("variable mode needs a window > 0 seconds")
-        if self.gap_budget not in ("total", "per_gap"):
-            raise ValueError(f"unknown gap budget {self.gap_budget!r}")
 
     @property
     def label(self) -> str:
@@ -108,16 +104,6 @@ class EncodedPiece:
     def __len__(self) -> int:
         return len(self.chords)
 
-    def vlts(self) -> list[Vlt]:
-        """The contiguous voice-leading encoding of the whole piece."""
-        out = []
-        prev_bass = None
-        for (ivs, top), bass in zip(self.chords, self.bass_pcs):
-            motion = None if prev_bass is None else (bass - prev_bass) % 12
-            out.append(Vlt(ivs, top, motion))
-            prev_bass = bass
-        return out
-
     def token_at(self, indices: Sequence[int]) -> SkipToken:
         """Build the token for an explicit index tuple."""
         key = []
@@ -136,18 +122,15 @@ class EncodedPiece:
         )
 
 
-def _fixed_index_tuples(k: int, n: int, t: int | None,
-                        gap_budget: str) -> Iterator[tuple[int, ...]]:
+def _fixed_index_tuples(k: int, n: int, t: int | None) -> Iterator[tuple[int, ...]]:
     if n > k:
         return
     max_total = k - n if t is None else min(t, k - n)
-    per_gap = gap_budget == "per_gap"
     picked = [0] * n
 
     def extend(depth: int, last: int, spent: int) -> Iterator[tuple[int, ...]]:
         remaining = n - depth
-        allowance = max_total if per_gap else max_total - spent
-        hi = min(last + 1 + allowance, k - remaining)
+        hi = min(last + 1 + max_total - spent, k - remaining)
         for j in range(last + 1, hi + 1):
             picked[depth] = j
             if remaining == 1:
@@ -193,19 +176,17 @@ def enumerate_contiguous(piece: EncodedPiece, n: int) -> Iterator[SkipToken]:
         yield piece.token_at(range(start, start + n))
 
 
-def enumerate_fixed_skip(piece: EncodedPiece, n: int, t: int | None,
-                         gap_budget: str = "total") -> Iterator[SkipToken]:
+def enumerate_fixed_skip(piece: EncodedPiece, n: int, t: int | None) -> Iterator[SkipToken]:
     """All index tuples whose skipped-slice total stays within ``t``.
 
     ``t`` of None lifts the budget entirely, yielding every combination.
-    With ``gap_budget="per_gap"`` the budget instead applies to each gap
-    separately. ``t=0`` reproduces the contiguous enumeration exactly.
+    ``t=0`` reproduces the contiguous enumeration exactly.
     """
     if n < 2:
         raise ValueError("cardinality must be at least 2")
     if t is not None and t < 0:
         raise ValueError("skip count must be non-negative")
-    for indices in _fixed_index_tuples(len(piece), n, t, gap_budget):
+    for indices in _fixed_index_tuples(len(piece), n, t):
         yield piece.token_at(indices)
 
 
@@ -224,7 +205,7 @@ def enumerate_variable_skip(piece: EncodedPiece, n: int, w: float) -> Iterator[S
 
 def enumerate_piece(piece: EncodedPiece, config: SkipConfig) -> Iterator[SkipToken]:
     if config.mode == "fixed":
-        return enumerate_fixed_skip(piece, config.n, config.t, config.gap_budget)
+        return enumerate_fixed_skip(piece, config.n, config.t)
     return enumerate_variable_skip(piece, config.n, config.w)
 
 

@@ -161,10 +161,6 @@ def weigh_all(onsets: Sequence[float]) -> tuple[float, float, float, float, floa
     return (1.0, r, res, w_proximity(onsets), r * res)
 
 
-def weigh_token(token, kind: str) -> float:
-    return weigh_onsets(token.onsets_perf, kind)
-
-
 def apply_weights(tokens: Iterable, kind: str) -> list:
     """Set each token's weight in place and return the tokens as a list."""
     out = []

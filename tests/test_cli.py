@@ -7,6 +7,10 @@ from fractions import Fraction
 import pytest
 
 from vlgram.cli import main
+from vlgram.corpus import parse_corpus, prepare_corpus
+from vlgram.evaluation import PipelineConfig, run_config
+from vlgram.filters import FilterSpec
+from vlgram.skipgram import SkipConfig
 from vlgram.vlt import parse_pattern
 
 MRDCC_TEXT = "<5,9*,_>[0]<4,7*,10>[5]<4,_,_>"
@@ -134,6 +138,30 @@ class TestMine:
         rank_text = stdout.strip().rsplit(" ", 1)[-1]
         assert rank_text == "absent" or rank_text.isdigit()
 
+    def test_query_rank_line_equals_run_config(self, synth_corpus, tmp_path):
+        corpus_path, _ = synth_corpus
+        prepared = parse_corpus(corpus_path)
+        prepare_corpus(prepared)
+        query = parse_pattern(MRDCC_TEXT)
+        ranks = []
+        for skip, weight, fkind, measure in [
+                (SkipConfig("fixed", 3, t=0), "count", "none", "counts"),
+                (SkipConfig("fixed", 3, t=3), "periodicity", "none", "pmi"),
+                (SkipConfig("fixed", 3, t=5), "count", "harmony", "pmi-cov"),
+                (SkipConfig("fixed", 3, t=5), "resonant_periodicity", "both", "g2"),
+                (SkipConfig("variable", 3, w=1.5), "resonance", "frequency", "dice")]:
+            cli_filter = "freq" if fkind == "frequency" else fkind
+            code, stdout = run_cli(["mine", "--input", str(corpus_path), "--skip", skip.label,
+                                    "--weight", weight.replace("_", "-"), "--filter", cli_filter,
+                                    "--rank", measure, "--min-count", "2", "--query", MRDCC_TEXT,
+                                    "--output", str(tmp_path / "r.csv")])
+            assert code == 0
+            config = PipelineConfig(skip, weight, FilterSpec(fkind, 2.0), measure)
+            _, rank = run_config(prepared, config, query)
+            assert stdout == f"query rank: {'absent' if rank is None else rank}\n"
+            ranks.append(rank)
+        assert any(rank is not None and rank > 1 for rank in ranks)
+
     def test_ranked_csv_shape(self, synth_corpus, tmp_path):
         corpus, _ = synth_corpus
         out = tmp_path / "ranked.csv"
@@ -253,6 +281,10 @@ class TestExitCodes:
         bad = tmp_path / "bad.tsv"
         bad.write_text("a\t0\t1\t200\n")
         code, _ = run_cli(["expand", "--input", str(bad)])
+        assert code == 3
+        bad.write_text("a\t0\t1\t60\t0.0\t0.5\na\t1\t1\t62\tnan\t0.5\n")
+        code, _ = run_cli(["mine", "--input", str(bad), "--skip", "variable:1",
+                           "--n", "2", "--weight", "periodicity"])
         assert code == 3
 
     def test_bad_query_pattern_is_3(self, fixture_corpus):

@@ -70,9 +70,21 @@ class TestParse:
 
     def test_malformed_rows_rejected(self):
         for bad in ("a\t0\t1\n", "a\tx\t1\t60\n", "a\t0\t0\t60\n",
-                    "a\t-1\t1\t60\n", "a\t0\t1\t60\t0.0\n"):
+                    "a\t-1\t1\t60\n", "a\t0\t1\t60\t0.0\n",
+                    "a\t0\t1\t60\tnan\t0.5\n", "a\t0\t1\t60\tinf\t0.5\n",
+                    "a\t0\t1\t60\t0.0\tnan\n", "a\t0\t1\t60\t0.0\tinf\n"):
             with pytest.raises(CorpusParseError):
                 parse_text(bad)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        text = "# header\na\t0\t1\t60\t0.0\t0.5\n"
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        from_file = parse_corpus(path)
+        from_bytes = parse_corpus(io.BytesIO(path.read_bytes()))
+        for corpus in (from_file, from_bytes):
+            assert [n.pitch for n in corpus.pieces[0].notes] == [60]
+            assert corpus.pieces[0].piece_id == "a"
 
     def test_performed_fields(self):
         corpus = parse_text("a\t0\t1\t60\t0.25\t0.5\n")

@@ -11,39 +11,54 @@ from vlgram.evaluation import (BASELINES, FIXED_SKIPS, VARIABLE_WINDOWS,
                                default_skip_configs, default_vocabulary,
                                generate_synthetic_corpus, mrr, pooled_t_test,
                                run_config, run_grid, summarize_grid)
-from vlgram.filters import FilterSpec
+from vlgram.filters import FILTER_KINDS, FilterSpec
+from vlgram.ranking import MEASURES
 from vlgram.skipgram import SkipConfig, EncodedPiece, encode_corpus, enumerate_piece
-from vlgram.vlt import parse_pattern
+from vlgram.vlt import Vlt, parse_pattern
+from vlgram.weighting import WEIGHT_KINDS
 
 MRDCC = parse_pattern("<5,9*,_>[0]<4,7*,10>[5]<4,_,_>")
 
 
+def realize(piece_id, chords):
+    """A piece sounding the chords one beat apart, the bass moving by each motion."""
+    notes = []
+    bass_pc = 2
+    for beat, chord in enumerate(chords):
+        if chord.bass_motion is not None:
+            bass_pc = (bass_pc + chord.bass_motion) % 12
+        bass = 48 + bass_pc
+        pitches = {bass}
+        if chord.top is None:
+            pitches.update(bass + iv for iv in chord.intervals)
+            if chord.intervals:
+                pitches.add(bass + 12)
+        else:
+            pitches.update(bass + iv for iv in chord.intervals if iv != chord.top)
+            pitches.add(bass + 12 + chord.top)
+        for pitch in sorted(pitches):
+            notes.append(NoteEvent(piece_id, Fraction(beat), Fraction(1), pitch,
+                                   0.5 * beat, 0.5))
+    return Piece(piece_id, notes)
+
+
 def mrdcc_statement_corpus(n_pieces=3, statements=6):
     """Pieces consisting solely of repeated literal statements of the cadence."""
-    pieces = []
-    for p in range(n_pieces):
-        notes = []
-        beat = 0
-        bass_pc = 2
-        for _ in range(statements):
-            for chord in MRDCC.chords:
-                if chord.bass_motion is not None:
-                    bass_pc = (bass_pc + chord.bass_motion) % 12
-                bass = 48 + bass_pc
-                pitches = {bass}
-                if chord.top is None:
-                    pitches.update(bass + iv for iv in chord.intervals)
-                    if chord.intervals:
-                        pitches.add(bass + 12)
-                else:
-                    pitches.update(bass + iv for iv in chord.intervals if iv != chord.top)
-                    pitches.add(bass + 12 + chord.top)
-                for pitch in sorted(pitches):
-                    notes.append(NoteEvent(f"m{p}", Fraction(beat), Fraction(1), pitch,
-                                           0.5 * beat, 0.5))
-                beat += 1
-        pieces.append(Piece(f"m{p}", notes))
-    corpus = Corpus(pieces)
+    corpus = Corpus([realize(f"m{p}", MRDCC.chords * statements) for p in range(n_pieces)])
+    prepare_corpus(corpus)
+    return corpus
+
+
+def tied_corpus():
+    """The cadence ties two other types exactly, and one type outnumbers all three.
+
+    Seven statements of the cadence and two more chords hold 21 contiguous
+    trigrams, seven of each rotation of the cadence. A chain of fifths
+    holds 28 trigrams of one type.
+    """
+    fifths = [Vlt((4, 7), 7)] + [Vlt((4, 7), 7, 5)] * 29
+    corpus = Corpus([realize("cadence", MRDCC.chords * 7 + MRDCC.chords[:2]),
+                     realize("fifths", fifths)])
     prepare_corpus(corpus)
     return corpus
 
@@ -283,22 +298,37 @@ class TestGrid:
             assert row.measure == config.measure
 
     def test_grid_agrees_with_run_config(self):
-        corpus, _ = planted_corpus(seed=43, n_pieces=4, length=36)
-        grid = run_grid(corpus, MRDCC, 3)
+        planted, _ = planted_corpus(seed=43, n_pieces=4, length=36)
         sample = [
             (SkipConfig("fixed", 3, t=0), "count", "none", "counts"),
-            (SkipConfig("fixed", 3, t=3), "count", "harmony", "pmi-cov"),
             (SkipConfig("fixed", 3, t=5), "periodicity", "both", "g2"),
             (SkipConfig("fixed", 3, t=8), "proximity", "frequency", "chi2"),
-            (SkipConfig("variable", 3, w=1.0), "resonance", "none", "pmi"),
             (SkipConfig("variable", 3, w=2.0), "resonant_periodicity", "harmony", "dice"),
         ]
-        for skip, weight, fkind, measure in sample:
-            config = PipelineConfig(skip, weight, FilterSpec(fkind), measure)
-            _, expected = run_config(corpus, config, MRDCC)
-            level = str(skip.t) if skip.mode == "fixed" else f"{skip.w:g}"
-            row = grid.result_for(skip.mode, level, weight, fkind, measure)
-            assert row.query_rank == expected, (skip, weight, fkind, measure)
+        every = [(skip, weight, fkind, measure)
+                 for skip in (SkipConfig("fixed", 3, t=3), SkipConfig("variable", 3, w=1.0))
+                 for weight in WEIGHT_KINDS for fkind in FILTER_KINDS for measure in MEASURES]
+        for corpus in (planted, tied_corpus()):
+            grid = run_grid(corpus, MRDCC, 3)
+            ranked = 0
+            for skip, weight, fkind, measure in sample + every:
+                config = PipelineConfig(skip, weight, FilterSpec(fkind), measure)
+                _, expected = run_config(corpus, config, MRDCC)
+                level = str(skip.t) if skip.mode == "fixed" else f"{skip.w:g}"
+                row = grid.result_for(skip.mode, level, weight, fkind, measure)
+                assert row.query_rank == expected, (skip, weight, fkind, measure)
+                ranked += expected is not None and expected > 1
+            assert ranked
+
+    def test_tied_scores_share_competition_rank(self):
+        corpus = tied_corpus()
+        config = PipelineConfig(SkipConfig("fixed", 3, t=0), "count", FilterSpec("none"),
+                                "counts")
+        ranked, rank = run_config(corpus, config, MRDCC)
+        assert [(e.rank, e.score) for e in ranked.entries] == [(1, 28.0)] + [(2, 7.0)] * 3
+        assert rank == 2
+        grid = run_grid(corpus, MRDCC, 3, skip_configs=[config.skip])
+        assert grid.result_for("fixed", "0", "count", "none", "counts").query_rank == 2
 
     def test_parallel_jobs_identical(self):
         corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)

@@ -88,16 +88,6 @@ class TestFixedSkip:
                             if sum(b - a - 1 for a, b in zip(c, c[1:])) <= t]
                     assert got == want, (k, n, t)
 
-    def test_per_gap_budget_oracle(self):
-        for k in (6, 9, 12):
-            piece = piece_of(k, seed=k)
-            for n in (2, 3):
-                for t in (0, 1, 2):
-                    got = index_set(enumerate_fixed_skip(piece, n, t, gap_budget="per_gap"))
-                    want = [c for c in combinations(range(k), n)
-                            if all(b - a - 1 <= t for a, b in zip(c, c[1:]))]
-                    assert got == want
-
     def test_monotone_in_budget(self):
         piece = piece_of(10, seed=6)
         previous = set()
