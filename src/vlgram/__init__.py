@@ -13,7 +13,7 @@ from .corpus import (Corpus, CorpusError, CorpusParseError, EmptyCorpusError,
 from .evaluation import (GridResult, PipelineConfig, PlantSpec, compare_levels,
                          default_grid, generate_synthetic_corpus, mrr,
                          run_config, run_grid, summarize_grid)
-from .filters import FilterSpec, filter_both, filter_frequency, filter_harmony, harmony_pass
+from .filters import FilterSpec, harmony_mask, harmony_pass, keep_masks
 from .ranking import (MEASURES, Contingency2x2, RankedList, TypeTable, am_chi2,
                       am_dice, am_g2, am_pmi, am_pmi_coverage, am_pmi_local,
                       build_type_table, g5_split, rank_table)

@@ -45,14 +45,32 @@ def _parse_skip(text: str, n: int) -> skipgram.SkipConfig:
             t = int(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad fixed skip count {value!r}") from None
-        return skipgram.SkipConfig("fixed", n, t=t)
-    if mode in ("variable", "var"):
+        config = {"t": t}
+    elif mode in ("variable", "var"):
         try:
             w = float(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad variable window {value!r}") from None
-        return skipgram.SkipConfig("variable", n, w=w)
-    raise argparse.ArgumentTypeError(f"unknown skip mode {mode!r}")
+        mode, config = "variable", {"w": w}
+    else:
+        raise argparse.ArgumentTypeError(f"unknown skip mode {mode!r}")
+    try:
+        return skipgram.SkipConfig(mode, n, **config)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _at_least(convert, low):
+    """An argparse type: ``convert`` the text, then reject values below ``low``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+        if not value >= low:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _load_prepared(path: str) -> corpus_mod.Corpus:
@@ -107,8 +125,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    corpus = _load_prepared(args.input)
     skip = _parse_skip(args.skip, args.n)
+    corpus = _load_prepared(args.input)
     config = evaluation.PipelineConfig(
         skip=skip,
         weight=_WEIGHT_CLI[args.weight],
@@ -262,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip", default="fixed:0", help="fixed:T or variable:W")
     p.add_argument("--weight", default="count", choices=sorted(_WEIGHT_CLI))
     p.add_argument("--filter", default="none", choices=sorted(_FILTER_CLI))
-    p.add_argument("--min-count", type=float, default=filters.DEFAULT_MIN_COUNT)
+    p.add_argument("--min-count", type=_at_least(float, 0), default=filters.DEFAULT_MIN_COUNT)
     p.add_argument("--similarity", default="intersect", choices=filters.SIMILARITY_MODES)
     p.add_argument("--rank", default="counts", choices=ranking.MEASURES)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_at_least(int, 2), default=3)
     p.add_argument("--query", default=None, help="pattern to locate in the list")
     p.add_argument("--output", default=None)
     p.add_argument("--dump-tokens", default=None, help="also dump the token list as TSV")
@@ -274,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="run the full configuration grid")
     add_input(p)
     p.add_argument("--query", required=True)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--min-count", type=float, default=filters.DEFAULT_MIN_COUNT)
+    p.add_argument("--n", type=_at_least(int, 2), default=3)
+    p.add_argument("--min-count", type=_at_least(float, 0), default=filters.DEFAULT_MIN_COUNT)
     p.add_argument("--similarity", default="intersect", choices=filters.SIMILARITY_MODES)
     p.add_argument("--output", default="grid.csv")
     p.add_argument("--summary", default=None, help="also write per-level statistics")
-    p.add_argument("--planned-comparisons", type=int,
+    p.add_argument("--planned-comparisons", type=_at_least(int, 1),
                    default=evaluation.DEFAULT_PLANNED_COMPARISONS)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers over skip levels")
     p.set_defaults(func=_cmd_grid)

@@ -183,7 +183,8 @@ def parse_corpus(source: "str | Path | IO") -> Corpus:
     Notes are grouped into one piece per distinct piece id (in order of
     first appearance) and sorted by score onset. Malformed rows raise
     CorpusParseError naming the line; duplicate (piece, onset, pitch)
-    rows are dropped with a warning; an input with no notes at all raises
+    rows are dropped, each recorded in ``Corpus.warnings`` and all of them
+    logged as one warning; an input with no notes at all raises
     EmptyCorpusError.
     """
     pieces: dict[str, list[NoteEvent]] = {}
@@ -200,10 +201,11 @@ def parse_corpus(source: "str | Path | IO") -> Corpus:
                 msg = (f"{name}:{line_no}: duplicate note "
                        f"({note.piece_id}, {note.onset_score}, {note.pitch}); keeping first")
                 warnings.append(msg)
-                logger.warning(msg)
                 continue
             seen.add(dup_key)
             pieces.setdefault(note.piece_id, []).append(note)
+    if warnings:
+        logger.warning("%s (%d duplicate rows dropped in all)", warnings[0], len(warnings))
     if not pieces:
         raise EmptyCorpusError("corpus contains no note events")
     ordered = []

@@ -292,8 +292,8 @@ def pooled_t_test(xs: Sequence[float], ys: Sequence[float],
         return None, df, None, 0.0
     sp = sqrt(sp2)
     t = (m1 - m2) / (sp * sqrt(1.0 / n1 + 1.0 / n2))
-    from scipy.stats import t as t_dist
-    p = min(1.0, 2.0 * float(t_dist.sf(abs(t), df)) * planned_comparisons)
+    from scipy.special import stdtr  # Student t CDF; stdtr(df, -|t|) is the upper tail
+    p = min(1.0, 2.0 * float(stdtr(df, -abs(t))) * planned_comparisons)
     d = (m1 - m2) / sp
     return t, df, p, d
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .ranking import TypeTable
 from .vlt import PatternKey
 
 FILTER_KINDS = ("none", "frequency", "harmony", "both")
@@ -85,26 +84,3 @@ def keep_masks(kinds: Sequence[str], counts: Sequence[float], min_count: float,
     masks = {"none": [True] * len(counts), "frequency": freq, "harmony": harmony,
              "both": harmony and [f and h for f, h in zip(freq, harmony)]}
     return {kind: masks[kind] for kind in kinds}
-
-
-def apply_filter(table: TypeTable, spec: FilterSpec) -> TypeTable:
-    """The types of ``table`` that ``spec`` keeps, as a restricted table."""
-    if spec.kind == "none":
-        return table
-    keys = list(table.joint)
-    harmony = harmony_mask(keys, (spec.kind,), spec.similarity)
-    mask = keep_masks((spec.kind,), list(table.joint.values()), spec.min_count, harmony)
-    return table.restricted(k for k, keep in zip(keys, mask[spec.kind]) if keep)
-
-
-def filter_frequency(table: TypeTable, threshold: float = DEFAULT_MIN_COUNT) -> TypeTable:
-    return apply_filter(table, FilterSpec("frequency", threshold))
-
-
-def filter_harmony(table: TypeTable, similarity: str = "intersect") -> TypeTable:
-    return apply_filter(table, FilterSpec("harmony", similarity=similarity))
-
-
-def filter_both(table: TypeTable, threshold: float = DEFAULT_MIN_COUNT,
-                similarity: str = "intersect") -> TypeTable:
-    return apply_filter(table, FilterSpec("both", threshold, similarity))

@@ -1,12 +1,13 @@
 """Type aggregation, association measures, and ranked lists.
 
 Aggregation collapses a token stream into per-type weighted counts plus
-the positional component counts the measures need: a marginal count for
-each position (a position-two-or-later element includes its incoming
-bass motion in its identity), and prefix/suffix counts for every way of
-splitting the n-gram into two contiguous components. The suffix at a
-split keeps the bass motion that crosses the split, which guarantees the
-derived 2x2 contingency cells are never negative.
+the component counts the measures need, each the weighted count of a
+span ``key[i:j]``: a marginal for each position (a position-two-or-later
+element includes its incoming bass motion in its identity), and the
+prefix and suffix of every way of splitting the n-gram into two
+contiguous components. The suffix at a split keeps the bass motion that
+crosses the split, which guarantees the derived 2x2 contingency cells are
+never negative.
 
 Measures: plain weighted counts, pointwise mutual information and its
 locally- and coverage-scaled variants, the Dice coefficient, and the
@@ -31,15 +32,26 @@ class TableInvariantError(Exception):
     """A derived contingency cell came out negative: the table is inconsistent."""
 
 
+def _spans(n: int) -> list[tuple[int, int]]:
+    """The component spans a table counts, in a fixed order.
+
+    Each position (i, i+1) is a marginal; (0, i) and (i, n) are the prefix
+    and suffix of the split after position i. A boundary prefix or suffix
+    is a marginal and is listed once: 3n - 4 spans in all.
+    """
+    return ([(i, i + 1) for i in range(n)] + [(0, i) for i in range(2, n)]
+            + [(i, n) for i in range(1, n - 1)])
+
+
 @dataclass
 class TypeTable:
     """Aggregated counts for one token list.
 
-    ``joint`` maps each type key to its weighted count, ``marginals[i]``
-    maps position-i elements to theirs, and ``prefixes``/``suffixes`` hold
-    the interior split components (boundary splits reuse the marginals).
-    ``coverage`` counts distinct pieces containing each type. ``total`` is
-    the weighted token count N; scores are ratios of these sums.
+    ``joint`` maps each type key to its weighted count. ``parts[i, j]``
+    maps each component ``key[i:j]`` to its weighted count, for every
+    span the measures read (_spans). ``coverage`` counts distinct pieces
+    containing each type. ``total`` is the weighted token count N; scores
+    are ratios of these sums.
     """
 
     n: int
@@ -47,99 +59,55 @@ class TypeTable:
     weight_kind: str = "count"
     total: float = 0.0
     joint: dict = field(default_factory=dict)
-    marginals: list = field(default_factory=list)
-    prefixes: dict = field(default_factory=dict)
-    suffixes: dict = field(default_factory=dict)
+    parts: dict = field(init=False)
     coverage: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.parts = {span: {} for span in _spans(self.n)}
 
     def joint_count(self, key: PatternKey) -> float:
         return self.joint.get(key, 0.0)
 
     def marginal_count(self, key: PatternKey, i: int) -> float:
-        return self.marginals[i].get(key[i], 0.0)
+        return self.parts[i, i + 1].get(key[i:i + 1], 0.0)
 
     def prefix_count(self, key: PatternKey, i: int) -> float:
-        if i == 1:
-            return self.marginals[0].get(key[0], 0.0)
-        return self.prefixes[i].get(key[:i], 0.0)
+        return self.parts[0, i].get(key[:i], 0.0)
 
     def suffix_count(self, key: PatternKey, i: int) -> float:
-        if i == self.n - 1:
-            return self.marginals[i].get(key[i], 0.0)
-        return self.suffixes[i].get(key[i:], 0.0)
+        return self.parts[i, self.n].get(key[i:], 0.0)
 
     def coverage_fraction(self, key: PatternKey) -> float:
         return self.coverage.get(key, 0) / self.n_compositions
-
-    def restricted(self, keep: Iterable[PatternKey]) -> "TypeTable":
-        """A view keeping only ``keep`` types as candidates.
-
-        Component counts and N stay estimated from the full token
-        population; filtering selects candidates without re-estimating
-        the statistics beneath them.
-        """
-        keep = set(keep)
-        return TypeTable(
-            n=self.n,
-            n_compositions=self.n_compositions,
-            weight_kind=self.weight_kind,
-            total=self.total,
-            joint={k: v for k, v in self.joint.items() if k in keep},
-            marginals=self.marginals,
-            prefixes=self.prefixes,
-            suffixes=self.suffixes,
-            coverage={k: v for k, v in self.coverage.items() if k in keep},
-        )
 
 
 class TableBuilder:
     """Accumulate one pass of tokens into tables for several weight kinds.
 
     Tokens must arrive grouped by piece (enumeration order), which lets
-    piece coverage be counted with a last-seen marker instead of sets.
+    piece coverage be counted with a last-seen piece id instead of sets.
     """
 
     def __init__(self, n: int, n_compositions: int, kinds: Sequence[str]):
-        self.n = n
-        self.kinds = tuple(kinds)
-        self.tables = [TypeTable(n, n_compositions, kind, marginals=[{} for _ in range(n)],
-                                 prefixes={i: {} for i in range(2, n)},
-                                 suffixes={i: {} for i in range(1, n - 1)})
-                       for kind in kinds]
+        self.tables = [TypeTable(n, n_compositions, kind) for kind in kinds]
+        self._spans = _spans(n)
+        self._parts = [list(t.parts.values()) for t in self.tables]
         self.coverage: dict = {}
         self._cov_last: dict = {}
-        self._piece_order: dict = {}
         for t in self.tables:
             t.coverage = self.coverage
 
-    def _piece_ordinal(self, piece_id: str) -> int:
-        ordinal = self._piece_order.get(piece_id)
-        if ordinal is None:
-            ordinal = len(self._piece_order)
-            self._piece_order[piece_id] = ordinal
-        return ordinal
-
     def add(self, piece_id: str, key: PatternKey, weights: Sequence[float]) -> None:
-        ordinal = self._piece_ordinal(piece_id)
-        if self._cov_last.get(key) != ordinal:
-            self._cov_last[key] = ordinal
+        if self._cov_last.get(key) != piece_id:
+            self._cov_last[key] = piece_id
             self.coverage[key] = self.coverage.get(key, 0) + 1
-        for table, w in zip(self.tables, weights):
+        subs = [key[i:j] for i, j in self._spans]
+        for table, parts, w in zip(self.tables, self._parts, weights):
             table.total += w
             joint = table.joint
             joint[key] = joint.get(key, 0.0) + w
-            for i in range(self.n):
-                m = table.marginals[i]
-                elem = key[i]
-                m[elem] = m.get(elem, 0.0) + w
-            for i in range(2, self.n):
-                p = table.prefixes[i]
-                sub = key[:i]
-                p[sub] = p.get(sub, 0.0) + w
-            for i in range(1, self.n - 1):
-                sdict = table.suffixes[i]
-                sub = key[i:]
-                sdict[sub] = sdict.get(sub, 0.0) + w
+            for part, sub in zip(parts, subs):
+                part[sub] = part.get(sub, 0.0) + w
 
 
 def build_type_table(tokens: Iterable, n_compositions: int, n: int,
@@ -220,10 +188,12 @@ def g5_split(key: PatternKey, i: int, table: TypeTable) -> Contingency2x2:
     """The 2x2 table for splitting the type after position ``i`` (1-based)."""
     if not 1 <= i <= table.n - 1:
         raise ValueError(f"split {i} outside 1..{table.n - 1}")
-    o11 = table.joint_count(key)
-    r1 = table.prefix_count(key, i)
-    c1 = table.suffix_count(key, i)
-    n = table.total
+    return _split_cells(table.joint_count(key), table.prefix_count(key, i),
+                        table.suffix_count(key, i), table.total)
+
+
+def _split_cells(o11: float, r1: float, c1: float, n: float) -> Contingency2x2:
+    """The 2x2 table from a joint count, its prefix and suffix counts, and N."""
     scale = max(n, 1.0)
     o12 = _checked_cell(r1 - o11, scale, "prefix-only")
     o21 = _checked_cell(c1 - o11, scale, "suffix-only")
@@ -319,6 +289,8 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     cov = table.coverage
     comps = table.n_compositions
     joint = table.joint
+    marginals = list(enumerate(table.parts[i, i + 1] for i in range(n)))
+    splits = [(i, table.parts[0, i], table.parts[i, n]) for i in range(1, n)]
     out = {m: [None] * len(keys) for m in measures}
     counts = out.get("counts")
     pmis = out.get("pmi")
@@ -340,8 +312,8 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
         denom = 1.0
         msum = 0.0
         ok = True
-        for i in range(n):
-            m = table.marginal_count(key, i)
+        for i, part in marginals:
+            m = part.get(key[i:i + 1], 0.0)
             if m <= 0.0:
                 ok = False
                 break
@@ -361,8 +333,9 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
             dices[idx] = n * f / msum
         if need_splits:
             chi_sum = g2_sum = 0.0
-            for i in range(1, n):
-                cells = g5_split(key, i, table)
+            for i, prefixes, suffixes in splits:
+                cells = _split_cells(f, prefixes.get(key[:i], 0.0),
+                                     suffixes.get(key[i:], 0.0), total)
                 if chis is not None:
                     chi_sum += cells.chi2()
                 if g2s is not None:

@@ -16,7 +16,6 @@ piece order so downstream counting can merge deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import Corpus, PerformanceDataError, Piece, Slice
@@ -63,7 +62,6 @@ class SkipToken:
 
     piece_id: str
     indices: tuple[int, ...]
-    onsets_score: tuple[Fraction, ...]
     onsets_perf: tuple[float, ...]
     type_key: PatternKey
     weight: float = 1.0
@@ -75,12 +73,11 @@ class SkipToken:
 
 @dataclass
 class EncodedPiece:
-    """Per-slice mining view of a piece: chord identities, bass pcs, onsets."""
+    """Per-slice mining view of a piece: chord identities, bass pcs, performed onsets."""
 
     piece_id: str
     chords: list[ChordId]
     bass_pcs: list[int]
-    onsets_score: list[Fraction]
     onsets_perf: list[float | None]
 
     @classmethod
@@ -97,7 +94,6 @@ class EncodedPiece:
             piece_id=slices[0].piece_id if slices else "",
             chords=chords,
             bass_pcs=[s.bass % 12 for s in slices],
-            onsets_score=[s.onset_score for s in slices],
             onsets_perf=[s.onset_perf for s in slices],
         )
 
@@ -116,7 +112,6 @@ class EncodedPiece:
         return SkipToken(
             self.piece_id,
             tuple(indices),
-            tuple(self.onsets_score[i] for i in indices),
             tuple(self.onsets_perf[i] for i in indices),
             tuple(key),
         )

@@ -8,7 +8,6 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -47,8 +46,7 @@ def criterion(number, title, capfd):
 def plain_piece(k, piece_id="p"):
     """A k-slice piece with trivial content; enumeration sees only indices."""
     chords = [((4, 7), 7)] * k
-    return EncodedPiece(piece_id, chords, [0] * k,
-                        [Fraction(i) for i in range(k)], [0.5 * i for i in range(k)])
+    return EncodedPiece(piece_id, chords, [0] * k, [0.5 * i for i in range(k)])
 
 
 def test_criterion_1_contiguous_token_counts(capfd):
@@ -77,7 +75,7 @@ def test_criterion_2_skip_enumeration_oracle(capfd):
             for _ in range(k - 1):
                 onsets.append(onsets[-1] + rng.uniform(0.05, 1.1))
             piece = EncodedPiece("p", [((4, 7), 7)] * k, [rng.randrange(12) for _ in range(k)],
-                                 [Fraction(i) for i in range(k)], onsets)
+                                 onsets)
             for n in (2, 3, 4):
                 all_combos = list(combinations(range(k), n))
                 for t in range(0, 9):

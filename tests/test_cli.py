@@ -273,6 +273,24 @@ class TestExitCodes:
                            "--skip", "fixed", "--n", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["mine", "--skip", "fixed:-1"],
+        ["mine", "--skip", "variable:0"],
+        ["mine", "--n", "1"],
+        ["mine", "--min-count", "-1"],
+        ["grid", "--n", "1", "--query", "<4,7,_>"],
+        ["grid", "--planned-comparisons", "0", "--query", MRDCC_TEXT],
+    ])
+    def test_invalid_flag_value_is_2(self, fixture_corpus, tmp_path, flags):
+        argv = flags[:1] + ["--input", str(fixture_corpus),
+                            "--output", str(tmp_path / "out.csv")] + flags[1:]
+        try:
+            code, _ = run_cli(argv)
+        except SystemExit as err:
+            code = err.code
+        assert code == 2
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_input_is_3(self, tmp_path):
         code, _ = run_cli(["expand", "--input", str(tmp_path / "nope.tsv")])
         assert code == 3

@@ -58,11 +58,21 @@ class TestParse:
         corpus = parse_text("# header\n\na\t0\t1\t60\n   \n")
         assert len(corpus.pieces[0].notes) == 1
 
-    def test_duplicate_keeps_first_and_warns(self):
+    def test_duplicate_keeps_first_and_warns(self, caplog):
         corpus = parse_text("a\t0\t1\t60\t0.0\t0.5\na\t0\t2\t60\n")
         assert len(corpus.pieces[0].notes) == 1
         assert corpus.pieces[0].notes[0].duration_score == 1
         assert len(corpus.warnings) == 1
+        caplog.clear()
+        corpus = parse_text("a\t0\t1\t60\na\t0\t2\t60\na\t1\t1\t62\n"
+                            "a\t1\t1\t62\na\t0\t3\t60\n")
+        assert [n.pitch for n in corpus.pieces[0].notes] == [60, 62]
+        assert len(corpus.warnings) == 3
+        records = [r for r in caplog.records if r.name == "vlgram.corpus"]
+        assert len(records) == 1
+        assert records[0].levelname == "WARNING"
+        assert ":2: duplicate note" in records[0].getMessage()
+        assert "3 duplicate rows" in records[0].getMessage()
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyCorpusError):

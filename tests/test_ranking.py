@@ -3,6 +3,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlgram.ranking import (MEASURES, Contingency2x2, TableBuilder,
                             TableInvariantError, am_chi2, am_dice, am_g2,
@@ -108,7 +110,52 @@ class TestTypeTable:
         table = builder.tables[0]
         assert sum(table.joint.values()) == pytest.approx(table.total)
         for i in range(3):
-            assert sum(table.marginals[i].values()) == pytest.approx(table.total)
+            assert sum(table.parts[i, i + 1].values()) == pytest.approx(table.total)
+
+
+ELEMENTS = [((4, 7), 7, 5), ((3, 8), None, 0), ((), None, 2)]
+
+
+@st.composite
+def grouped_tokens(draw):
+    """n, then (piece_id, key, (w1, w2)) tokens grouped by piece, with fractional weights."""
+    n = draw(st.integers(2, 4))
+    key = st.lists(st.sampled_from(ELEMENTS), min_size=n, max_size=n).map(tuple)
+    weight = st.floats(0.0, 4.0, allow_subnormal=False).map(lambda w: w + 0.1)
+    token = st.tuples(key, st.tuples(weight, weight))
+    pieces = draw(st.lists(st.lists(token, min_size=1, max_size=12), min_size=1, max_size=4))
+    return n, [(f"p{p}", k, ws) for p, toks in enumerate(pieces) for k, ws in toks]
+
+
+class TestSpanTableProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(grouped_tokens())
+    def test_parts_equal_left_to_right_sums(self, drawn):
+        n, tokens = drawn
+        builder = TableBuilder(n, 4, ("a", "b"))
+        for piece_id, key, weights in tokens:
+            builder.add(piece_id, key, weights)
+        spans = ({(i, i + 1) for i in range(n)} | {(0, i) for i in range(1, n)}
+                 | {(i, n) for i in range(1, n)})
+        keys = {key for _, key, _ in tokens}
+        for w, table in enumerate(builder.tables):
+            assert set(table.parts) == spans and len(spans) == 3 * n - 4
+            total = 0.0
+            for _, _, weights in tokens:
+                total += weights[w]
+            assert table.total == total
+            for (i, j), part in table.parts.items():
+                assert set(part) == {key[i:j] for key in keys}
+                for sub, count in part.items():
+                    expected = 0.0
+                    for _, key, weights in tokens:
+                        if key[i:j] == sub:
+                            expected += weights[w]
+                    assert count == expected
+            for key in keys:
+                assert table.coverage[key] == len({p for p, k, _ in tokens if k == key})
+                assert table.prefix_count(key, 1) == table.marginal_count(key, 0)
+                assert table.suffix_count(key, n - 1) == table.marginal_count(key, n - 1)
 
 
 class TestPmiFamily:
