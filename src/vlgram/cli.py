@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from . import corpus as corpus_mod
@@ -60,15 +61,16 @@ def _parse_skip(text: str, n: int) -> skipgram.SkipConfig:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _at_least(convert, low):
-    """An argparse type: ``convert`` the text, then reject values below ``low``."""
+def _at_least(convert, low, at_most=math.inf):
+    """An argparse type: ``convert`` the text, then reject values outside [low, at_most]."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
-        if not value >= low:  # also rejects nan
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        if not low <= value <= at_most:  # also rejects nan
+            bound = f"at least {low}" if at_most == math.inf else f"within [{low}, {at_most}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         return value
     return parse
 
@@ -198,6 +200,13 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if not 0.0 < args.ioi_min <= args.ioi_max < math.inf:
+        raise argparse.ArgumentTypeError(
+            "need 0 < --ioi-min <= --ioi-max, both finite, "
+            f"got {args.ioi_min!r} and {args.ioi_max!r}")
+    if args.gap_max < args.gap_min:
+        raise argparse.ArgumentTypeError(
+            f"--gap-max {args.gap_max} is below --gap-min {args.gap_min}")
     plant = None
     if args.pattern:
         pattern = parse_pattern(args.pattern)
@@ -299,19 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default=None, help="also write per-level statistics")
     p.add_argument("--planned-comparisons", type=_at_least(int, 1),
                    default=evaluation.DEFAULT_PLANNED_COMPARISONS)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over skip levels")
+    p.add_argument("--jobs", type=_at_least(int, 1), default=1,
+                   help="parallel workers over skip levels")
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
-    p.add_argument("--pieces", type=int, default=20)
-    p.add_argument("--length", type=int, default=500)
+    p.add_argument("--pieces", type=_at_least(int, 1), default=20)
+    p.add_argument("--length", type=_at_least(int, 1), default=500)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--vocab-size", type=int, default=12)
+    p.add_argument("--vocab-size", type=_at_least(int, 1), default=12)
     p.add_argument("--pattern", default=None, help="pattern to plant")
-    p.add_argument("--gap-min", type=int, default=1)
+    p.add_argument("--gap-min", type=_at_least(int, 0), default=1)
     p.add_argument("--gap-max", type=int, default=5)
-    p.add_argument("--rate", type=float, default=0.6)
-    p.add_argument("--per-piece", type=int, default=6)
+    p.add_argument("--rate", type=_at_least(float, 0, at_most=1), default=0.6)
+    p.add_argument("--per-piece", type=_at_least(int, 1), default=6)
     p.add_argument("--ioi-min", type=float, default=0.32)
     p.add_argument("--ioi-max", type=float, default=0.58)
     p.add_argument("--output", required=True)

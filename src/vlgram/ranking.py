@@ -238,22 +238,28 @@ def am_dice(key: PatternKey, table: TypeTable) -> float | None:
     f = table.joint_count(key)
     if f <= 0.0:
         return None
-    denom = sum(table.marginal_count(key, i) for i in range(table.n))
+    denom = 0.0
+    for i in range(table.n):
+        denom += table.marginal_count(key, i)
     return table.n * f / denom
 
 
 def am_chi2(key: PatternKey, table: TypeTable) -> float | None:
     if table.joint_count(key) <= 0.0:
         return None
-    splits = range(1, table.n)
-    return sum(g5_split(key, i, table).chi2() for i in splits) / (table.n - 1)
+    total = 0.0
+    for i in range(1, table.n):
+        total += g5_split(key, i, table).chi2()
+    return total / (table.n - 1)
 
 
 def am_g2(key: PatternKey, table: TypeTable) -> float | None:
     if table.joint_count(key) <= 0.0:
         return None
-    splits = range(1, table.n)
-    return sum(g5_split(key, i, table).g2() for i in splits) / (table.n - 1)
+    total = 0.0
+    for i in range(1, table.n):
+        total += g5_split(key, i, table).g2()
+    return total / (table.n - 1)
 
 
 def score_type(key: PatternKey, table: TypeTable, measure: str) -> float | None:
@@ -291,6 +297,8 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     joint = table.joint
     marginals = list(enumerate(table.parts[i, i + 1] for i in range(n)))
     splits = [(i, table.parts[0, i], table.parts[i, n]) for i in range(1, n)]
+    scale = max(total, 1.0)
+    log = math.log
     out = {m: [None] * len(keys) for m in measures}
     counts = out.get("counts")
     pmis = out.get("pmi")
@@ -332,14 +340,54 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
         if dices is not None:
             dices[idx] = n * f / msum
         if need_splits:
+            # Contingency2x2's chi2/g2 inlined, in its operation order, so
+            # every float matches am_chi2/am_g2 bit for bit.
             chi_sum = g2_sum = 0.0
             for i, prefixes, suffixes in splits:
-                cells = _split_cells(f, prefixes.get(key[:i], 0.0),
-                                     suffixes.get(key[i:], 0.0), total)
+                pre = prefixes.get(key[:i], 0.0)
+                suf = suffixes.get(key[i:], 0.0)
+                o12 = pre - f
+                o21 = suf - f
+                o22 = total - pre - suf + f
+                if o12 < 0.0 or o21 < 0.0 or o22 < 0.0:
+                    o12 = _checked_cell(o12, scale, "prefix-only")
+                    o21 = _checked_cell(o21, scale, "suffix-only")
+                    o22 = _checked_cell(o22, scale, "neither")
+                r1 = f + o12
+                r2 = o21 + o22
+                c1 = f + o21
+                c2 = o12 + o22
+                t = f + o12 + o21 + o22
+                e11 = r1 * c1 / t
+                e12 = r1 * c2 / t
+                e21 = r2 * c1 / t
+                e22 = r2 * c2 / t
                 if chis is not None:
-                    chi_sum += cells.chi2()
+                    chi = 0.0
+                    if e11 > 0.0:
+                        d = f - e11
+                        chi += d * d / e11
+                    if e12 > 0.0:
+                        d = o12 - e12
+                        chi += d * d / e12
+                    if e21 > 0.0:
+                        d = o21 - e21
+                        chi += d * d / e21
+                    if e22 > 0.0:
+                        d = o22 - e22
+                        chi += d * d / e22
+                    chi_sum += chi
                 if g2s is not None:
-                    g2_sum += cells.g2()
+                    g2 = 0.0
+                    if f > 0.0:
+                        g2 += f * log(f / e11)
+                    if o12 > 0.0:
+                        g2 += o12 * log(o12 / e12)
+                    if o21 > 0.0:
+                        g2 += o21 * log(o21 / e21)
+                    if o22 > 0.0:
+                        g2 += o22 * log(o22 / e22)
+                    g2_sum += 2.0 * g2
             if chis is not None:
                 chis[idx] = chi_sum / (n - 1)
             if g2s is not None:

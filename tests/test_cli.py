@@ -280,6 +280,8 @@ class TestExitCodes:
         ["mine", "--min-count", "-1"],
         ["grid", "--n", "1", "--query", "<4,7,_>"],
         ["grid", "--planned-comparisons", "0", "--query", MRDCC_TEXT],
+        ["grid", "--jobs", "0", "--query", MRDCC_TEXT],
+        ["grid", "--jobs", "-4", "--query", MRDCC_TEXT],
     ])
     def test_invalid_flag_value_is_2(self, fixture_corpus, tmp_path, flags):
         argv = flags[:1] + ["--input", str(fixture_corpus),
@@ -290,6 +292,34 @@ class TestExitCodes:
             code = err.code
         assert code == 2
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--pieces", "-3"],
+        ["--pieces", "0"],
+        ["--length", "0"],
+        ["--vocab-size", "0"],
+        ["--per-piece", "0"],
+        ["--gap-min", "-1"],
+        ["--rate", "2"],
+        ["--rate", "-0.1"],
+        ["--rate", "nan"],
+        ["--ioi-min", "0"],
+        ["--ioi-min", "0.5", "--ioi-max", "-1"],
+        ["--ioi-min", "0.5", "--ioi-max", "0.4"],
+        ["--ioi-max", "inf"],
+        ["--gap-min", "3", "--gap-max", "2"],
+    ])
+    def test_synth_invalid_flag_value_is_2(self, tmp_path, flags):
+        out = tmp_path / "c.tsv"
+        argv = ["synth", "--seed", "1", "--pieces", "2", "--length", "20",
+                "--pattern", MRDCC_TEXT, "--output", str(out),
+                "--manifest", str(tmp_path / "m.csv")] + flags
+        try:
+            code, _ = run_cli(argv)
+        except SystemExit as err:
+            code = err.code
+        assert code == 2
+        assert not out.exists() and not (tmp_path / "m.csv").exists()
 
     def test_missing_input_is_3(self, tmp_path):
         code, _ = run_cli(["expand", "--input", str(tmp_path / "nope.tsv")])

@@ -344,6 +344,22 @@ class TestContingency:
         table.joint[key] = 1000.0
         with pytest.raises(TableInvariantError):
             g5_split(key, 1, table)
+        for measures in (MEASURES, ("chi2",), ("g2",)):
+            with pytest.raises(TableInvariantError):
+                score_all(table, [key], measures)
+
+    def test_tolerated_negative_cell_clamps_to_zero(self):
+        # the neither-cell is 30 - 20 - 20 + 10 = 0; shrinking N by 1e-8
+        # makes it slightly negative, inside the 1e-9 * N tolerance
+        table, key = bigram_contingency_table(10, 10, 10, 0)
+        table.total -= 1e-8
+        assert table.total - 20.0 - 20.0 + 10.0 < 0.0
+        assert g5_split(key, 1, table).cells() == (10.0, 10.0, 10.0, 0.0)
+        arrays = score_all(table, [key])
+        assert arrays["chi2"][0] == am_chi2(key, table) == Contingency2x2(
+            10.0, 10.0, 10.0, 0.0).chi2()
+        assert arrays["g2"][0] == am_g2(key, table) == Contingency2x2(
+            10.0, 10.0, 10.0, 0.0).g2()
 
 
 class TestRanking:
@@ -376,24 +392,30 @@ class TestRanking:
         assert [e.text[:6] for e in ranked.entries] == ["<1,3,_", "<2,5,_"]
 
     def test_score_all_matches_score_type(self):
+        # bit-exact against the scalar oracles for n = 2, 3, 4 and two
+        # fractional weightings; "b" weighs some tokens 0, and one key is
+        # absent, so both unscored paths give None
         rng = random.Random(29)
         chords = ["<4,7,_>", "<3,8,_>", "<5,9,_>", "<1,_,_>"]
-        builder = TableBuilder(3, 2, ("count",))
-        for _ in range(100):
-            text = (f"{rng.choice(chords)}[{rng.randrange(3)}]"
-                    f"{rng.choice(chords)}[{rng.randrange(3)}]{rng.choice(chords)}")
-            builder.add(f"p{rng.randrange(2)}", key_of(text), (rng.uniform(0.1, 1.0),))
-        table = builder.tables[0]
-        keys = list(table.joint)
-        arrays = score_all(table, keys)
-        for measure in MEASURES:
-            for idx, key in enumerate(keys):
-                expected = score_type(key, table, measure)
-                got = arrays[measure][idx]
-                if expected is None:
-                    assert got is None
-                else:
-                    assert got == pytest.approx(expected, abs=1e-12)
+        for n in (2, 3, 4):
+            builder = TableBuilder(n, 2, ("a", "b"))
+            for _ in range(100):
+                text = rng.choice(chords) + "".join(
+                    f"[{rng.randrange(3)}]{rng.choice(chords)}" for _ in range(n - 1))
+                zero_b = text.startswith("<1,_,_>")
+                builder.add(f"p{rng.randrange(2)}", key_of(text),
+                            (rng.uniform(0.1, 1.0), 0.0 if zero_b else rng.uniform(0.0, 3.0)))
+            assert 0.0 in builder.tables[1].joint.values()
+            absent = key_of("<2,6,_>" + "[11]<2,6,_>" * (n - 1))
+            for table in builder.tables:
+                keys = list(table.joint) + [absent]
+                arrays = score_all(table, keys)
+                for measure in MEASURES:
+                    for idx, key in enumerate(keys):
+                        expected = score_type(key, table, measure)
+                        got = arrays[measure][idx]
+                        assert (got is None) == (expected is None)
+                        assert got == expected
 
     def test_rank_order_invariant_under_weight_scaling(self):
         rng = random.Random(31)
