@@ -210,6 +210,12 @@ def _cmd_synth(args) -> int:
     plant = None
     if args.pattern:
         pattern = parse_pattern(args.pattern)
+        width = len(pattern) + (len(pattern) - 1) * args.gap_max
+        segment = args.length // args.per_piece
+        if round(args.rate * args.pieces) >= 1 and width > segment:
+            raise argparse.ArgumentTypeError(
+                f"a planted instance can span {width} slices, more than the {segment}-slice "
+                f"segment of --length {args.length} over --per-piece {args.per_piece}")
         gaps = tuple(range(args.gap_min, args.gap_max + 1))
         plant = evaluation.PlantSpec(pattern, gaps, args.rate, args.per_piece)
         exclude = [(c.intervals, c.top) for c in pattern.chords]

@@ -223,8 +223,10 @@ def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
              jobs: int = 1) -> GridResult:
     """Evaluate the query under every configuration of the grid.
 
-    Results appear in canonical configuration order whatever the level of
-    parallelism, so repeated runs produce identical output.
+    With ``jobs`` above 1 the skip levels run on a process pool of at most
+    one worker per level. Results appear in canonical configuration order
+    whatever the level of parallelism, so repeated runs produce identical
+    output.
     """
     if len(query) != n:
         raise ValueError(f"query cardinality {len(query)} does not match n={n}")
@@ -232,7 +234,7 @@ def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
     skips = list(skip_configs) if skip_configs is not None else default_skip_configs(n)
     args = [(pieces, skip, query.key, min_count, similarity) for skip in skips]
     if jobs > 1 and len(skips) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(skips))) as pool:
             per_level = list(pool.map(_grid_level_star, args))
     else:
         per_level = [_grid_level(*a) for a in args]

@@ -84,30 +84,88 @@ class TypeTable:
 class TableBuilder:
     """Accumulate one pass of tokens into tables for several weight kinds.
 
+    Every sum lives in one flat list per weight kind. Slot 0 is the
+    total; each type and each distinct component of every span gets a
+    slot the first time it is seen, so a type's span components are
+    sliced and looked up once, not once per token. ``add`` adds each
+    weight into the total, joint and component slots of its type. Every
+    slot starts at 0.0 and receives its weights in token order, so each
+    sum is the same left-to-right float sum a dict of running counts
+    would hold.
+
     Tokens must arrive grouped by piece (enumeration order), which lets
     piece coverage be counted with a last-seen piece id instead of sets.
     """
 
     def __init__(self, n: int, n_compositions: int, kinds: Sequence[str]):
-        self.tables = [TypeTable(n, n_compositions, kind) for kind in kinds]
+        self.n = n
+        self.n_compositions = n_compositions
+        self.kinds = tuple(kinds)
         self._spans = _spans(n)
-        self._parts = [list(t.parts.values()) for t in self.tables]
-        self.coverage: dict = {}
-        self._cov_last: dict = {}
-        for t in self.tables:
-            t.coverage = self.coverage
+        self._ids: dict = {}  # type key -> type id
+        self._slots: list[tuple[int, ...]] = []  # type id -> (0, joint, *components)
+        self._span_slots = [{} for _ in self._spans]  # per span: component -> slot
+        self._size = 1
+        self._sums = [[0.0] for _ in self.kinds]
+        self._coverage: list[int] = []
+        self._last_piece: list = []
+        self._tables: list[TypeTable] | None = None
+
+    def _new_type(self, key: PatternKey) -> int:
+        tid = len(self._slots)
+        self._ids[key] = tid
+        size = self._size
+        slots = [0, size]
+        size += 1
+        for (i, j), span_slots in zip(self._spans, self._span_slots):
+            sub = key[i:j]
+            slot = span_slots.get(sub)
+            if slot is None:
+                slot = span_slots[sub] = size
+                size += 1
+            slots.append(slot)
+        fresh = [0.0] * (size - self._size)
+        for sums in self._sums:
+            sums += fresh
+        self._size = size
+        self._slots.append(tuple(slots))
+        self._coverage.append(0)
+        self._last_piece.append(None)
+        return tid
 
     def add(self, piece_id: str, key: PatternKey, weights: Sequence[float]) -> None:
-        if self._cov_last.get(key) != piece_id:
-            self._cov_last[key] = piece_id
-            self.coverage[key] = self.coverage.get(key, 0) + 1
-        subs = [key[i:j] for i, j in self._spans]
-        for table, parts, w in zip(self.tables, self._parts, weights):
-            table.total += w
-            joint = table.joint
-            joint[key] = joint.get(key, 0.0) + w
-            for part, sub in zip(parts, subs):
-                part[sub] = part.get(sub, 0.0) + w
+        tid = self._ids.get(key)
+        if tid is None:
+            tid = self._new_type(key)
+        if self._last_piece[tid] != piece_id:
+            self._last_piece[tid] = piece_id
+            self._coverage[tid] += 1
+        slots = self._slots[tid]
+        for sums, w in zip(self._sums, weights):
+            for slot in slots:
+                sums[slot] += w
+        self._tables = None
+
+    @property
+    def tables(self) -> list[TypeTable]:
+        """One TypeTable per weight kind, built on first read after an add.
+
+        Joint and component dicts list their keys in first-seen order, and
+        every table shares one coverage mapping.
+        """
+        if self._tables is None:
+            keys = list(self._ids)
+            coverage = dict(zip(keys, self._coverage))
+            joint_slots = [slots[1] for slots in self._slots]
+            self._tables = []
+            for kind, sums in zip(self.kinds, self._sums):
+                get = sums.__getitem__
+                table = TypeTable(self.n, self.n_compositions, kind, sums[0],
+                                  dict(zip(keys, map(get, joint_slots))), coverage)
+                for span, span_slots in zip(self._spans, self._span_slots):
+                    table.parts[span] = dict(zip(span_slots, map(get, span_slots.values())))
+                self._tables.append(table)
+        return self._tables
 
 
 def build_type_table(tokens: Iterable, n_compositions: int, n: int,

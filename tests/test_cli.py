@@ -14,6 +14,9 @@ from vlgram.skipgram import SkipConfig
 from vlgram.vlt import parse_pattern
 
 MRDCC_TEXT = "<5,9*,_>[0]<4,7*,10>[5]<4,_,_>"
+# plants one cadence instance, at most 13 slices wide, in one of two 20-slice pieces
+SYNTH_VALID = ["synth", "--seed", "1", "--pieces", "2", "--length", "20",
+               "--per-piece", "1", "--pattern", MRDCC_TEXT]
 
 FOUR_NOTE_FIXTURE = """\
 # whole note under a rising line
@@ -308,18 +311,25 @@ class TestExitCodes:
         ["--ioi-min", "0.5", "--ioi-max", "0.4"],
         ["--ioi-max", "inf"],
         ["--gap-min", "3", "--gap-max", "2"],
+        ["--length", "5", "--per-piece", "6"],
+        ["--length", "60", "--per-piece", "6"],
     ])
     def test_synth_invalid_flag_value_is_2(self, tmp_path, flags):
         out = tmp_path / "c.tsv"
-        argv = ["synth", "--seed", "1", "--pieces", "2", "--length", "20",
-                "--pattern", MRDCC_TEXT, "--output", str(out),
-                "--manifest", str(tmp_path / "m.csv")] + flags
+        argv = SYNTH_VALID + ["--output", str(out), "--manifest", str(tmp_path / "m.csv")] + flags
         try:
             code, _ = run_cli(argv)
         except SystemExit as err:
             code = err.code
         assert code == 2
         assert not out.exists() and not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--length", "13"]])
+    def test_synth_valid_flags_are_0(self, tmp_path, flags):
+        # the flags the invalid-value cases start from plant without error,
+        # also where the widest instance fills its segment exactly
+        code, _ = run_cli(SYNTH_VALID + ["--output", str(tmp_path / "c.tsv")] + flags)
+        assert code == 0
 
     def test_missing_input_is_3(self, tmp_path):
         code, _ = run_cli(["expand", "--input", str(tmp_path / "nope.tsv")])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vlgram import evaluation
 from vlgram.corpus import Corpus, NoteEvent, Piece, prepare_corpus
 from vlgram.evaluation import (BASELINES, FIXED_SKIPS, VARIABLE_WINDOWS,
                                ConfigResult, GenerationError, PipelineConfig,
@@ -335,6 +336,33 @@ class TestGrid:
         serial = run_grid(corpus, MRDCC, 3, jobs=1)
         parallel = run_grid(corpus, MRDCC, 3, jobs=2)
         assert serial.rows == parallel.rows
+
+    def test_pool_has_at_most_one_worker_per_level(self, monkeypatch):
+        recorded = []
+
+        class SerialPool:
+            """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+        corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
+        skips = [SkipConfig("fixed", 3, t=2), SkipConfig("variable", 3, w=1.0)]
+        serial = run_grid(corpus, MRDCC, 3, skip_configs=skips, jobs=1)
+        assert recorded == []
+        pooled = run_grid(corpus, MRDCC, 3, skip_configs=skips, jobs=20)
+        assert recorded == [2]
+        assert pooled.rows == serial.rows
 
     def test_summary_levels_and_baselines(self):
         corpus, _ = planted_corpus(seed=53, n_pieces=3, length=24)

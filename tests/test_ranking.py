@@ -157,6 +157,40 @@ class TestSpanTableProperty:
                 assert table.prefix_count(key, 1) == table.marginal_count(key, 0)
                 assert table.suffix_count(key, n - 1) == table.marginal_count(key, n - 1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(grouped_tokens())
+    def test_keys_in_first_seen_order_and_coverage_shared(self, drawn):
+        n, tokens = drawn
+        builder = TableBuilder(n, 4, ("a", "b"))
+        for piece_id, key, weights in tokens:
+            builder.add(piece_id, key, weights)
+        first_seen = list(dict.fromkeys(key for _, key, _ in tokens))
+        for table in builder.tables:
+            # evaluation._level takes a level's type order from list(table.joint)
+            assert list(table.joint) == first_seen
+            for (i, j), part in table.parts.items():
+                assert list(part) == list(dict.fromkeys(key[i:j] for key in first_seen))
+            assert table.coverage == builder.tables[0].coverage
+
+    @settings(max_examples=100, deadline=None)
+    @given(grouped_tokens(), st.data())
+    def test_tables_reflect_adds_after_a_read(self, drawn, data):
+        n, tokens = drawn
+        cut = data.draw(st.integers(0, len(tokens) - 1))
+        builder = TableBuilder(n, 4, ("a", "b"))
+        for piece_id, key, weights in tokens[:cut]:
+            builder.add(piece_id, key, weights)
+        early = builder.tables
+        assert builder.tables == early
+        for piece_id, key, weights in tokens[cut:]:
+            builder.add(piece_id, key, weights)
+        late = builder.tables
+        fresh = TableBuilder(n, 4, ("a", "b"))
+        for piece_id, key, weights in tokens:
+            fresh.add(piece_id, key, weights)
+        assert late == fresh.tables
+        assert builder.tables == late
+
 
 class TestPmiFamily:
     def test_independence_gives_zero(self):
