@@ -39,17 +39,18 @@ def aggregate(n_pieces, tokens):
     add = builder.add
     for piece_id, key, weights in tokens:
         add(piece_id, key, weights)
-    return builder.tables
+    return builder
 
 
 def test_aggregate(benchmark, stream):
-    tables = benchmark(aggregate, *stream)
+    tables = benchmark(aggregate, *stream).tables
     assert [t.weight_kind for t in tables] == list(WEIGHT_KINDS)
     assert tables[0].total == len(stream[1])
 
 
 def test_score_all(benchmark, stream):
-    tables = aggregate(*stream)
-    keys = list(tables[0].joint)
+    builder = aggregate(*stream)
+    keys = list(builder.ids)
+    tables = builder.tables
     scores = benchmark(lambda: [score_all(table, keys) for table in tables])
     assert all(len(s[m]) == len(keys) for s in scores for m in MEASURES)

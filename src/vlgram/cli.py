@@ -17,6 +17,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import contextmanager
 
 from . import corpus as corpus_mod
 from . import evaluation, filters, ranking, skipgram, weighting
@@ -81,10 +82,14 @@ def _load_prepared(path: str) -> corpus_mod.Corpus:
     return corpus
 
 
+@contextmanager
 def _open_out(path: str | None):
+    """The output file at ``path``, closed on exit; stdout (left open) for None or "-"."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
 
 
 def _csv_writer(handle):
@@ -99,30 +104,22 @@ def _fmt(value) -> str:
 
 def _cmd_expand(args) -> int:
     corpus = _load_prepared(args.input)
-    out, close = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         for piece in corpus.pieces:
             for s in piece.slices:
                 pitches = " ".join(str(p) for p in s.pitches)
                 out.write(f"{s.piece_id}\t{s.index}\t{s.onset_score}\t{s.onset_perf!r}"
                           f"\t{s.bass}\t{s.top}\t{pitches}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_encode(args) -> int:
     corpus = _load_prepared(args.input)
-    out, close = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         for piece in corpus.pieces:
             for index, vlt in enumerate(encode_piece(piece.slices)):
                 motion = "" if vlt.bass_motion is None else str(vlt.bass_motion)
                 out.write(f"{piece.piece_id}\t{index}\t{format_chord(vlt)}\t{motion}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -147,16 +144,12 @@ def _cmd_mine(args) -> int:
         with open(args.dump_tokens, "w", encoding="utf-8", newline="") as handle:
             skipgram.dump_tokens(tokens, handle)
 
-    out, close = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         writer = _csv_writer(out)
         writer.writerow(["rank", "score", "count", "coverage", "type"])
         for entry in ranked.entries:
             writer.writerow([entry.rank, _fmt(entry.score), _fmt(entry.count),
                              entry.coverage, entry.text])
-    finally:
-        if close:
-            out.close()
     if query is not None:
         print(f"query rank: {rank if rank is not None else 'absent'}")
     return 0
@@ -245,18 +238,30 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _grid_rank(text: str | None, where: str) -> int | None:
+    """A grid CSV's query_rank: NA (absent) or an integer of at least 1."""
+    if text == "NA":
+        return None
+    rank = int(text) if text and text.isascii() and text.isdigit() else 0
+    if rank < 1:
+        raise ValueError(f"{where}: query_rank must be NA or an integer >= 1, got {text!r}")
+    return rank
+
+
 def _cmd_report(args) -> int:
     with open(args.grid, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
+        missing = [c for c in GRID_COLUMNS[:-1] if c not in (reader.fieldnames or ())]
+        if missing:  # rr is not read: it follows from query_rank
+            raise ValueError(f"{args.grid}:1: grid CSV lacks column(s) {', '.join(missing)}")
         rows = []
         for row in reader:
-            rank = None if row["query_rank"] == "NA" else int(row["query_rank"])
+            rank = _grid_rank(row["query_rank"], f"{args.grid}:{reader.line_num}")
             rows.append(evaluation.ConfigResult(
                 row["skip_mode"], row["skip_level"], row["weight"], row["filter"],
                 row["rank_measure"], rank))
     grid = evaluation.GridResult("", 0, rows)
-    out, close = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         writer = _csv_writer(out)
         writer.writerow(["stage", "level", "n_configs", "mrr", "se_rr"])
         for stage in ("skip", "weight", "filter", "rank"):
@@ -265,9 +270,6 @@ def _cmd_report(args) -> int:
                 mean, var = evaluation.mean_var(rrs)
                 se = (var / len(rrs)) ** 0.5
                 writer.writerow([stage, level, len(rrs), _fmt(mean), _fmt(se)])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -351,7 +353,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (corpus_mod.CorpusError, PatternSyntaxError,
-            evaluation.GenerationError, FileNotFoundError, ValueError) as exc:
+            evaluation.GenerationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except ranking.TableInvariantError as exc:

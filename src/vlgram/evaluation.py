@@ -164,10 +164,12 @@ def _level(pieces: list[EncodedPiece], skip: SkipConfig, weights: Sequence[str],
             onsets = tok.onsets_perf
             add(pid, tok.type_key, weigh_all(onsets) if all_weights
                 else [weigh_onsets(onsets, kind) for kind in weights])
-    keys = list(builder.tables[0].joint)
+    keys = list(builder.ids)
     harmony = harmony_mask(keys, filter_kinds, similarity)
+    joint_slots = [slots[1] for slots in builder.slots]
     return keys, ((table, score_all(table, keys, measures),
-                   keep_masks(filter_kinds, [table.joint[k] for k in keys], min_count, harmony))
+                   keep_masks(filter_kinds, list(map(table.sums.__getitem__, joint_slots)),
+                              min_count, harmony))
                   for table in builder.tables)
 
 

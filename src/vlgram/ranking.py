@@ -43,42 +43,48 @@ def _spans(n: int) -> list[tuple[int, int]]:
             + [(i, n) for i in range(1, n - 1)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypeTable:
-    """Aggregated counts for one token list.
+    """A read-only view of one weight kind's counts in a TableBuilder.
 
-    ``joint`` maps each type key to its weighted count. ``parts[i, j]``
-    maps each component ``key[i:j]`` to its weighted count, for every
-    span the measures read (_spans). ``coverage`` counts distinct pieces
-    containing each type. ``total`` is the weighted token count N; scores
-    are ratios of these sums.
+    ``sums`` is that kind's list of sums; the rest is shared with the
+    builder. ``count(key, i, j)`` is the weighted count of ``key[i:j]``,
+    ``covered(key)`` counts distinct pieces containing the type, and
+    ``total`` is the weighted token count N; scores are ratios of these sums.
     """
 
     n: int
     n_compositions: int
-    weight_kind: str = "count"
-    total: float = 0.0
-    joint: dict = field(default_factory=dict)
-    parts: dict = field(init=False)
-    coverage: dict = field(default_factory=dict)
+    weight_kind: str
+    sums: list
+    ids: dict
+    slots: list
+    span_slots: dict
+    covers: list
 
-    def __post_init__(self):
-        self.parts = {span: {} for span in _spans(self.n)}
+    @property
+    def total(self) -> float:
+        return self.sums[0]
 
-    def joint_count(self, key: PatternKey) -> float:
-        return self.joint.get(key, 0.0)
+    @property
+    def joint(self) -> dict:
+        """Each type's weighted count, in first-seen order (built on each read)."""
+        return dict(zip(self.ids, map(self.sums.__getitem__, (s[1] for s in self.slots))))
 
-    def marginal_count(self, key: PatternKey, i: int) -> float:
-        return self.parts[i, i + 1].get(key[i:i + 1], 0.0)
+    def count(self, key: PatternKey, i: int = 0, j: int | None = None) -> float:
+        """The weighted count of ``key[i:j]`` (j defaults to n: the type itself)."""
+        if j is None:
+            j = self.n
+        if i == 0 and j == self.n:
+            tid = self.ids.get(key)
+            slot = None if tid is None else self.slots[tid][1]
+        else:
+            slot = self.span_slots[i, j].get(key[i:j])
+        return 0.0 if slot is None else self.sums[slot]
 
-    def prefix_count(self, key: PatternKey, i: int) -> float:
-        return self.parts[0, i].get(key[:i], 0.0)
-
-    def suffix_count(self, key: PatternKey, i: int) -> float:
-        return self.parts[i, self.n].get(key[i:], 0.0)
-
-    def coverage_fraction(self, key: PatternKey) -> float:
-        return self.coverage.get(key, 0) / self.n_compositions
+    def covered(self, key: PatternKey) -> int:
+        tid = self.ids.get(key)
+        return 0 if tid is None else self.covers[tid]
 
 
 class TableBuilder:
@@ -101,23 +107,21 @@ class TableBuilder:
         self.n = n
         self.n_compositions = n_compositions
         self.kinds = tuple(kinds)
-        self._spans = _spans(n)
-        self._ids: dict = {}  # type key -> type id
-        self._slots: list[tuple[int, ...]] = []  # type id -> (0, joint, *components)
-        self._span_slots = [{} for _ in self._spans]  # per span: component -> slot
+        self.ids: dict = {}  # type key -> type id
+        self.slots: list[tuple[int, ...]] = []  # type id -> (0, joint, *components)
+        self.span_slots = {span: {} for span in _spans(n)}  # per span: component -> slot
         self._size = 1
-        self._sums = [[0.0] for _ in self.kinds]
-        self._coverage: list[int] = []
+        self.sums = [[0.0] for _ in self.kinds]  # per weight kind: slot -> sum
+        self.covers: list[int] = []  # type id -> pieces containing the type
         self._last_piece: list = []
-        self._tables: list[TypeTable] | None = None
 
     def _new_type(self, key: PatternKey) -> int:
-        tid = len(self._slots)
-        self._ids[key] = tid
+        tid = len(self.slots)
+        self.ids[key] = tid
         size = self._size
         slots = [0, size]
         size += 1
-        for (i, j), span_slots in zip(self._spans, self._span_slots):
+        for (i, j), span_slots in self.span_slots.items():
             sub = key[i:j]
             slot = span_slots.get(sub)
             if slot is None:
@@ -125,47 +129,32 @@ class TableBuilder:
                 size += 1
             slots.append(slot)
         fresh = [0.0] * (size - self._size)
-        for sums in self._sums:
+        for sums in self.sums:
             sums += fresh
         self._size = size
-        self._slots.append(tuple(slots))
-        self._coverage.append(0)
+        self.slots.append(tuple(slots))
+        self.covers.append(0)
         self._last_piece.append(None)
         return tid
 
     def add(self, piece_id: str, key: PatternKey, weights: Sequence[float]) -> None:
-        tid = self._ids.get(key)
+        tid = self.ids.get(key)
         if tid is None:
             tid = self._new_type(key)
         if self._last_piece[tid] != piece_id:
             self._last_piece[tid] = piece_id
-            self._coverage[tid] += 1
-        slots = self._slots[tid]
-        for sums, w in zip(self._sums, weights):
+            self.covers[tid] += 1
+        slots = self.slots[tid]
+        for sums, w in zip(self.sums, weights):
             for slot in slots:
                 sums[slot] += w
-        self._tables = None
 
     @property
     def tables(self) -> list[TypeTable]:
-        """One TypeTable per weight kind, built on first read after an add.
-
-        Joint and component dicts list their keys in first-seen order, and
-        every table shares one coverage mapping.
-        """
-        if self._tables is None:
-            keys = list(self._ids)
-            coverage = dict(zip(keys, self._coverage))
-            joint_slots = [slots[1] for slots in self._slots]
-            self._tables = []
-            for kind, sums in zip(self.kinds, self._sums):
-                get = sums.__getitem__
-                table = TypeTable(self.n, self.n_compositions, kind, sums[0],
-                                  dict(zip(keys, map(get, joint_slots))), coverage)
-                for span, span_slots in zip(self._spans, self._span_slots):
-                    table.parts[span] = dict(zip(span_slots, map(get, span_slots.values())))
-                self._tables.append(table)
-        return self._tables
+        """One TypeTable view per weight kind; later adds show through."""
+        return [TypeTable(self.n, self.n_compositions, kind, sums, self.ids, self.slots,
+                          self.span_slots, self.covers)
+                for kind, sums in zip(self.kinds, self.sums)]
 
 
 def build_type_table(tokens: Iterable, n_compositions: int, n: int,
@@ -246,8 +235,8 @@ def g5_split(key: PatternKey, i: int, table: TypeTable) -> Contingency2x2:
     """The 2x2 table for splitting the type after position ``i`` (1-based)."""
     if not 1 <= i <= table.n - 1:
         raise ValueError(f"split {i} outside 1..{table.n - 1}")
-    return _split_cells(table.joint_count(key), table.prefix_count(key, i),
-                        table.suffix_count(key, i), table.total)
+    return _split_cells(table.count(key), table.count(key, 0, i), table.count(key, i),
+                        table.total)
 
 
 def _split_cells(o11: float, r1: float, c1: float, n: float) -> Contingency2x2:
@@ -265,13 +254,13 @@ def am_pmi(key: PatternKey, table: TypeTable) -> float | None:
     Undefined (None) for types with no observed weight or a zero marginal;
     such types are dropped from this measure's list rather than scored.
     """
-    f = table.joint_count(key)
+    f = table.count(key)
     if f <= 0.0:
         return None
     n = table.total
     denom = 1.0
     for i in range(table.n):
-        m = table.marginal_count(key, i)
+        m = table.count(key, i, i + 1)
         if m <= 0.0:
             return None
         denom *= m / n
@@ -282,28 +271,28 @@ def am_pmi_local(key: PatternKey, table: TypeTable) -> float | None:
     pmi = am_pmi(key, table)
     if pmi is None:
         return None
-    return (table.joint_count(key) / table.total) * pmi
+    return (table.count(key) / table.total) * pmi
 
 
 def am_pmi_coverage(key: PatternKey, table: TypeTable) -> float | None:
     pmi = am_pmi(key, table)
     if pmi is None:
         return None
-    return table.coverage_fraction(key) * pmi
+    return (table.covered(key) / table.n_compositions) * pmi
 
 
 def am_dice(key: PatternKey, table: TypeTable) -> float | None:
-    f = table.joint_count(key)
+    f = table.count(key)
     if f <= 0.0:
         return None
     denom = 0.0
     for i in range(table.n):
-        denom += table.marginal_count(key, i)
+        denom += table.count(key, i, i + 1)
     return table.n * f / denom
 
 
 def am_chi2(key: PatternKey, table: TypeTable) -> float | None:
-    if table.joint_count(key) <= 0.0:
+    if table.count(key) <= 0.0:
         return None
     total = 0.0
     for i in range(1, table.n):
@@ -312,7 +301,7 @@ def am_chi2(key: PatternKey, table: TypeTable) -> float | None:
 
 
 def am_g2(key: PatternKey, table: TypeTable) -> float | None:
-    if table.joint_count(key) <= 0.0:
+    if table.count(key) <= 0.0:
         return None
     total = 0.0
     for i in range(1, table.n):
@@ -322,7 +311,7 @@ def am_g2(key: PatternKey, table: TypeTable) -> float | None:
 
 def score_type(key: PatternKey, table: TypeTable, measure: str) -> float | None:
     if measure == "counts":
-        return table.joint_count(key)
+        return table.count(key)
     if measure == "pmi":
         return am_pmi(key, table)
     if measure == "pmi-local":
@@ -349,12 +338,17 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
         if measure not in MEASURES:
             raise ValueError(f"unknown measure {measure!r}")
     n = table.n
-    total = table.total
-    cov = table.coverage
+    sums = table.sums
+    total = sums[0]
+    ids = table.ids
+    type_slots = table.slots
+    covers = table.covers
     comps = table.n_compositions
-    joint = table.joint
-    marginals = list(enumerate(table.parts[i, i + 1] for i in range(n)))
-    splits = [(i, table.parts[0, i], table.parts[i, n]) for i in range(1, n)]
+    # Where each count sits in a type's slot tuple (0, joint, *components):
+    # marginal i at 2 + i, the prefix and suffix of split i at their spans'.
+    at = {span: pos for pos, span in enumerate(table.span_slots, start=2)}
+    marginals = range(2, 2 + n)
+    splits = [(at[0, i], at[i, n]) for i in range(1, n)]
     scale = max(total, 1.0)
     log = math.log
     out = {m: [None] * len(keys) for m in measures}
@@ -369,17 +363,19 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     need_pmi = pmis is not None or locals_ is not None or covs is not None
     need_splits = chis is not None or g2s is not None
     for idx, key in enumerate(keys):
-        f = joint.get(key, 0.0)
+        tid = ids.get(key)
+        f = 0.0 if tid is None else sums[type_slots[tid][1]]
         if counts is not None:
             counts[idx] = f
         if f <= 0.0 or only_counts:
             continue
+        slots = type_slots[tid]
         p_t = f / total
         denom = 1.0
         msum = 0.0
         ok = True
-        for i, part in marginals:
-            m = part.get(key[i:i + 1], 0.0)
+        for pos in marginals:
+            m = sums[slots[pos]]
             if m <= 0.0:
                 ok = False
                 break
@@ -394,16 +390,16 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
             if locals_ is not None:
                 locals_[idx] = p_t * pmi
             if covs is not None:
-                covs[idx] = (cov.get(key, 0) / comps) * pmi
+                covs[idx] = (covers[tid] / comps) * pmi
         if dices is not None:
             dices[idx] = n * f / msum
         if need_splits:
             # Contingency2x2's chi2/g2 inlined, in its operation order, so
             # every float matches am_chi2/am_g2 bit for bit.
             chi_sum = g2_sum = 0.0
-            for i, prefixes, suffixes in splits:
-                pre = prefixes.get(key[:i], 0.0)
-                suf = suffixes.get(key[i:], 0.0)
+            for pre_at, suf_at in splits:
+                pre = sums[slots[pre_at]]
+                suf = sums[slots[suf_at]]
                 o12 = pre - f
                 o21 = suf - f
                 o22 = total - pre - suf + f
@@ -498,15 +494,15 @@ def rank_types(scored: Iterable[tuple[PatternKey, float]], table: TypeTable,
     prev_rank = 0
     for pos, (score, text, key) in enumerate(decorated, start=1):
         rank = prev_rank if score == prev_score else pos
-        entries.append(RankedEntry(rank, score, key, table.joint_count(key),
-                                   table.coverage.get(key, 0), text))
+        entries.append(RankedEntry(rank, score, key, table.count(key), table.covered(key),
+                                   text))
         prev_score, prev_rank = score, rank
     return RankedList(measure, entries)
 
 
 def rank_table(table: TypeTable, measure: str) -> RankedList:
     scored = []
-    for key in table.joint:
+    for key in table.ids:
         s = score_type(key, table, measure)
         if s is not None:
             scored.append((key, s))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from vlgram.cli import main
+from vlgram.cli import GRID_COLUMNS, main
 from vlgram.corpus import parse_corpus, prepare_corpus
 from vlgram.evaluation import PipelineConfig, run_config
 from vlgram.filters import FilterSpec
@@ -17,6 +17,9 @@ MRDCC_TEXT = "<5,9*,_>[0]<4,7*,10>[5]<4,_,_>"
 # plants one cadence instance, at most 13 slices wide, in one of two 20-slice pieces
 SYNTH_VALID = ["synth", "--seed", "1", "--pieces", "2", "--length", "20",
                "--per-piece", "1", "--pattern", MRDCC_TEXT]
+
+GRID_HEADER = ",".join(GRID_COLUMNS)
+GRID_ROW = "fixed,0,count,none,counts,2,0.5"
 
 FOUR_NOTE_FIXTURE = """\
 # whole note under a rising line
@@ -330,6 +333,31 @@ class TestExitCodes:
         # also where the widest instance fills its segment exactly
         code, _ = run_cli(SYNTH_VALID + ["--output", str(tmp_path / "c.tsv")] + flags)
         assert code == 0
+
+    @pytest.mark.parametrize("lines, line_no", [
+        ([",".join(GRID_COLUMNS[:5] + ["rr"]), "fixed,0,count,none,counts,1.0"], 1),
+        ([GRID_HEADER, GRID_ROW, "fixed,0,count,none,pmi,0,0.0"], 3),
+        ([GRID_HEADER, GRID_ROW, "fixed,0,count,none,pmi,-2,-0.5"], 3),
+        ([GRID_HEADER, GRID_ROW, "fixed,0,count,none,pmi,x,0.0"], 3),
+    ], ids=["no-query_rank-column", "rank-0", "rank-negative", "rank-not-a-number"])
+    def test_report_bad_grid_is_3(self, tmp_path, capsys, lines, line_no):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.csv"
+        code, _ = run_cli(["report", "--grid", str(grid), "--output", str(out)])
+        assert code == 3
+        assert f"{grid}:{line_no}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "grid", "mine"])
+    def test_directory_as_file_is_3(self, fixture_corpus, tmp_path, command):
+        argv = {"report": ["report", "--grid", str(tmp_path)],
+                "grid": ["grid", "--input", str(fixture_corpus), "--n", "2",
+                         "--query", "<4,7,_>[5]<4,_,_>", "--output", str(tmp_path)],
+                "mine": ["mine", "--input", str(fixture_corpus), "--n", "2",
+                         "--output", str(tmp_path)]}[command]
+        code, _ = run_cli(argv)
+        assert code == 3
 
     def test_missing_input_is_3(self, tmp_path):
         code, _ = run_cli(["expand", "--input", str(tmp_path / "nope.tsv")])

@@ -56,10 +56,10 @@ class TestTypeTable:
         table = table_from([("p", "<4,7,_>[5]<3,8,_>", 1.0, 1)], 2)
         key = key_of("<4,7,_>[5]<3,8,_>")
         assert table.total == 1.0
-        assert table.joint_count(key) == 1.0
-        assert table.marginal_count(key, 0) == 1.0
-        assert table.marginal_count(key, 1) == 1.0
-        assert table.coverage[key] == 1
+        assert table.count(key) == 1.0
+        assert table.count(key, 0, 1) == 1.0
+        assert table.count(key, 1, 2) == 1.0
+        assert table.covered(key) == 1
 
     def test_coverage_counts_pieces_not_tokens(self):
         builder = TableBuilder(2, 3, ("count",))
@@ -68,9 +68,9 @@ class TestTypeTable:
         builder.add("p1", key, (1.0,))
         builder.add("p2", key, (1.0,))
         table = builder.tables[0]
-        assert table.joint_count(key) == 3.0
-        assert table.coverage[key] == 2
-        assert table.coverage_fraction(key) == pytest.approx(2 / 3)
+        assert table.count(key) == 3.0
+        assert table.covered(key) == 2
+        assert table.covered(key) / table.n_compositions == pytest.approx(2 / 3)
 
     def test_hand_tally_fixture(self):
         # six token shapes over two pieces, tallied by hand
@@ -84,20 +84,19 @@ class TestTypeTable:
         table = table_from(rows, 3, n_pieces=2)
         t = key_of("<4,7,_>[2]<3,8,_>[5]<5,9,_>")
         assert table.total == 6.0
-        assert table.joint_count(t) == 3.0
-        assert table.marginal_count(t, 0) == 5.0       # first chord <4,7,_>
-        assert table.marginal_count(t, 1) == 5.0       # [2]<3,8,_> in position 2
-        assert table.marginal_count(t, 2) == 5.0       # [5]<5,9,_> in position 3
-        assert table.prefix_count(t, 1) == 5.0
-        assert table.prefix_count(t, 2) == 4.0         # <4,7,_>[2]<3,8,_> prefix
-        assert table.suffix_count(t, 1) == 4.0         # [2]<3,8,_>[5]<5,9,_> suffix
-        assert table.suffix_count(t, 2) == 5.0
-        assert table.coverage[t] == 2
+        assert table.count(t) == 3.0
+        assert table.count(t, 0, 1) == 5.0       # first chord <4,7,_>
+        assert table.count(t, 1, 2) == 5.0       # [2]<3,8,_> in position 2
+        assert table.count(t, 2, 3) == 5.0       # [5]<5,9,_> in position 3
+        assert table.count(t, 0, 2) == 4.0       # <4,7,_>[2]<3,8,_> prefix
+        assert table.count(t, 1) == 4.0          # [2]<3,8,_>[5]<5,9,_> suffix
+        assert table.count(t, 2) == 5.0
+        assert table.covered(t) == 2
 
     def test_weighted_counts_accumulate(self):
         rows = [("p", "<4,7,_>[5]<3,8,_>", 0.25, 2), ("p", "<4,7,_>[5]<3,8,_>", 0.5, 1)]
         table = table_from(rows, 2)
-        assert table.joint_count(key_of("<4,7,_>[5]<3,8,_>")) == pytest.approx(1.0)
+        assert table.count(key_of("<4,7,_>[5]<3,8,_>")) == pytest.approx(1.0)
 
     def test_joint_counts_sum_to_total(self):
         rng = random.Random(5)
@@ -110,7 +109,8 @@ class TestTypeTable:
         table = builder.tables[0]
         assert sum(table.joint.values()) == pytest.approx(table.total)
         for i in range(3):
-            assert sum(table.parts[i, i + 1].values()) == pytest.approx(table.total)
+            marginals = table.span_slots[i, i + 1].values()
+            assert sum(map(table.sums.__getitem__, marginals)) == pytest.approx(table.total)
 
 
 ELEMENTS = [((4, 7), 7, 5), ((3, 8), None, 0), ((), None, 2)]
@@ -139,23 +139,30 @@ class TestSpanTableProperty:
                  | {(i, n) for i in range(1, n)})
         keys = {key for _, key, _ in tokens}
         for w, table in enumerate(builder.tables):
-            assert set(table.parts) == spans and len(spans) == 3 * n - 4
+            assert set(table.span_slots) == spans and len(spans) == 3 * n - 4
             total = 0.0
             for _, _, weights in tokens:
                 total += weights[w]
             assert table.total == total
-            for (i, j), part in table.parts.items():
+            for (i, j), part in table.span_slots.items():
                 assert set(part) == {key[i:j] for key in keys}
-                for sub, count in part.items():
+                for sub, slot in part.items():
                     expected = 0.0
                     for _, key, weights in tokens:
                         if key[i:j] == sub:
                             expected += weights[w]
-                    assert count == expected
+                    assert table.sums[slot] == expected
+                for key in keys:
+                    assert table.count(key, i, j) == table.sums[part[key[i:j]]]
             for key in keys:
-                assert table.coverage[key] == len({p for p, k, _ in tokens if k == key})
-                assert table.prefix_count(key, 1) == table.marginal_count(key, 0)
-                assert table.suffix_count(key, n - 1) == table.marginal_count(key, n - 1)
+                joint = 0.0
+                for _, k, weights in tokens:
+                    if k == key:
+                        joint += weights[w]
+                assert table.count(key) == table.count(key, 0, n) == joint
+                assert table.covered(key) == len({p for p, k, _ in tokens if k == key})
+                assert table.count(key, 0, 1) == table.sums[table.slots[table.ids[key]][2]]
+                assert table.count(key, n - 1) == table.count(key, n - 1, n)
 
     @settings(max_examples=150, deadline=None)
     @given(grouped_tokens())
@@ -165,12 +172,13 @@ class TestSpanTableProperty:
         for piece_id, key, weights in tokens:
             builder.add(piece_id, key, weights)
         first_seen = list(dict.fromkeys(key for _, key, _ in tokens))
+        # evaluation._level takes a level's type order from list(builder.ids)
+        assert list(builder.ids) == first_seen
         for table in builder.tables:
-            # evaluation._level takes a level's type order from list(table.joint)
             assert list(table.joint) == first_seen
-            for (i, j), part in table.parts.items():
+            for (i, j), part in table.span_slots.items():
                 assert list(part) == list(dict.fromkeys(key[i:j] for key in first_seen))
-            assert table.coverage == builder.tables[0].coverage
+            assert table.covers == builder.tables[0].covers
 
     @settings(max_examples=100, deadline=None)
     @given(grouped_tokens(), st.data())
@@ -190,6 +198,35 @@ class TestSpanTableProperty:
             fresh.add(piece_id, key, weights)
         assert late == fresh.tables
         assert builder.tables == late
+        assert early == late  # views read the builder's live sums
+
+    @settings(max_examples=150, deadline=None)
+    @given(grouped_tokens())
+    def test_slot_scores_equal_scalar_oracles(self, drawn):
+        # score_all reads the slot tuples, score_type reads count/covered:
+        # bit-equal for every measure, also for a key that is no type but
+        # shares its later components with the types. A pattern's first
+        # chord has no bass motion, so rank_types can format every key.
+        n, drawn_tokens = drawn
+        tokens = [(p, ((k[0][0], k[0][1], None),) + k[1:], ws) for p, k, ws in drawn_tokens]
+        builder = TableBuilder(n, 4, ("a", "b"))
+        for piece_id, key, weights in tokens:
+            builder.add(piece_id, key, weights)
+        absent = (((1,), None, None),) + tokens[0][1][1:]
+        keys = list(builder.ids) + [absent]
+        for table in builder.tables:
+            arrays = score_all(table, keys)
+            for measure in MEASURES:
+                for idx, key in enumerate(keys):
+                    expected = score_type(key, table, measure)
+                    got = arrays[measure][idx]
+                    assert (got is None) == (expected is None)
+                    assert got == expected
+                scored = [(k, s) for k, s in zip(keys, arrays[measure]) if s is not None]
+                for entry in rank_types(scored, table, measure).entries:
+                    assert entry.count == table.count(entry.key)
+                    assert entry.coverage == table.covered(entry.key) == len(
+                        {p for p, k, _ in tokens if k == entry.key})
 
 
 class TestPmiFamily:
@@ -233,7 +270,8 @@ class TestPmiFamily:
         key = key_of("<4,7,_>[5]<3,8,_>")
         for i in range(11):
             builder.add(f"p{i}", key, (1.0,))
-        assert builder.tables[0].coverage_fraction(key) == pytest.approx(0.04)
+        table = builder.tables[0]
+        assert table.covered(key) / table.n_compositions == pytest.approx(0.04)
 
     def test_full_coverage_equals_pmi(self):
         builder = TableBuilder(2, 2, ("count",))
@@ -248,10 +286,10 @@ class TestPmiFamily:
         table, key = bigram_contingency_table(rng.randint(1, 9), rng.randint(0, 9),
                                               rng.randint(0, 9), rng.randint(1, 60))
         pmi = am_pmi(key, table)
-        p_t = table.joint_count(key) / table.total
+        p_t = table.count(key) / table.total
         assert am_pmi_local(key, table) == pytest.approx(p_t * pmi)
         assert am_pmi_coverage(key, table) == pytest.approx(
-            table.coverage_fraction(key) * pmi)
+            table.covered(key) / table.n_compositions * pmi)
 
 
 class TestDice:
@@ -273,9 +311,9 @@ class TestDice:
         ]
         table = table_from(rows, 3)
         key = key_of("<4,7,_>[2]<3,8,_>[5]<5,9,_>")
-        assert table.marginal_count(key, 0) == 4
-        assert table.marginal_count(key, 1) == 8
-        assert table.marginal_count(key, 2) == 12
+        assert table.count(key, 0, 1) == 4
+        assert table.count(key, 1, 2) == 8
+        assert table.count(key, 2, 3) == 12
         assert am_dice(key, table) == pytest.approx(0.5)
 
 
@@ -367,15 +405,15 @@ class TestContingency:
                     cells = g5_split(key, i, table)
                     assert all(c >= 0 for c in cells.cells())
                     assert cells.total == pytest.approx(table.total)
-                    assert cells.r1 == pytest.approx(table.prefix_count(key, i))
-                    assert cells.c1 == pytest.approx(table.suffix_count(key, i))
+                    assert cells.r1 == pytest.approx(table.count(key, 0, i))
+                    assert cells.c1 == pytest.approx(table.count(key, i))
 
     def test_inconsistent_cell_detected(self):
         with pytest.raises(TableInvariantError):
             Contingency2x2(1.0, -2.0, 0.0, 1.0)
         # constructing directly does not validate; the split path does
         table, key = bigram_contingency_table(10, 10, 10, 70)
-        table.joint[key] = 1000.0
+        table.sums[table.slots[table.ids[key]][1]] = 1000.0  # the joint count
         with pytest.raises(TableInvariantError):
             g5_split(key, 1, table)
         for measures in (MEASURES, ("chi2",), ("g2",)):
@@ -386,7 +424,7 @@ class TestContingency:
         # the neither-cell is 30 - 20 - 20 + 10 = 0; shrinking N by 1e-8
         # makes it slightly negative, inside the 1e-9 * N tolerance
         table, key = bigram_contingency_table(10, 10, 10, 0)
-        table.total -= 1e-8
+        table.sums[0] -= 1e-8  # the total
         assert table.total - 20.0 - 20.0 + 10.0 < 0.0
         assert g5_split(key, 1, table).cells() == (10.0, 10.0, 10.0, 0.0)
         arrays = score_all(table, [key])
