@@ -19,8 +19,8 @@ from .ranking import (MEASURES, Contingency2x2, RankedList, TypeTable, am_chi2,
                       build_type_table, g5_split, rank_table)
 from .skipgram import (EncodedPiece, SkipConfig, SkipToken, enumerate_contiguous,
                        enumerate_corpus, enumerate_fixed_skip, enumerate_variable_skip)
-from .vlt import (PatternSyntaxError, Vlt, VltPattern, encode_piece, encode_vlt,
-                  format_pattern, parse_pattern)
+from .vlt import (PatternSyntaxError, Vlt, VltPattern, chord_of, chord_pitches,
+                  format_key, format_pattern, parse_pattern)
 from .weighting import (WEIGHT_KINDS, w_count, w_periodicity, w_proximity,
                         w_resonance, w_resonant_periodicity)
 

@@ -7,21 +7,22 @@ corpus with a plant manifest), and ``report`` (per-level MRR plot data
 from a grid CSV). Every command is deterministic given its inputs, flags,
 and seed.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 internal invariant
-violation.
+Exit codes: 0 success, 2 usage error, 3 data error (bad input, or a file
+that cannot be read or written), 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 from . import corpus as corpus_mod
 from . import evaluation, filters, ranking, skipgram, weighting
-from .vlt import PatternSyntaxError, encode_piece, format_chord, parse_pattern
+from .vlt import PatternSyntaxError, format_chord, parse_pattern
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -116,10 +117,11 @@ def _cmd_expand(args) -> int:
 def _cmd_encode(args) -> int:
     corpus = _load_prepared(args.input)
     with _open_out(args.output) as out:
-        for piece in corpus.pieces:
-            for index, vlt in enumerate(encode_piece(piece.slices)):
-                motion = "" if vlt.bass_motion is None else str(vlt.bass_motion)
-                out.write(f"{piece.piece_id}\t{index}\t{format_chord(vlt)}\t{motion}\n")
+        for piece in skipgram.encode_corpus(corpus):
+            key = piece.token_at(range(len(piece))).type_key
+            for index, (intervals, top, motion) in enumerate(key):
+                out.write(f"{piece.piece_id}\t{index}\t{format_chord((intervals, top))}"
+                          f"\t{'' if motion is None else motion}\n")
     return 0
 
 
@@ -137,14 +139,14 @@ def _cmd_mine(args) -> int:
         print(f"error: query has {len(query)} chords but --n is {args.n}", file=sys.stderr)
         return USAGE_ERROR
 
-    ranked, rank = evaluation.run_config(corpus, config, query)
-    if args.dump_tokens:
-        tokens = weighting.apply_weights(
-            skipgram.enumerate_corpus(skipgram.encode_corpus(corpus), skip), config.weight)
-        with open(args.dump_tokens, "w", encoding="utf-8", newline="") as handle:
-            skipgram.dump_tokens(tokens, handle)
-
-    with _open_out(args.output) as out:
+    with ExitStack() as files:
+        out = files.enter_context(_open_out(args.output))
+        dump = args.dump_tokens and files.enter_context(_open_out(args.dump_tokens))
+        ranked, rank = evaluation.run_config(corpus, config, query)
+        if dump:
+            tokens = weighting.apply_weights(
+                skipgram.enumerate_corpus(skipgram.encode_corpus(corpus), skip), config.weight)
+            skipgram.dump_tokens(tokens, dump)
         writer = _csv_writer(out)
         writer.writerow(["rank", "score", "count", "coverage", "type"])
         for entry in ranked.entries:
@@ -165,18 +167,19 @@ def _cmd_grid(args) -> int:
     if len(query) != args.n:
         print(f"error: query has {len(query)} chords but --n is {args.n}", file=sys.stderr)
         return USAGE_ERROR
-    grid = evaluation.run_grid(corpus, query, args.n, min_count=args.min_count,
-                               similarity=args.similarity, jobs=args.jobs)
-    with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        writer = _csv_writer(handle)
+    with ExitStack() as files:
+        out = files.enter_context(_open_out(args.output))
+        summary_out = args.summary and files.enter_context(_open_out(args.summary))
+        grid = evaluation.run_grid(corpus, query, args.n, min_count=args.min_count,
+                                   similarity=args.similarity, jobs=args.jobs)
+        writer = _csv_writer(out)
         writer.writerow(GRID_COLUMNS)
         for row in grid.rows:
             writer.writerow([row.skip_mode, row.skip_level, row.weight, row.filter,
                              row.measure, _fmt(row.query_rank), _fmt(row.rr)])
-    if args.summary:
-        summary = evaluation.summarize_grid(grid, args.planned_comparisons)
-        with open(args.summary, "w", encoding="utf-8", newline="") as handle:
-            writer = _csv_writer(handle)
+        if summary_out:
+            summary = evaluation.summarize_grid(grid, args.planned_comparisons)
+            writer = _csv_writer(summary_out)
             writer.writerow(["stage", "level", "n_configs", "mrr", "delta", "t", "df",
                              "p", "d", "na"])
             for row in summary:
@@ -238,28 +241,29 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _grid_rank(text: str | None, where: str) -> int | None:
+def _grid_rank(text: str | None, line_no: int, source: str) -> int | None:
     """A grid CSV's query_rank: NA (absent) or an integer of at least 1."""
     if text == "NA":
         return None
     rank = int(text) if text and text.isascii() and text.isdigit() else 0
     if rank < 1:
-        raise ValueError(f"{where}: query_rank must be NA or an integer >= 1, got {text!r}")
+        raise corpus_mod.CorpusParseError(
+            f"query_rank must be NA or an integer >= 1, got {text!r}", line_no, source)
     return rank
 
 
 def _cmd_report(args) -> int:
-    with open(args.grid, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = [c for c in GRID_COLUMNS[:-1] if c not in (reader.fieldnames or ())]
-        if missing:  # rr is not read: it follows from query_rank
-            raise ValueError(f"{args.grid}:1: grid CSV lacks column(s) {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            rank = _grid_rank(row["query_rank"], f"{args.grid}:{reader.line_num}")
-            rows.append(evaluation.ConfigResult(
-                row["skip_mode"], row["skip_level"], row["weight"], row["filter"],
-                row["rank_measure"], rank))
+    reader = csv.DictReader(io.StringIO(corpus_mod.read_text(args.grid), newline=""))
+    missing = [c for c in GRID_COLUMNS[:-1] if c not in (reader.fieldnames or ())]
+    if missing:  # rr is not read: it follows from query_rank
+        raise corpus_mod.CorpusParseError(
+            f"grid CSV lacks column(s) {', '.join(missing)}", 1, args.grid)
+    rows = []
+    for row in reader:
+        rank = _grid_rank(row["query_rank"], reader.line_num, args.grid)
+        rows.append(evaluation.ConfigResult(
+            row["skip_mode"], row["skip_level"], row["weight"], row["filter"],
+            row["rank_measure"], rank))
     grid = evaluation.GridResult("", 0, rows)
     with _open_out(args.output) as out:
         writer = _csv_writer(out)
@@ -353,10 +357,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (corpus_mod.CorpusError, PatternSyntaxError,
-            evaluation.GenerationError, OSError, ValueError) as exc:
+            evaluation.GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except ranking.TableInvariantError as exc:
+    except (ranking.TableInvariantError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

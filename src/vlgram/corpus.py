@@ -27,10 +27,11 @@ from heapq import heappush, heappop
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
+from .vlt import SLOT_COUNT, chord_of, chord_pitches
+
 logger = logging.getLogger(__name__)
 
 REDUCTION_WINDOW = 5
-MAX_INTERVAL_CLASSES = 3
 FALLBACK_BPM = 100
 
 
@@ -88,16 +89,6 @@ class Slice:
     def top(self) -> int:
         return self.pitches[-1]
 
-    @property
-    def interval_classes(self) -> tuple[int, ...]:
-        """Distinct non-zero interval classes above the bass, ascending."""
-        bass = self.pitches[0]
-        return tuple(sorted({(p - bass) % 12 for p in self.pitches} - {0}))
-
-    @property
-    def top_interval(self) -> int:
-        return (self.pitches[-1] - self.pitches[0]) % 12
-
 
 @dataclass
 class Piece:
@@ -117,10 +108,6 @@ class Corpus:
         return len(self.pieces)
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_line(line: str, line_no: int, source: str) -> NoteEvent:
     fields = line.split("\t")
     if len(fields) not in (4, 6):
@@ -130,8 +117,8 @@ def _parse_line(line: str, line_no: int, source: str) -> NoteEvent:
     if not piece_id:
         raise CorpusParseError("empty piece id", line_no, source)
     try:
-        onset = _parse_rational(fields[1].strip())
-        duration = _parse_rational(fields[2].strip())
+        onset = Fraction(fields[1].strip())
+        duration = Fraction(fields[2].strip())
         pitch = int(fields[3].strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise CorpusParseError(f"bad numeric field: {exc}", line_no, source) from None
@@ -159,12 +146,29 @@ def _parse_line(line: str, line_no: int, source: str) -> NoteEvent:
     return NoteEvent(piece_id, onset, duration, pitch, onset_perf, duration_perf)
 
 
+def _decode(data: bytes, source: str) -> str:
+    """UTF-8 ``data`` as text less a leading BOM; a bad byte raises CorpusParseError."""
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise CorpusParseError(f"cannot decode byte {data[exc.start]:#04x} as UTF-8 "
+                               f"({exc.reason})", line_no, source) from None
+
+
+def read_text(path: "str | Path") -> str:
+    """The UTF-8 text of the file at ``path``, as _decode reads it."""
+    return _decode(Path(path).read_bytes(), str(path))
+
+
 def _iter_sources(source) -> Iterable[tuple[str, Iterable[str]]]:
     if hasattr(source, "read"):
+        name = getattr(source, "name", "<stream>")
         data = source.read()
         if isinstance(data, bytes):
-            data = data.decode("utf-8-sig")
-        yield getattr(source, "name", "<stream>"), data.splitlines()
+            data = _decode(data, name)
+        yield name, data.splitlines()
         return
     path = Path(source)
     if path.is_dir():
@@ -172,9 +176,9 @@ def _iter_sources(source) -> Iterable[tuple[str, Iterable[str]]]:
         if not files:
             raise EmptyCorpusError(f"no corpus files in {path}")
         for p in files:
-            yield str(p), p.read_text(encoding="utf-8-sig").splitlines()
+            yield str(p), read_text(p).splitlines()
     else:
-        yield str(path), path.read_text(encoding="utf-8-sig").splitlines()
+        yield str(path), read_text(path).splitlines()
 
 
 def parse_corpus(source: "str | Path | IO") -> Corpus:
@@ -262,11 +266,11 @@ def assign_performed_onsets(notes: Sequence[NoteEvent],
             anchor_map[n.onset_score] = n.onset_perf
     anchors = sorted(anchor_map.items())
     if len(anchors) < 2:
-        raise PerformanceDataError("insufficient performance anchors")
+        raise PerformanceDataError(f"piece {notes[0].piece_id}: insufficient performance anchors")
     for (s0, p0), (s1, p1) in zip(anchors, anchors[1:]):
         if p1 < p0:
             raise PerformanceDataError(
-                f"performed onsets not monotone with score onsets "
+                f"piece {notes[0].piece_id}: performed onsets not monotone with score onsets "
                 f"(beat {s0} at {p0}s, beat {s1} at {p1}s)")
     scores = [float(s) for s, _ in anchors]
     perfs = [p for _, p in anchors]
@@ -302,7 +306,7 @@ def render_fixed_tempo(slices: Sequence[Slice], bpm: float = FALLBACK_BPM) -> li
 
 
 def _candidate_reduction(oversized: frozenset[int],
-                         population: Counter) -> tuple[int, ...] | None:
+                         population: Counter) -> frozenset[int] | None:
     """Best interval-class set in ``population`` that is a subset of ``oversized``.
 
     Preference order: larger set, then more frequent, then lexicographically
@@ -311,7 +315,7 @@ def _candidate_reduction(oversized: frozenset[int],
     best = None
     best_rank = None
     for icset, freq in population.items():
-        if not 1 <= len(icset) <= MAX_INTERVAL_CLASSES:
+        if not 1 <= len(icset) <= SLOT_COUNT:
             continue
         if not oversized.issuperset(icset):
             continue
@@ -322,31 +326,6 @@ def _candidate_reduction(oversized: frozenset[int],
     return best
 
 
-def _rebuild_slice(s: Slice, kept: tuple[int, ...]) -> Slice:
-    """Rewrite a slice's pitches so its interval-class set becomes ``kept``.
-
-    The bass pitch is preserved. The top voice keeps its interval class when
-    that class survives; otherwise the top marker moves to the retained class
-    nearest the original top interval (circular distance, smaller class on
-    ties). The octave placement of the rebuilt upper voices is synthetic,
-    which is immaterial to the mod-12 encoding downstream.
-    """
-    bass = s.bass
-    top_ic = s.top_interval
-    if top_ic != 0 and top_ic not in kept:
-        top_ic = min(kept, key=lambda iv: (min((iv - top_ic) % 12, (top_ic - iv) % 12), iv))
-    pitches = {bass}
-    for iv in kept:
-        pitches.add(bass + iv)
-    if top_ic == 0:
-        if kept:
-            pitches.add(bass + 12)
-    else:
-        pitches.discard(bass + top_ic)
-        pitches.add(bass + 12 + top_ic)
-    return Slice(s.piece_id, s.index, s.onset_score, tuple(sorted(pitches)), s.onset_perf)
-
-
 def reduce_oversized(s: Slice, neighbors: Counter, piece_pop: Counter,
                      corpus_pop: Counter) -> tuple[Slice, bool]:
     """Reduce a slice to at most three interval classes above the bass.
@@ -355,19 +334,27 @@ def reduce_oversized(s: Slice, neighbors: Counter, piece_pop: Counter,
     interval classes found in the surrounding slices, then the whole piece,
     then the whole corpus. A slice already within the limit is returned
     unchanged. If no population offers any subset, the three lowest interval
-    classes are kept and a warning is logged.
+    classes are kept and a warning is logged. The kept chord is voiced over
+    the same bass by chord_pitches. Its top class is the slice's when that
+    survives, else the kept class nearest it (circular distance, smaller
+    class on ties).
     """
-    ics = s.interval_classes
-    if len(ics) <= MAX_INTERVAL_CLASSES:
+    ics, top = chord_of(s.pitches)
+    if len(ics) <= SLOT_COUNT:
         return s, False
     oversized = frozenset(ics)
     for population in (neighbors, piece_pop, corpus_pop):
         kept = _candidate_reduction(oversized, population)
         if kept is not None:
-            return _rebuild_slice(s, kept), True
-    logger.warning("%s slice %d: no reduction candidate for %s; keeping lowest three",
-                   s.piece_id, s.index, ics)
-    return _rebuild_slice(s, tuple(sorted(ics)[:MAX_INTERVAL_CLASSES])), True
+            break
+    else:
+        logger.warning("%s slice %d: no reduction candidate for %s; keeping lowest three",
+                       s.piece_id, s.index, ics)
+        kept = ics[:SLOT_COUNT]
+    if top is not None and top not in kept:
+        top = min(kept, key=lambda iv: (min((iv - top) % 12, (top - iv) % 12), iv))
+    pitches = chord_pitches((kept, top), s.bass)
+    return Slice(s.piece_id, s.index, s.onset_score, pitches, s.onset_perf), True
 
 
 @dataclass
@@ -391,7 +378,7 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
     piece_sets = {}
     corpus_pop: Counter = Counter()
     for piece in corpus.pieces:
-        sets = [frozenset(s.interval_classes) for s in piece.slices]
+        sets = [frozenset(chord_of(s.pitches)[0]) for s in piece.slices]
         piece_sets[piece.piece_id] = sets
         corpus_pop.update(sets)
     for piece in corpus.pieces:
@@ -399,7 +386,7 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
         piece_pop = Counter(sets)
         for i, s in enumerate(piece.slices):
             stats.n_slices += 1
-            if len(s.interval_classes) <= MAX_INTERVAL_CLASSES:
+            if len(sets[i]) <= SLOT_COUNT:
                 continue
             lo = max(0, i - REDUCTION_WINDOW)
             neighbors = Counter(sets[lo:i] + sets[i + 1:i + 1 + REDUCTION_WINDOW])

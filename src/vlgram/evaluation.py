@@ -32,7 +32,7 @@ from .corpus import Corpus, NoteEvent, Piece
 from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
 from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all
 from .skipgram import EncodedPiece, SkipConfig, encode_corpus, enumerate_piece
-from .vlt import PatternKey, VltPattern
+from .vlt import Chord, PatternKey, VltPattern, chord_pitches
 from .weighting import WEIGHT_KINDS, weigh_all, weigh_onsets
 
 FIXED_SKIPS = (0, 1, 2, 3, 4, 5, 6, 7, 8)
@@ -393,15 +393,12 @@ class PlantRecord:
         return sum(self.gaps)
 
 
-ChordShape = tuple[tuple[int, ...], "int | None"]
-
-
 def default_vocabulary(size: int = 12, seed: int = 0,
-                       exclude: Iterable[ChordShape] = ()) -> list[ChordShape]:
+                       exclude: Iterable[Chord] = ()) -> list[Chord]:
     """A deterministic set of distinct chord shapes for noise generation."""
     rng = random.Random(seed)
     banned = set(exclude)
-    shapes: list[ChordShape] = []
+    shapes: list[Chord] = []
     seen = set(banned)
     guard = 0
     while len(shapes) < size:
@@ -419,22 +416,8 @@ def default_vocabulary(size: int = 12, seed: int = 0,
     return shapes
 
 
-def _realize_pitches(shape: ChordShape, bass_pc: int) -> list[int]:
-    ivs, top = shape
-    bass = 48 + bass_pc
-    pitches = {bass}
-    if top is None:
-        pitches.update(bass + iv for iv in ivs)
-        if ivs:
-            pitches.add(bass + 12)
-    else:
-        pitches.update(bass + iv for iv in ivs if iv != top)
-        pitches.add(bass + 12 + top)
-    return sorted(pitches)
-
-
 def generate_synthetic_corpus(n_pieces: int, piece_len: int,
-                              vocabulary: Sequence[ChordShape], *, seed: int,
+                              vocabulary: Sequence[Chord], *, seed: int,
                               plant: PlantSpec | None = None,
                               ioi_range: tuple[float, float] = (0.32, 0.58),
                               shape_weights: Sequence[float] | None = None,
@@ -465,7 +448,7 @@ def generate_synthetic_corpus(n_pieces: int, piece_len: int,
         piece_id = f"synth{pidx:03d}"
         shape_draws = rng.choices(range(len(vocabulary)), weights=shape_weights, k=piece_len)
         motion_draws = rng.choices(range(12), weights=motion_weights, k=piece_len)
-        forced: dict[int, tuple[ChordShape, int]] = {}
+        forced: dict[int, tuple[Chord, int]] = {}
         if plant and pidx in planted_pieces:
             chords = plant.pattern.chords
             seg = piece_len // plant.per_piece
@@ -496,7 +479,7 @@ def generate_synthetic_corpus(n_pieces: int, piece_len: int,
             else:
                 shape = vocabulary[shape_draws[i]]
                 bass_pc = (bass_pc + motion_draws[i]) % 12
-            for pitch in _realize_pitches(shape, bass_pc):
+            for pitch in chord_pitches(shape, 48 + bass_pc):  # bass from C3 up
                 notes.append(NoteEvent(piece_id, Fraction(i), Fraction(1), pitch,
                                        onset_perf, iois[i]))
             onset_perf += iois[i]

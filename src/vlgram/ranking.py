@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .vlt import PatternKey, VltPattern, format_pattern
+from .vlt import PatternKey, format_key
 
 MEASURES = ("counts", "pmi", "pmi-local", "pmi-cov", "dice", "chi2", "g2")
 
@@ -487,7 +487,7 @@ def rank_types(scored: Iterable[tuple[PatternKey, float]], table: TypeTable,
                measure: str) -> RankedList:
     """Order scored types descending and assign competition ranks."""
     decorated = sorted(
-        ((score, format_pattern(VltPattern.from_key(key)), key) for key, score in scored),
+        ((score, format_key(key), key) for key, score in scored),
         key=lambda item: (-item[0], item[1]))
     entries = []
     prev_score: float | None = None

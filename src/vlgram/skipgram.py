@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import Corpus, PerformanceDataError, Piece, Slice
-from .vlt import PatternKey, VltPattern
-
-ChordId = tuple[tuple[int, ...], "int | None"]
+from .corpus import Corpus, PerformanceDataError, Slice
+from .vlt import Chord, PatternKey, chord_of, format_key
 
 
 @dataclass(frozen=True)
@@ -66,33 +64,21 @@ class SkipToken:
     type_key: PatternKey
     weight: float = 1.0
 
-    @property
-    def pattern(self) -> VltPattern:
-        return VltPattern.from_key(self.type_key)
-
 
 @dataclass
 class EncodedPiece:
     """Per-slice mining view of a piece: chord identities, bass pcs, performed onsets."""
 
     piece_id: str
-    chords: list[ChordId]
+    chords: list[Chord]
     bass_pcs: list[int]
     onsets_perf: list[float | None]
 
     @classmethod
-    def from_piece(cls, piece: Piece) -> "EncodedPiece":
-        return cls.from_slices(piece.slices)
-
-    @classmethod
     def from_slices(cls, slices: Sequence[Slice]) -> "EncodedPiece":
-        chords = []
-        for s in slices:
-            top_ic = s.top_interval
-            chords.append((s.interval_classes, top_ic if top_ic else None))
         return cls(
             piece_id=slices[0].piece_id if slices else "",
-            chords=chords,
+            chords=[chord_of(s.pitches) for s in slices],
             bass_pcs=[s.bass % 12 for s in slices],
             onsets_perf=[s.onset_perf for s in slices],
         )
@@ -210,7 +196,7 @@ def encode_corpus(corpus: Corpus) -> list[EncodedPiece]:
         raise ValueError(
             f"corpus is not prepared (no slices for {unprepared[:3]}...); "
             f"call prepare_corpus first")
-    return [EncodedPiece.from_piece(p) for p in corpus.pieces]
+    return [EncodedPiece.from_slices(p.slices) for p in corpus.pieces]
 
 
 def enumerate_corpus(pieces: Iterable[EncodedPiece],
@@ -225,6 +211,6 @@ def dump_tokens(tokens: Iterable[SkipToken], out) -> int:
     count = 0
     for tok in tokens:
         indices = ",".join(str(i) for i in tok.indices)
-        out.write(f"{tok.piece_id}\t{indices}\t{tok.pattern}\t{tok.weight!r}\n")
+        out.write(f"{tok.piece_id}\t{indices}\t{format_key(tok.type_key)}\t{tok.weight!r}\n")
         count += 1
     return count

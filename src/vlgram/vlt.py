@@ -6,6 +6,12 @@ voice permutations discarded), the interval class carried by the highest
 voice, and the melodic interval class of the bass relative to the
 previous chord. All intervals are semitones modulo 12.
 
+The codec every module shares: ``chord_of`` encodes ascending pitches
+as a chord ``(intervals, top)``, ``chord_pitches`` voices a chord over a
+bass pitch, and ``format_key`` writes a type key, one ``(intervals, top,
+bass_motion)`` triple per chord, as pattern text. ``parse_pattern`` reads
+pattern text into the validated ``VltPattern``.
+
 The text notation writes each chord as three comma-separated slots in
 angle brackets, e.g. ``<5,9*,_>``. A slot is an interval class or ``_``
 for an unused slot; the asterisk marks the interval class of the top
@@ -17,10 +23,11 @@ in square brackets: ``<5,9*,_>[0]<4,7*,10>[5]<4,_,_>``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 SLOT_COUNT = 3
 
+Chord = tuple[tuple[int, ...], "int | None"]
 VltKey = tuple[tuple[int, ...], "int | None", "int | None"]
 PatternKey = tuple[VltKey, ...]
 
@@ -64,17 +71,13 @@ class Vlt:
     def key(self) -> VltKey:
         return (self.intervals, self.top, self.bass_motion)
 
-    @classmethod
-    def from_key(cls, key: VltKey) -> "Vlt":
-        return cls(*key)
-
     @property
     def pitch_class_count(self) -> int:
         """Distinct pitch classes in the chord: the bass plus one per interval."""
         return 1 + len(self.intervals)
 
     def __str__(self) -> str:
-        return format_chord(self)
+        return format_chord((self.intervals, self.top))
 
 
 @dataclass(frozen=True)
@@ -101,59 +104,57 @@ class VltPattern:
 
     @classmethod
     def from_key(cls, key: PatternKey) -> "VltPattern":
-        return cls(tuple(Vlt.from_key(k) for k in key))
+        return cls(tuple(Vlt(*k) for k in key))
 
     def __str__(self) -> str:
         return format_pattern(self)
 
 
-def _reduce_slots(values: Iterable[int], starred: int | None,
-                  bass_motion: int | None) -> Vlt:
-    """Canonicalize raw chord slots: drop octave doublings, deduplicate, sort.
+def chord_of(pitches: Sequence[int]) -> Chord:
+    """The chord of ascending ``pitches``: interval classes above the bass, top class.
 
-    A starred 0 means the top voice doubles the bass, which the canonical
-    form expresses by carrying no star at all.
+    The top class is None when the highest pitch doubles the bass at the
+    unison or an octave.
     """
-    intervals = tuple(sorted({v for v in values if v != 0}))
-    top = starred if starred not in (None, 0) else None
-    return Vlt(intervals, top, bass_motion)
+    bass = pitches[0]
+    return (tuple(sorted({(p - bass) % 12 for p in pitches} - {0})),
+            (pitches[-1] - bass) % 12 or None)
 
 
-def encode_vlt(prev, cur) -> Vlt:
-    """Encode a slice (and its predecessor, for the bass motion) as a Vlt.
+def chord_pitches(chord: Chord, bass: int) -> tuple[int, ...]:
+    """An ascending voicing of ``chord`` over the ``bass`` pitch; chord_of inverts it.
 
-    ``prev`` and ``cur`` need only expose ``bass``, ``top`` and ``pitches``;
-    ``prev`` may be None for the first slice of a piece.
+    Each interval class but the top sounds once in the octave above the
+    bass. The top class sounds an octave higher as the highest voice, and
+    a chord with no top class doubles the bass there instead.
     """
-    bass = cur.bass
-    values = {(p - bass) % 12 for p in cur.pitches}
-    top_ic = (cur.top - bass) % 12
-    motion = None if prev is None else (cur.bass - prev.bass) % 12
-    return _reduce_slots(values, top_ic, motion)
+    intervals, top = chord
+    pitches = {bass} | {bass + iv for iv in intervals if iv != top}
+    if top is not None:
+        pitches.add(bass + 12 + top)
+    elif intervals:
+        pitches.add(bass + 12)
+    return tuple(sorted(pitches))
 
 
-def encode_piece(slices: Sequence) -> list[Vlt]:
-    """Encode a slice sequence, chaining bass motions from slice to slice."""
-    out = []
-    prev = None
-    for s in slices:
-        out.append(encode_vlt(prev, s))
-        prev = s
-    return out
+def format_chord(chord: Chord) -> str:
+    intervals, top = chord
+    slots = [f"{iv}*" if iv == top else str(iv) for iv in intervals]
+    return "<" + ",".join(slots + ["_"] * (SLOT_COUNT - len(slots))) + ">"
 
 
-def format_chord(vlt: Vlt) -> str:
-    slots = [f"{iv}*" if iv == vlt.top else str(iv) for iv in vlt.intervals]
-    slots += ["_"] * (SLOT_COUNT - len(slots))
-    return "<" + ",".join(slots) + ">"
+def format_key(key: PatternKey) -> str:
+    """Pattern text of a type key: its chords, each after its bass motion in brackets."""
+    parts = []
+    for intervals, top, motion in key:
+        if motion is not None:
+            parts.append(f"[{motion}]")
+        parts.append(format_chord((intervals, top)))
+    return "".join(parts)
 
 
 def format_pattern(pattern: VltPattern) -> str:
-    parts = [format_chord(pattern.chords[0])]
-    for chord in pattern.chords[1:]:
-        parts.append(f"[{chord.bass_motion}]")
-        parts.append(format_chord(chord))
-    return "".join(parts)
+    return format_key(pattern.key)
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -230,6 +231,11 @@ def parse_pattern(text: str) -> VltPattern:
 
 
 def _build_chord(slots: list[tuple[int | None, bool]], motion: int | None) -> Vlt:
-    values = [v for v, _ in slots if v is not None]
+    """Canonicalize parsed slots: drop octave doublings, deduplicate, sort.
+
+    A starred 0 means the top voice doubles the bass, which the canonical
+    form expresses by carrying no star at all.
+    """
+    intervals = tuple(sorted({v for v, _ in slots if v}))
     starred = next((v for v, s in slots if s), None)
-    return _reduce_slots(values, starred, motion)
+    return Vlt(intervals, starred or None, motion)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from vlgram import evaluation
 from vlgram.cli import GRID_COLUMNS, main
 from vlgram.corpus import parse_corpus, prepare_corpus
 from vlgram.evaluation import PipelineConfig, run_config
@@ -358,6 +359,54 @@ class TestExitCodes:
                          "--output", str(tmp_path)]}[command]
         code, _ = run_cli(argv)
         assert code == 3
+
+    @pytest.mark.parametrize("command, flag", [
+        ("grid", "--output"), ("grid", "--summary"), ("mine", "--output"),
+        ("mine", "--dump-tokens")])
+    def test_unwritable_output_fails_before_the_run(self, fixture_corpus, tmp_path,
+                                                    monkeypatch, command, flag):
+        calls = []
+        for name in ("run_grid", "run_config"):
+            monkeypatch.setattr(evaluation, name, lambda *a, **k: calls.append(a))
+        argv = {"grid": ["grid", "--input", str(fixture_corpus), "--n", "2",
+                         "--query", "<4,7,_>[5]<4,_,_>",
+                         "--output", str(tmp_path / "grid.csv")],
+                "mine": ["mine", "--input", str(fixture_corpus), "--n", "2",
+                         "--output", str(tmp_path / "ranked.csv")]}[command]
+        code, _ = run_cli(argv + [flag, str(tmp_path)])
+        assert code == 3
+        assert calls == []
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_undecodable_input_names_its_line(self, tmp_path, capsys, bom):
+        corpus = tmp_path / "bad.tsv"
+        corpus.write_bytes(bom + b"a\t0\t1\t60\r\n# note\na\t1\t1\t6\xff2\n")
+        grid = tmp_path / "grid.csv"
+        grid.write_bytes(bom + f"{GRID_HEADER}\n{GRID_ROW}\n".encode() + b"fixed,\xff\n")
+        for argv, path in ((["expand", "--input", str(corpus)], corpus),
+                           (["report", "--grid", str(grid)], grid)):
+            code, _ = run_cli(argv)
+            assert code == 3
+            assert f"{path}:3: cannot decode byte 0xff" in capsys.readouterr().err
+
+    def test_internal_value_error_is_4(self, fixture_corpus, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("an internal fault")
+        monkeypatch.setattr(evaluation, "run_config", broken)
+        code, _ = run_cli(["mine", "--input", str(fixture_corpus), "--n", "2"])
+        assert code == 4
+        assert "internal error: an internal fault" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [
+        "p1\t0\t1\t60\t0.0\t0.5\n",
+        "p1\t0\t1\t60\t1.0\t0.5\np1\t1\t1\t62\t0.5\t0.5\n"],
+        ids=["one-anchor", "not-monotone"])
+    def test_performance_data_error_names_the_piece(self, tmp_path, capsys, rows):
+        corpus = tmp_path / "perf.tsv"
+        corpus.write_text(rows)
+        code, _ = run_cli(["mine", "--input", str(corpus), "--n", "2"])
+        assert code == 3
+        assert "piece p1: " in capsys.readouterr().err
 
     def test_missing_input_is_3(self, tmp_path):
         code, _ = run_cli(["expand", "--input", str(tmp_path / "nope.tsv")])

@@ -240,7 +240,7 @@ class TestSyntheticCorpus:
 
     def test_manifest_instances_recoverable_at_sufficient_budget(self):
         corpus, records = planted_corpus(seed=23, gaps=(1, 2), per_piece=3)
-        by_piece = {p.piece_id: EncodedPiece.from_piece(p) for p in corpus.pieces}
+        by_piece = {p.piece_id: EncodedPiece.from_slices(p.slices) for p in corpus.pieces}
         max_total = max(r.total_gap for r in records)
         min_total = min(r.total_gap for r in records)
         for rec in records:

@@ -9,6 +9,7 @@ from vlgram.corpus import PerformanceDataError, Slice
 from vlgram.skipgram import (EncodedPiece, SkipConfig, enumerate_contiguous,
                              enumerate_fixed_skip, enumerate_piece,
                              enumerate_variable_skip)
+from vlgram.vlt import VltPattern, format_key, parse_pattern
 
 
 def piece_of(k, seed=0, iois=None):
@@ -186,7 +187,8 @@ class TestTokenContent:
     def test_pattern_property_roundtrips(self):
         piece = piece_of(6, seed=12)
         for token in enumerate_fixed_skip(piece, 3, 2):
-            assert token.pattern.key == token.type_key
+            assert VltPattern.from_key(token.type_key).key == token.type_key
+            assert parse_pattern(format_key(token.type_key)).key == token.type_key
 
 
 class TestEncodeCorpus:

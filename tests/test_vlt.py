@@ -1,80 +1,106 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from vlgram.corpus import Slice
-from vlgram.vlt import (PatternSyntaxError, Vlt, VltPattern, encode_piece,
-                        encode_vlt, format_chord, format_pattern, parse_pattern)
-from fractions import Fraction
+from vlgram.skipgram import EncodedPiece
+from vlgram.vlt import (SLOT_COUNT, PatternSyntaxError, Vlt, VltPattern, chord_of,
+                        chord_pitches, format_chord, format_key, format_pattern,
+                        parse_pattern)
 
 
 def make_slice(pitches, index=0, onset=0):
     return Slice("p", index, Fraction(onset), tuple(sorted(pitches)), float(onset))
 
 
+def encode_chain(slices):
+    """Every slice's (intervals, top, bass motion), as the miner encodes them."""
+    return EncodedPiece.from_slices(slices).token_at(range(len(slices))).type_key
+
+
+@st.composite
+def chords(draw):
+    """Any valid chord: at most SLOT_COUNT classes in 1..11, top among them or None."""
+    intervals = tuple(sorted(draw(st.sets(st.integers(1, 11), max_size=SLOT_COUNT))))
+    return intervals, draw(st.sampled_from((None,) + intervals))
+
+
+@st.composite
+def pattern_keys(draw):
+    """Any valid type key: one to five chords, a bass motion on all but the first."""
+    shapes = draw(st.lists(chords(), min_size=1, max_size=5))
+    motions = [None] + draw(st.lists(st.integers(0, 11), min_size=len(shapes) - 1,
+                                     max_size=len(shapes) - 1))
+    return tuple((ivs, top, motion) for (ivs, top), motion in zip(shapes, motions))
+
+
 class TestEncode:
     def test_triad_with_star(self):
         # C3, E4, G4: intervals above the bass are 4 and 7, top voice on the 7
-        vlt = encode_vlt(None, make_slice([48, 64, 67]))
-        assert vlt.intervals == (4, 7)
-        assert vlt.top == 7
-        assert vlt.bass_motion is None
-        assert format_chord(vlt) == "<4,7*,_>"
+        chord = chord_of((48, 64, 67))
+        assert chord == ((4, 7), 7)
+        assert encode_chain([make_slice([48, 64, 67])])[0][2] is None
+        assert format_chord(chord) == "<4,7*,_>"
 
     def test_major_triad_voicings_reduce_alike(self):
         # <4,7,0> and <7,4,0> to <4,7,_>: doubling dropped, order immaterial
-        a = make_slice([48, 52, 55, 60])   # C E G C, top is the octave
-        b = make_slice([48, 55, 64, 72])   # C G E C
-        va, vb = encode_vlt(None, a), encode_vlt(None, b)
-        assert va.intervals == vb.intervals == (4, 7)
-        assert va.top is None and vb.top is None
+        (a_ivs, a_top), (b_ivs, b_top) = chord_of((48, 52, 55, 60)), chord_of((48, 55, 64, 72))
+        assert a_ivs == b_ivs == (4, 7)
+        assert a_top is None and b_top is None
 
     def test_seventh_chord_repetitions_reduce_alike(self):
         # <4,4,10> and <4,10,10> both to <4,10,_>
-        a = make_slice([48, 52, 64, 70, 72])
-        b = make_slice([48, 52, 58, 70, 72])
-        va, vb = encode_vlt(None, a), encode_vlt(None, b)
-        assert va.intervals == vb.intervals == (4, 10)
+        assert chord_of((48, 52, 64, 70, 72))[0] == chord_of((48, 52, 58, 70, 72))[0] == (4, 10)
 
     def test_bass_motion_mod_12(self):
         prev = make_slice([48, 64, 67])
         cur = make_slice([43, 65, 67], index=1, onset=1)
-        assert encode_vlt(prev, cur).bass_motion == (43 - 48) % 12
+        assert encode_chain([prev, cur])[1][2] == (43 - 48) % 12
 
     def test_bass_only_slice(self):
-        vlt = encode_vlt(None, make_slice([48]))
-        assert vlt.intervals == ()
-        assert vlt.top is None
-        assert format_chord(vlt) == "<_,_,_>"
+        chord = chord_of((48,))
+        assert chord == ((), None)
+        assert format_chord(chord) == "<_,_,_>"
 
     def test_transposition_invariance(self):
         rng = random.Random(7)
         for _ in range(50):
             pitches = sorted(rng.sample(range(36, 84), rng.randint(1, 4)))
             slices = [make_slice(pitches, i, i) for i in range(3)]
-            base = encode_piece(slices)
+            base = encode_chain(slices)
             for shift in range(12):
                 moved = [make_slice([p + shift for p in pitches], i, i) for i in range(3)]
-                assert encode_piece(moved) == base
+                assert encode_chain(moved) == base
 
     def test_octave_invariance_of_upper_voices(self):
         rng = random.Random(11)
         for _ in range(50):
             pitches = sorted(rng.sample(range(40, 70), 3))
-            vlt = encode_vlt(None, make_slice(pitches))
             # raising a non-bass, non-top voice by an octave keeps the encoding
             moved = [pitches[0], pitches[1] + 12, pitches[2] + 24]
-            vlt2 = encode_vlt(None, make_slice(moved))
-            assert vlt2.intervals == vlt.intervals
+            assert chord_of(moved)[0] == chord_of(pitches)[0]
 
     def test_permutation_invariance(self):
         # redistributing the upper pitch classes across voices and octaves
         # leaves the interval-class set untouched
-        a = make_slice([48, 64, 67, 70])
-        b = make_slice([48, 55, 58, 76])
-        va = encode_vlt(None, a)
-        vb = encode_vlt(None, b)
-        assert va.intervals == vb.intervals == (4, 7, 10)
+        assert chord_of((48, 64, 67, 70))[0] == chord_of((48, 55, 58, 76))[0] == (4, 7, 10)
+
+
+class TestCodecRoundTrips:
+    @given(chords(), st.integers(-48, 160))
+    def test_voiced_chord_encodes_back(self, chord, bass):
+        pitches = chord_pitches(chord, bass)
+        assert list(pitches) == sorted(set(pitches))
+        assert pitches[0] == bass
+        assert chord_of(pitches) == chord
+
+    @given(pattern_keys())
+    def test_formatted_key_parses_back(self, key):
+        text = format_key(key)
+        assert parse_pattern(text).key == key
+        assert format_pattern(VltPattern.from_key(key)) == text
 
 
 class TestPatternText:
