@@ -21,7 +21,7 @@ import sys
 from contextlib import ExitStack, contextmanager
 
 from . import corpus as corpus_mod
-from . import evaluation, filters, ranking, skipgram, weighting
+from . import evaluation, filters, ranking, skipgram
 from .vlt import PatternSyntaxError, format_chord, parse_pattern
 
 USAGE_ERROR = 2
@@ -142,11 +142,7 @@ def _cmd_mine(args) -> int:
     with ExitStack() as files:
         out = files.enter_context(_open_out(args.output))
         dump = args.dump_tokens and files.enter_context(_open_out(args.dump_tokens))
-        ranked, rank = evaluation.run_config(corpus, config, query)
-        if dump:
-            tokens = weighting.apply_weights(
-                skipgram.enumerate_corpus(skipgram.encode_corpus(corpus), skip), config.weight)
-            skipgram.dump_tokens(tokens, dump)
+        ranked, rank = evaluation.run_config(corpus, config, query, dump or None)
         writer = _csv_writer(out)
         writer.writerow(["rank", "score", "count", "coverage", "type"])
         for entry in ranked.entries:
@@ -321,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planned-comparisons", type=_at_least(int, 1),
                    default=evaluation.DEFAULT_PLANNED_COMPARISONS)
     p.add_argument("--jobs", type=_at_least(int, 1), default=1,
-                   help="parallel workers over skip levels")
+                   help="parallel workers: each skip mode's levels split into up to "
+                        "this many chains, one worker per chain")
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")

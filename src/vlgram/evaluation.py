@@ -7,12 +7,17 @@ in its final list (or absence), summarized per pipeline level as mean
 reciprocal rank and compared against baseline levels with pooled
 two-sample t statistics, Bonferroni-adjusted p values, and Cohen's d.
 
-Every command computes its ranks through one level kernel: a skip level
-is enumerated once, every weighting is aggregated in the same pass, and
-each weighting's scores and filter keep-masks are shared by all the
-configurations that differ only in filter or measure. Skip levels are
-independent jobs over an immutable corpus, and results are collated in a
-fixed configuration order regardless of worker scheduling.
+Every command computes its ranks through one chain kernel. The skip
+levels of one mode are nested, so a chain of ascending levels is
+enumerated and weighed once, at its widest level, with every weighting
+aggregated in the same pass; each narrower level is then rebuilt from the
+tokens it admits, replayed in token order, so its sums are exactly those
+of a pass over that level alone. Each weighting's scores and filter
+keep-masks are shared by all the configurations that differ only in
+filter or measure. The grid runs each mode's levels as one chain, or
+with several jobs as interleaved chains on a process pool over an
+immutable corpus, and results are collated in a fixed configuration
+order regardless of worker scheduling.
 
 A seeded synthetic-corpus generator provides desk-scale corpora with a
 query pattern planted at controlled skip distances and tempi, recorded
@@ -22,16 +27,17 @@ instance by instance in a manifest.
 from __future__ import annotations
 
 import random
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .corpus import Corpus, NoteEvent, Piece
 from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
 from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all
-from .skipgram import EncodedPiece, SkipConfig, encode_corpus, enumerate_piece
+from .skipgram import EncodedPiece, SkipConfig, dump_token, encode_corpus, enumerate_nested
 from .vlt import Chord, PatternKey, VltPattern, chord_pitches
 from .weighting import WEIGHT_KINDS, weigh_all, weigh_onsets
 
@@ -144,27 +150,10 @@ def mrr(ranks: Iterable["int | None"]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _level(pieces: list[EncodedPiece], skip: SkipConfig, weights: Sequence[str],
-           measures: Sequence[str], filter_kinds: Sequence[str], min_count: float,
-           similarity: str) -> tuple[list[PatternKey], Iterator[tuple]]:
-    """The level kernel behind run_grid, run_config and ``vlgram mine``.
-
-    Enumerates the skip level once and aggregates every weighting in the
-    same pass. Returns the level's type keys in first-seen order and, one
-    weighting at a time in ``weights`` order, a (table, scores, masks)
-    triple: score_all's scores for ``measures`` and keep_masks' masks for
-    ``filter_kinds``, both aligned with the keys.
-    """
-    builder = TableBuilder(skip.n, len(pieces), weights)
-    all_weights = tuple(weights) == WEIGHT_KINDS
-    add = builder.add
-    for piece in pieces:
-        pid = piece.piece_id
-        for tok in enumerate_piece(piece, skip):
-            onsets = tok.onsets_perf
-            add(pid, tok.type_key, weigh_all(onsets) if all_weights
-                else [weigh_onsets(onsets, kind) for kind in weights])
-    keys = list(builder.ids)
+def _scored(builder: TableBuilder, measures: Sequence[str], filter_kinds: Sequence[str],
+            min_count: float, similarity: str) -> tuple[list[PatternKey], Iterator[tuple]]:
+    """A filled builder's type keys and, per weighting, its (table, scores, masks) triple."""
+    keys = builder.keys
     harmony = harmony_mask(keys, filter_kinds, similarity)
     joint_slots = [slots[1] for slots in builder.slots]
     return keys, ((table, score_all(table, keys, measures),
@@ -173,19 +162,114 @@ def _level(pieces: list[EncodedPiece], skip: SkipConfig, weights: Sequence[str],
                   for table in builder.tables)
 
 
-def run_config(corpus: Corpus, config: PipelineConfig,
-               query: VltPattern | None = None) -> tuple[RankedList, int | None]:
-    """Execute one full pipeline configuration and locate the query, if any."""
+def _fill_widest(builder: TableBuilder, pieces: list[EncodedPiece],
+                 chain: Sequence[SkipConfig], dump: TextIO | None) -> list[tuple]:
+    """Aggregate the widest level of ``chain`` into ``builder``, token by token.
+
+    Returns, per piece, the tokens that a narrower level admits: (piece id,
+    their narrowest levels, their types' key objects from the builder,
+    their weights flattened into one array).
+    """
+    kinds = builder.kinds
+    all_weights = kinds == WEIGHT_KINDS
+    add = builder.add
+    widest = len(chain) - 1
+    records = []
+    for piece in pieces:
+        pid = piece.piece_id
+        levels, keys, flat = [], [], array("d")
+        for level, tok in enumerate_nested(piece, chain):
+            onsets = tok.onsets_perf
+            ws = weigh_all(onsets) if all_weights else [weigh_onsets(onsets, k) for k in kinds]
+            key = add(pid, tok.type_key, ws)
+            if dump is not None:
+                dump_token(tok, ws[0], dump)
+            if level < widest:
+                levels.append(level)
+                keys.append(key)
+                flat.extend(ws)
+        if levels:
+            records.append((pid, levels, keys, flat))
+    return records
+
+
+def _replay(builder: TableBuilder, records: list[tuple], level: int) -> None:
+    """Add, in token order, the recorded tokens whose narrowest level is at most ``level``."""
+    add = builder.add
+    width = len(builder.kinds)
+    for pid, levels, keys, flat in records:
+        at = 0
+        for narrowest, key in zip(levels, keys):
+            if narrowest <= level:
+                add(pid, key, flat[at:at + width])
+            at += width
+
+
+def _level(pieces: list[EncodedPiece], chain: Sequence[SkipConfig], weights: Sequence[str],
+           measures: Sequence[str], filter_kinds: Sequence[str], min_count: float,
+           similarity: str, consume: Callable, dump: TextIO | None = None) -> list:
+    """The chain kernel behind run_grid, run_config and ``vlgram mine``.
+
+    ``chain`` holds ascending skip levels of one mode (run_config passes
+    one). Each token of the widest level is enumerated, weighed and keyed
+    once, and every weighting is aggregated in the same pass. For each
+    level, the widest first, ``consume(skip, keys, weighted)`` gets the
+    level's type keys in first-seen order and, one weighting at a time in
+    ``weights`` order, a (table, scores, masks) triple: score_all's scores
+    for ``measures`` and keep_masks' masks for ``filter_kinds``, both
+    aligned with the keys. Returns what ``consume`` returned, in chain order.
+
+    The widest level's builder is filled as tokens stream in, consumed,
+    and released before the next level is filled. A token that a narrower
+    level admits is kept as a compact record: its narrowest level, its
+    type's key object from the builder and its weights, grouped by piece.
+    Each narrower level gets a fresh builder fed the records it admits, in
+    token order, so each of its sums is the same left-to-right float sum
+    that a pass over that level alone would make.
+
+    ``dump``, when given, receives each token as it is aggregated, with its
+    first weighting's weight.
+    """
+    kinds = tuple(weights)
+    n, n_pieces, widest = chain[0].n, len(pieces), len(chain) - 1
+    builder = TableBuilder(n, n_pieces, kinds)
+    records = _fill_widest(builder, pieces, chain, dump)
+    # Only the tables outlive aggregation: the pieces (run_config's own
+    # encoding) and each builder's bookkeeping are freed before scoring,
+    # and each level's keys and tables before the next level is filled.
+    del pieces
+    results = [None] * len(chain)
+    for index in (widest, *range(widest)):
+        if index < widest:
+            builder = TableBuilder(n, n_pieces, kinds)
+            _replay(builder, records, index)
+        keys, weighted = _scored(builder, measures, filter_kinds, min_count, similarity)
+        del builder
+        results[index] = consume(chain[index], keys, weighted)
+        del keys, weighted
+    return results
+
+
+def run_config(corpus: Corpus, config: PipelineConfig, query: VltPattern | None = None,
+               dump: TextIO | None = None) -> tuple[RankedList, int | None]:
+    """Execute one full pipeline configuration and locate the query, if any.
+
+    ``dump``, when given, receives each token of the level with its weight
+    (skipgram.dump_token) as it is aggregated.
+    """
     if query is not None and len(query) != config.skip.n:
         raise ValueError(
             f"query cardinality {len(query)} does not match n={config.skip.n}")
     kind, measure = config.filter.kind, config.measure
-    keys, weighted = _level(encode_corpus(corpus), config.skip, (config.weight,), (measure,),
-                            (kind,), config.filter.min_count, config.filter.similarity)
-    table, scores, masks = next(weighted)
-    scored = [(key, score) for key, score, keep in zip(keys, scores[measure], masks[kind])
-              if keep and score is not None]
-    ranked = rank_types(scored, table, measure)
+
+    def rank(_skip, keys, weighted):
+        table, scores, masks = next(weighted)
+        scored = [(key, score) for key, score, keep in zip(keys, scores[measure], masks[kind])
+                  if keep and score is not None]
+        return rank_types(scored, table, measure)
+
+    [ranked] = _level(encode_corpus(corpus), (config.skip,), (config.weight,), (measure,),
+                      (kind,), config.filter.min_count, config.filter.similarity, rank, dump)
     return ranked, None if query is None else ranked.rank_of(query.key)
 
 
@@ -204,19 +288,38 @@ def _query_ranks(scores: list, masks: dict[str, list[bool]],
             for kind, mask in masks.items()}
 
 
-def _grid_level(pieces: list[EncodedPiece], skip: SkipConfig, query_key: PatternKey,
-                min_count: float, similarity: str) -> list[ConfigResult]:
-    """All (weight, filter, measure) results for one skip level."""
-    keys, weighted = _level(pieces, skip, WEIGHT_KINDS, MEASURES, FILTER_KINDS,
-                            min_count, similarity)
-    qpos = keys.index(query_key) if query_key in keys else None
-    mode, level = skip.mode, _skip_level_label(skip)
-    rows = []
-    for wkind, (_table, scores, masks) in zip(WEIGHT_KINDS, weighted):
-        ranks = {measure: _query_ranks(scores[measure], masks, qpos) for measure in MEASURES}
-        rows += [ConfigResult(mode, level, wkind, fkind, measure, ranks[measure][fkind])
-                 for fkind in FILTER_KINDS for measure in MEASURES]
-    return rows
+def _grid_chain(pieces: list[EncodedPiece], chain: Sequence[SkipConfig],
+                query_key: PatternKey, min_count: float,
+                similarity: str) -> list[list[ConfigResult]]:
+    """All (weight, filter, measure) results for each level of a chain, in chain order."""
+    def level_rows(skip, keys, weighted):
+        qpos = keys.index(query_key) if query_key in keys else None
+        mode, level = skip.mode, _skip_level_label(skip)
+        rows = []
+        for wkind, (_table, scores, masks) in zip(WEIGHT_KINDS, weighted):
+            ranks = {measure: _query_ranks(scores[measure], masks, qpos)
+                     for measure in MEASURES}
+            rows += [ConfigResult(mode, level, wkind, fkind, measure, ranks[measure][fkind])
+                     for fkind in FILTER_KINDS for measure in MEASURES]
+        return rows
+
+    return _level(pieces, chain, WEIGHT_KINDS, MEASURES, FILTER_KINDS, min_count, similarity,
+                  level_rows)
+
+
+def _chains(skips: Sequence[SkipConfig], jobs: int) -> list[tuple[SkipConfig, ...]]:
+    """The distinct skip levels as ascending chains, ``min(jobs, levels)`` per mode.
+
+    A mode's levels are dealt out in turn, so with ``jobs=2`` the fixed
+    budgets 0-8 become {0, 2, 4, 6, 8} and {1, 3, 5, 7}.
+    """
+    chains = []
+    for mode in ("fixed", "variable"):
+        levels = sorted({skip for skip in skips if skip.mode == mode},
+                        key=lambda skip: skip.bound)
+        ways = min(jobs, len(levels))
+        chains += [tuple(levels[i::ways]) for i in range(ways)]
+    return chains
 
 
 def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
@@ -225,27 +328,38 @@ def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
              jobs: int = 1) -> GridResult:
     """Evaluate the query under every configuration of the grid.
 
-    With ``jobs`` above 1 the skip levels run on a process pool of at most
-    one worker per level. Results appear in canonical configuration order
-    whatever the level of parallelism, so repeated runs produce identical
+    The skip levels of each mode run as ascending chains through the chain
+    kernel, each chain enumerating and weighing its widest level once.
+    ``jobs`` splits each mode's levels into up to ``jobs`` interleaved
+    chains, and with ``jobs`` above 1 the chains run on a process pool of
+    at most one worker per chain. Rows appear in ``skip_configs`` order
+    (duplicates included), then canonical weight, filter and measure
+    order, whatever the parallelism, so repeated runs produce identical
     output.
     """
     if len(query) != n:
         raise ValueError(f"query cardinality {len(query)} does not match n={n}")
-    pieces = encode_corpus(corpus)
     skips = list(skip_configs) if skip_configs is not None else default_skip_configs(n)
-    args = [(pieces, skip, query.key, min_count, similarity) for skip in skips]
-    if jobs > 1 and len(skips) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(skips))) as pool:
-            per_level = list(pool.map(_grid_level_star, args))
+    for skip in skips:
+        if skip.n != n:
+            raise ValueError(f"skip level {skip.label} has n={skip.n}, not n={n}")
+    pieces = encode_corpus(corpus)
+    chains = _chains(skips, jobs)
+    args = [(pieces, chain, query.key, min_count, similarity) for chain in chains]
+    if jobs > 1 and len(chains) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chains))) as pool:
+            per_chain = list(pool.map(_grid_chain_star, args))
     else:
-        per_level = [_grid_level(*a) for a in args]
-    rows = [row for level_rows in per_level for row in level_rows]
+        per_chain = [_grid_chain(*a) for a in args]
+    by_skip = {}
+    for chain, per_level in zip(chains, per_chain):
+        by_skip.update(zip(chain, per_level))
+    rows = [row for skip in skips for row in by_skip[skip]]
     return GridResult(str(query), n, rows)
 
 
-def _grid_level_star(args):
-    return _grid_level(*args)
+def _grid_chain_star(args):
+    return _grid_chain(*args)
 
 
 @dataclass(frozen=True)

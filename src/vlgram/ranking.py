@@ -108,6 +108,7 @@ class TableBuilder:
         self.n_compositions = n_compositions
         self.kinds = tuple(kinds)
         self.ids: dict = {}  # type key -> type id
+        self.keys: list = []  # type id -> type key, in first-seen order
         self.slots: list[tuple[int, ...]] = []  # type id -> (0, joint, *components)
         self.span_slots = {span: {} for span in _spans(n)}  # per span: component -> slot
         self._size = 1
@@ -118,6 +119,7 @@ class TableBuilder:
     def _new_type(self, key: PatternKey) -> int:
         tid = len(self.slots)
         self.ids[key] = tid
+        self.keys.append(key)
         size = self._size
         slots = [0, size]
         size += 1
@@ -137,10 +139,13 @@ class TableBuilder:
         self._last_piece.append(None)
         return tid
 
-    def add(self, piece_id: str, key: PatternKey, weights: Sequence[float]) -> None:
+    def add(self, piece_id: str, key: PatternKey, weights: Sequence[float]) -> PatternKey:
+        """Add one token's weights; returns the key object the builder stores for its type."""
         tid = self.ids.get(key)
         if tid is None:
             tid = self._new_type(key)
+        else:
+            key = self.keys[tid]
         if self._last_piece[tid] != piece_id:
             self._last_piece[tid] = piece_id
             self.covers[tid] += 1
@@ -148,6 +153,7 @@ class TableBuilder:
         for sums, w in zip(self.sums, weights):
             for slot in slots:
                 sums[slot] += w
+        return key
 
     @property
     def tables(self) -> list[TypeTable]:

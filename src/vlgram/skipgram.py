@@ -11,10 +11,18 @@ The type key of a token recomputes each bass motion between the selected
 members, so the same chords picked at different distances can form the
 same type. Enumeration is independent per piece; tokens stream out in
 piece order so downstream counting can merge deterministically.
+
+The levels of one mode are nested: a ``fixed:t`` tuple is a wider
+budget's tuple whose total skip is at most t, and a ``variable:w`` tuple
+is a wider window's tuple that passes the window test at w.
+``enumerate_nested`` enumerates a chain of levels once, tagging each of
+the widest level's tokens with the narrowest level that admits it.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -46,6 +54,17 @@ class SkipConfig:
                 raise ValueError("variable mode takes a window, not a skip count")
             if self.w is None or self.w <= 0:
                 raise ValueError("variable mode needs a window > 0 seconds")
+
+    @property
+    def bound(self) -> float:
+        """The level's reach within its mode: the budget (inf for None) or the window.
+
+        A level admits every token that a level of the same mode and n with
+        a lower bound admits.
+        """
+        if self.mode == "fixed":
+            return math.inf if self.t is None else self.t
+        return self.w
 
     @property
     def label(self) -> str:
@@ -190,6 +209,78 @@ def enumerate_piece(piece: EncodedPiece, config: SkipConfig) -> Iterator[SkipTok
     return enumerate_variable_skip(piece, config.n, config.w)
 
 
+def _nested_variable_index_tuples(onsets: Sequence[float], n: int, windows: Sequence[float]
+                                  ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The widest window's tuples, each with the narrowest window index admitting it.
+
+    At window ``w`` _variable_index_tuples extends a tuple past member
+    ``last`` through the slices before the first j with ``onsets[j] >
+    onsets[last] + w``. So a member j needs the narrowest window passing
+    that test at every slice after ``last`` up to j, and a tuple needs the
+    widest of its members' needs.
+    """
+    k = len(onsets)
+    if n > k:
+        return
+    top = len(windows) - 1
+    picked = [0] * n
+
+    def extend(depth: int, last: int, level: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        remaining = n - depth
+        base = onsets[last]
+        limits = [base + w for w in windows]
+        need = 0
+        for j in range(last + 1, k - remaining + 1):
+            onset = onsets[j]
+            while onset > limits[need]:
+                if need == top:
+                    return
+                need += 1
+            picked[depth] = j
+            if remaining == 1:
+                yield max(level, need), tuple(picked)
+            else:
+                yield from extend(depth + 1, j, max(level, need))
+
+    for start in range(0, k - n + 1):
+        picked[0] = start
+        yield from extend(1, start, 0)
+
+
+def enumerate_nested(piece: EncodedPiece,
+                     chain: Sequence[SkipConfig]) -> Iterator[tuple[int, SkipToken]]:
+    """The widest level's tokens, each with the index of the narrowest level admitting it.
+
+    ``chain`` holds ascending levels of one mode and one n; a fixed budget
+    of None is the widest. The tokens come in the widest level's order,
+    and those with an index of at most L are exactly
+    ``enumerate_piece(piece, chain[L])``, in the same order.
+    """
+    if not chain:
+        raise ValueError("a skip chain needs at least one level")
+    widest = chain[-1]
+    if any(c.mode != widest.mode or c.n != widest.n for c in chain):
+        raise ValueError("a skip chain's levels must share one mode and one n")
+    if any(a.bound >= b.bound for a, b in zip(chain, chain[1:])):
+        raise ValueError("a skip chain's levels must strictly ascend")
+    n = widest.n
+    if widest.mode == "fixed":
+        k = len(piece)
+        budgets = [c.t for c in chain[:-1]]
+        # A tuple's total skip, indices[-1] - indices[0] - (n - 1), indexes
+        # the narrowest budget at least that large.
+        level_of = [bisect_left(budgets, spent) for spent in range(max(k - n, 0) + 1)]
+        span = n - 1
+        for indices in _fixed_index_tuples(k, n, widest.t):
+            yield level_of[indices[-1] - indices[0] - span], piece.token_at(indices)
+        return
+    onsets = piece.onsets_perf
+    if any(o is None for o in onsets):
+        raise PerformanceDataError("performance times required for variable mode")
+    for level, indices in _nested_variable_index_tuples(onsets, n, [c.w for c in chain]):
+        yield level, piece.token_at(indices)
+
+
 def encode_corpus(corpus: Corpus) -> list[EncodedPiece]:
     unprepared = [p.piece_id for p in corpus.pieces if not p.slices]
     if unprepared:
@@ -206,11 +297,7 @@ def enumerate_corpus(pieces: Iterable[EncodedPiece],
         yield from enumerate_piece(piece, config)
 
 
-def dump_tokens(tokens: Iterable[SkipToken], out) -> int:
-    """Write tokens as tab-separated ``piece_id indices type_key weight`` lines."""
-    count = 0
-    for tok in tokens:
-        indices = ",".join(str(i) for i in tok.indices)
-        out.write(f"{tok.piece_id}\t{indices}\t{format_key(tok.type_key)}\t{tok.weight!r}\n")
-        count += 1
-    return count
+def dump_token(tok: SkipToken, weight: float, out) -> None:
+    """Write a token as a tab-separated ``piece_id indices type_key weight`` line."""
+    indices = ",".join(str(i) for i in tok.indices)
+    out.write(f"{tok.piece_id}\t{indices}\t{format_key(tok.type_key)}\t{weight!r}\n")

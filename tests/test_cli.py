@@ -11,8 +11,9 @@ from vlgram.cli import GRID_COLUMNS, main
 from vlgram.corpus import parse_corpus, prepare_corpus
 from vlgram.evaluation import PipelineConfig, run_config
 from vlgram.filters import FilterSpec
-from vlgram.skipgram import SkipConfig
-from vlgram.vlt import parse_pattern
+from vlgram.skipgram import SkipConfig, encode_corpus, enumerate_corpus
+from vlgram.vlt import format_key, parse_pattern
+from vlgram.weighting import apply_weights
 
 MRDCC_TEXT = "<5,9*,_>[0]<4,7*,10>[5]<4,_,_>"
 # plants one cadence instance, at most 13 slices wide, in one of two 20-slice pieces
@@ -197,6 +198,25 @@ class TestMine:
         assert indices == "0,1,2"
         assert weight == "1.0"
         parse_pattern(pattern)
+
+    @pytest.mark.parametrize("skip", ["fixed:2", "variable:1.5"])
+    def test_dump_tokens_match_a_separate_pass(self, synth_corpus, tmp_path, skip):
+        corpus, _ = synth_corpus
+        dump = tmp_path / "tokens.tsv"
+        code, _ = run_cli(["mine", "--input", str(corpus), "--skip", skip,
+                           "--weight", "periodicity", "--rank", "pmi",
+                           "--output", str(tmp_path / "r.csv"), "--dump-tokens", str(dump)])
+        assert code == 0
+        prepared = parse_corpus(str(corpus))
+        prepare_corpus(prepared)
+        mode, value = skip.split(":")
+        config = SkipConfig("fixed", 3, t=int(value)) if mode == "fixed" else \
+            SkipConfig("variable", 3, w=float(value))
+        tokens = apply_weights(enumerate_corpus(encode_corpus(prepared), config), "periodicity")
+        assert tokens
+        assert dump.read_text().split("\n") == [
+            f"{t.piece_id}\t{','.join(map(str, t.indices))}\t{format_key(t.type_key)}"
+            f"\t{t.weight!r}" for t in tokens] + [""]
 
 
 class TestGridCommand:

@@ -339,9 +339,10 @@ class TestGrid:
 
     def test_pool_has_at_most_one_worker_per_level(self, monkeypatch):
         recorded = []
+        chains = []
 
         class SerialPool:
-            """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+            """Stands in for ProcessPoolExecutor: records its size and tasks, maps in-process."""
 
             def __init__(self, max_workers):
                 recorded.append(max_workers)
@@ -353,7 +354,9 @@ class TestGrid:
                 return False
 
             def map(self, fn, iterable):
-                return map(fn, iterable)
+                tasks = list(iterable)
+                chains.append([[skip.bound for skip in task[1]] for task in tasks])
+                return map(fn, tasks)
 
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
         corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
@@ -363,6 +366,32 @@ class TestGrid:
         pooled = run_grid(corpus, MRDCC, 3, skip_configs=skips, jobs=20)
         assert recorded == [2]
         assert pooled.rows == serial.rows
+        # all 13 levels at jobs=2: each mode's levels dealt into two chains
+        serial = run_grid(corpus, MRDCC, 3, jobs=1)
+        pooled = run_grid(corpus, MRDCC, 3, jobs=2)
+        assert recorded == [2, 2]
+        assert chains[-1] == [[0, 2, 4, 6, 8], [1, 3, 5, 7], [0.5, 1.5], [1.0, 2.0]]
+        assert pooled.rows == serial.rows
+
+    def test_chains_match_single_level_runs(self):
+        corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
+        skips = [SkipConfig("variable", 3, w=1.5), SkipConfig("fixed", 3, t=5),
+                 SkipConfig("fixed", 3, t=0), SkipConfig("variable", 3, w=0.5),
+                 SkipConfig("fixed", 3, t=5), SkipConfig("fixed", 3, t=None),
+                 SkipConfig("fixed", 3, t=2), SkipConfig("variable", 3, w=1.0)]
+        single = [row for skip in skips
+                  for row in run_grid(corpus, MRDCC, 3, skip_configs=[skip]).rows]
+        assert len(single) == 140 * len(skips)
+        for jobs in (1, 2, 3):
+            grid = run_grid(corpus, MRDCC, 3, skip_configs=skips, jobs=jobs)
+            assert grid.rows == single, jobs
+
+    def test_skip_config_cardinality_mismatch_rejected(self):
+        corpus = mrdcc_statement_corpus(1, 3)
+        for skips in ([SkipConfig("fixed", 4, t=8)],
+                      [SkipConfig("fixed", 3, t=0), SkipConfig("variable", 2, w=1.0)]):
+            with pytest.raises(ValueError, match="not n=3"):
+                run_grid(corpus, MRDCC, 3, skip_configs=skips)
 
     def test_summary_levels_and_baselines(self):
         corpus, _ = planted_corpus(seed=53, n_pieces=3, length=24)

@@ -169,11 +169,14 @@ class TestSpanTableProperty:
     def test_keys_in_first_seen_order_and_coverage_shared(self, drawn):
         n, tokens = drawn
         builder = TableBuilder(n, 4, ("a", "b"))
+        stored = {}
         for piece_id, key, weights in tokens:
-            builder.add(piece_id, key, weights)
+            # add returns the first-seen key object of the type, which
+            # evaluation._level keeps in place of each token's own tuple
+            assert builder.add(piece_id, key, weights) is stored.setdefault(key, key)
         first_seen = list(dict.fromkeys(key for _, key, _ in tokens))
-        # evaluation._level takes a level's type order from list(builder.ids)
-        assert list(builder.ids) == first_seen
+        # evaluation._level takes a level's type order from builder.keys
+        assert list(builder.ids) == builder.keys == first_seen
         for table in builder.tables:
             assert list(table.joint) == first_seen
             for (i, j), part in table.span_slots.items():

@@ -4,10 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlgram.corpus import PerformanceDataError, Slice
 from vlgram.skipgram import (EncodedPiece, SkipConfig, enumerate_contiguous,
-                             enumerate_fixed_skip, enumerate_piece,
+                             enumerate_fixed_skip, enumerate_nested, enumerate_piece,
                              enumerate_variable_skip)
 from vlgram.vlt import VltPattern, format_key, parse_pattern
 
@@ -154,6 +156,69 @@ class TestVariableSkip:
         piece = EncodedPiece.from_slices(slices)
         with pytest.raises(PerformanceDataError, match="variable"):
             list(enumerate_variable_skip(piece, 2, 1.0))
+
+
+@st.composite
+def nested_cases(draw):
+    """A piece and an ascending chain of one mode's levels over it.
+
+    Fixed chains may end in t=None and reach budgets of k - n and above.
+    Variable onsets step by multiples of 0.1 (zero included, so adjacent
+    onsets can be equal), and windows are near those steps, so many tests
+    ``onsets[j] > onsets[prev] + w`` turn on how the sum rounds.
+    """
+    k = draw(st.integers(0, 14))
+    n = draw(st.integers(2, 4))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7]), min_size=k, max_size=k))
+    onsets = [0.0]
+    for step in steps[1:]:
+        onsets.append(onsets[-1] + step)
+    piece = piece_with_onsets(onsets[:k])
+    if draw(st.booleans()):
+        budgets = sorted(draw(st.sets(st.integers(0, 16), min_size=1, max_size=5)))
+        if draw(st.booleans()):
+            budgets.append(None)
+        chain = [SkipConfig("fixed", n, t=t) for t in budgets]
+    else:
+        windows = sorted(draw(st.sets(st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.9, 1.0]),
+                                      min_size=1, max_size=4)))
+        chain = [SkipConfig("variable", n, w=w) for w in windows]
+    return piece, chain
+
+
+class TestNested:
+    @settings(max_examples=300, deadline=None)
+    @given(nested_cases())
+    def test_levels_reproduce_each_level_enumeration(self, case):
+        piece, chain = case
+        tagged = [(level, tok.indices, tok.type_key)
+                  for level, tok in enumerate_nested(piece, chain)]
+        assert all(0 <= level < len(chain) for level, _, _ in tagged)
+        for at, skip in enumerate(chain):
+            want = [(t.indices, t.type_key) for t in enumerate_piece(piece, skip)]
+            assert [(indices, key) for level, indices, key in tagged if level <= at] == want
+
+    def test_window_test_is_the_enumerators_float_sum(self):
+        # 0.1 + 0.2 == 0.30000000000000004 is slice 2's onset, so at w=0.2
+        # the test onsets[2] > onsets[1] + w fails and (1, 2) is admitted;
+        # the recomputed IOI, 0.20000000000000004, would exceed the window
+        piece = piece_with_onsets([0.0, 0.1, 0.1 + 0.2])
+        chain = [SkipConfig("variable", 2, w=0.1), SkipConfig("variable", 2, w=0.2)]
+        tagged = {tok.indices: level for level, tok in enumerate_nested(piece, chain)}
+        assert tagged == {(0, 1): 0, (1, 2): 1}
+        assert index_set(enumerate_variable_skip(piece, 2, 0.2)) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("chain", [
+        [],
+        [SkipConfig("fixed", 3, t=2), SkipConfig("fixed", 3, t=2)],
+        [SkipConfig("fixed", 3, t=4), SkipConfig("fixed", 3, t=2)],
+        [SkipConfig("fixed", 3, t=None), SkipConfig("fixed", 3, t=2)],
+        [SkipConfig("fixed", 3, t=2), SkipConfig("variable", 3, w=1.0)],
+        [SkipConfig("variable", 3, w=1.0), SkipConfig("variable", 4, w=2.0)],
+    ], ids=["empty", "repeated", "descending", "none-first", "mixed-mode", "mixed-n"])
+    def test_bad_chain_rejected(self, chain):
+        with pytest.raises(ValueError, match="chain"):
+            list(enumerate_nested(piece_of(6), chain))
 
 
 class TestTokenContent:
