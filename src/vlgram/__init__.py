@@ -18,8 +18,7 @@ from .ranking import (MEASURES, Contingency2x2, RankedList, TypeTable, am_chi2,
                       am_dice, am_g2, am_pmi, am_pmi_coverage, am_pmi_local,
                       build_type_table, g5_split, rank_table)
 from .skipgram import (EncodedPiece, SkipConfig, SkipToken, enumerate_contiguous,
-                       enumerate_corpus, enumerate_fixed_skip, enumerate_nested,
-                       enumerate_variable_skip)
+                       enumerate_corpus, enumerate_nested, enumerate_piece)
 from .vlt import (PatternSyntaxError, Vlt, VltPattern, chord_of, chord_pitches,
                   format_key, format_pattern, parse_pattern)
 from .weighting import (WEIGHT_KINDS, w_count, w_periodicity, w_proximity,

@@ -5,7 +5,8 @@ Commands: ``expand`` (slice dump), ``encode`` (voice-leading dump),
 configurations plus per-level summaries), ``synth`` (seeded synthetic
 corpus with a plant manifest), and ``report`` (per-level MRR plot data
 from a grid CSV). Every command is deterministic given its inputs, flags,
-and seed.
+and seed. A command's status line goes to stdout, or to stderr when one
+of its outputs is "-" (stdout), so a streamed CSV holds nothing else.
 
 Exit codes: 0 success, 2 usage error, 3 data error (bad input, or a file
 that cannot be read or written), 4 internal error.
@@ -93,6 +94,11 @@ def _open_out(path: str | None):
             yield handle
 
 
+def _status(line: str, *paths: str | None) -> None:
+    """Print a status line: to stderr when any of ``paths`` is "-" (stdout), else stdout."""
+    print(line, file=sys.stderr if "-" in paths else sys.stdout)
+
+
 def _csv_writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
@@ -149,7 +155,8 @@ def _cmd_mine(args) -> int:
             writer.writerow([entry.rank, _fmt(entry.score), _fmt(entry.count),
                              entry.coverage, entry.text])
     if query is not None:
-        print(f"query rank: {rank if rank is not None else 'absent'}")
+        _status(f"query rank: {rank if rank is not None else 'absent'}",
+                args.output or "-", args.dump_tokens)
     return 0
 
 
@@ -187,7 +194,8 @@ def _cmd_grid(args) -> int:
                              _fmt(comp.p), _fmt(comp.d)]
                 writer.writerow([row.stage, row.level, row.n_configs, _fmt(row.mrr),
                                  *stats, "NA" if row.all_absent else ""])
-    print(f"wrote {len(grid.rows)} configuration rows to {args.output}")
+    _status(f"wrote {len(grid.rows)} configuration rows to {args.output}",
+            args.output, args.summary)
     return 0
 
 

@@ -68,10 +68,9 @@ class PipelineConfig:
             raise ValueError(f"unknown measure {self.measure!r}")
 
 
-def default_skip_configs(n: int = 3, fixed: Sequence[int] = FIXED_SKIPS,
-                         windows: Sequence[float] = VARIABLE_WINDOWS) -> list[SkipConfig]:
-    configs = [SkipConfig("fixed", n, t=t) for t in fixed]
-    configs += [SkipConfig("variable", n, w=w) for w in windows]
+def default_skip_configs(n: int = 3) -> list[SkipConfig]:
+    configs = [SkipConfig("fixed", n, t=t) for t in FIXED_SKIPS]
+    configs += [SkipConfig("variable", n, w=w) for w in VARIABLE_WINDOWS]
     return configs
 
 
@@ -86,10 +85,6 @@ def default_grid(n: int = 3, min_count: float = DEFAULT_MIN_COUNT,
                     grid.append(PipelineConfig(
                         skip, weight, FilterSpec(fkind, min_count, similarity), measure))
     return grid
-
-
-def _skip_level_label(skip: SkipConfig) -> str:
-    return str(skip.t) if skip.mode == "fixed" else f"{skip.w:g}"
 
 
 @dataclass(frozen=True)
@@ -294,7 +289,7 @@ def _grid_chain(pieces: list[EncodedPiece], chain: Sequence[SkipConfig],
     """All (weight, filter, measure) results for each level of a chain, in chain order."""
     def level_rows(skip, keys, weighted):
         qpos = keys.index(query_key) if query_key in keys else None
-        mode, level = skip.mode, _skip_level_label(skip)
+        mode, level = skip.label.split(":")
         rows = []
         for wkind, (_table, scores, masks) in zip(WEIGHT_KINDS, weighted):
             ranks = {measure: _query_ranks(scores[measure], masks, qpos)

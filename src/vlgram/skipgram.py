@@ -15,8 +15,10 @@ piece order so downstream counting can merge deterministically.
 The levels of one mode are nested: a ``fixed:t`` tuple is a wider
 budget's tuple whose total skip is at most t, and a ``variable:w`` tuple
 is a wider window's tuple that passes the window test at w.
-``enumerate_nested`` enumerates a chain of levels once, tagging each of
-the widest level's tokens with the narrowest level that admits it.
+``enumerate_nested`` is the one skip walker: it enumerates a chain of
+levels once, tagging each of the widest level's tokens with the narrowest
+level that admits it. ``enumerate_piece`` is a one-level chain.
+``SkipConfig`` alone validates a level and spells its label.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class SkipConfig:
         else:
             if self.t is not None:
                 raise ValueError("variable mode takes a window, not a skip count")
-            if self.w is None or self.w <= 0:
+            if self.w is None or not self.w > 0:  # also rejects nan
                 raise ValueError("variable mode needs a window > 0 seconds")
 
     @property
@@ -143,30 +145,6 @@ def _fixed_index_tuples(k: int, n: int, t: int | None) -> Iterator[tuple[int, ..
         yield from extend(1, start, 0)
 
 
-def _variable_index_tuples(onsets: Sequence[float], n: int,
-                           w: float) -> Iterator[tuple[int, ...]]:
-    k = len(onsets)
-    if n > k:
-        return
-    picked = [0] * n
-
-    def extend(depth: int, last: int) -> Iterator[tuple[int, ...]]:
-        remaining = n - depth
-        limit = onsets[last] + w
-        for j in range(last + 1, k - remaining + 1):
-            if onsets[j] > limit:
-                break
-            picked[depth] = j
-            if remaining == 1:
-                yield tuple(picked)
-            else:
-                yield from extend(depth + 1, j)
-
-    for start in range(0, k - n + 1):
-        picked[0] = start
-        yield from extend(1, start)
-
-
 def enumerate_contiguous(piece: EncodedPiece, n: int) -> Iterator[SkipToken]:
     """All windows of n consecutive slices: max(k - n + 1, 0) tokens."""
     if n < 1:
@@ -176,44 +154,11 @@ def enumerate_contiguous(piece: EncodedPiece, n: int) -> Iterator[SkipToken]:
         yield piece.token_at(range(start, start + n))
 
 
-def enumerate_fixed_skip(piece: EncodedPiece, n: int, t: int | None) -> Iterator[SkipToken]:
-    """All index tuples whose skipped-slice total stays within ``t``.
-
-    ``t`` of None lifts the budget entirely, yielding every combination.
-    ``t=0`` reproduces the contiguous enumeration exactly.
-    """
-    if n < 2:
-        raise ValueError("cardinality must be at least 2")
-    if t is not None and t < 0:
-        raise ValueError("skip count must be non-negative")
-    for indices in _fixed_index_tuples(len(piece), n, t):
-        yield piece.token_at(indices)
-
-
-def enumerate_variable_skip(piece: EncodedPiece, n: int, w: float) -> Iterator[SkipToken]:
-    """All index tuples whose consecutive performed IOIs are each ≤ ``w`` seconds."""
-    if n < 2:
-        raise ValueError("cardinality must be at least 2")
-    if w <= 0:
-        raise ValueError("window must be positive")
-    onsets = piece.onsets_perf
-    if any(o is None for o in onsets):
-        raise PerformanceDataError("performance times required for variable mode")
-    for indices in _variable_index_tuples(onsets, n, w):
-        yield piece.token_at(indices)
-
-
-def enumerate_piece(piece: EncodedPiece, config: SkipConfig) -> Iterator[SkipToken]:
-    if config.mode == "fixed":
-        return enumerate_fixed_skip(piece, config.n, config.t)
-    return enumerate_variable_skip(piece, config.n, config.w)
-
-
 def _nested_variable_index_tuples(onsets: Sequence[float], n: int, windows: Sequence[float]
                                   ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The widest window's tuples, each with the narrowest window index admitting it.
 
-    At window ``w`` _variable_index_tuples extends a tuple past member
+    With a single window ``w`` the walker extends a tuple past member
     ``last`` through the slices before the first j with ``onsets[j] >
     onsets[last] + w``. So a member j needs the narrowest window passing
     that test at every slice after ``last`` up to j, and a tuple needs the
@@ -279,6 +224,12 @@ def enumerate_nested(piece: EncodedPiece,
         raise PerformanceDataError("performance times required for variable mode")
     for level, indices in _nested_variable_index_tuples(onsets, n, [c.w for c in chain]):
         yield level, piece.token_at(indices)
+
+
+def enumerate_piece(piece: EncodedPiece, config: SkipConfig) -> Iterator[SkipToken]:
+    """One skip level's tokens in lexicographic order: a one-level chain."""
+    for _level, token in enumerate_nested(piece, (config,)):
+        yield token
 
 
 def encode_corpus(corpus: Corpus) -> list[EncodedPiece]:

@@ -20,8 +20,7 @@ from vlgram.evaluation import (PlantSpec, default_grid, default_skip_configs,
                                run_grid)
 from vlgram.filters import harmony_pass
 from vlgram.ranking import TableBuilder, am_chi2, am_dice, am_g2, am_pmi, g5_split
-from vlgram.skipgram import (EncodedPiece, enumerate_contiguous,
-                             enumerate_fixed_skip, enumerate_variable_skip)
+from vlgram.skipgram import EncodedPiece, SkipConfig, enumerate_contiguous, enumerate_piece
 from vlgram.vlt import parse_pattern
 from vlgram.weighting import w_periodicity, w_proximity, weigh_all
 
@@ -61,7 +60,7 @@ def test_criterion_1_contiguous_token_counts(capfd):
                 for i, k in enumerate(lengths))
             assert total == sum(max(k - n + 1, 0) for k in lengths)
         assert len(list(enumerate_contiguous(plain_piece(20), 5))) == 16
-        assert len(list(enumerate_fixed_skip(plain_piece(20), 5, None))) == 15504
+        assert len(list(enumerate_piece(plain_piece(20), SkipConfig("fixed", 5, t=None)))) == 15504
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
@@ -79,12 +78,14 @@ def test_criterion_2_skip_enumeration_oracle(capfd):
             for n in (2, 3, 4):
                 all_combos = list(combinations(range(k), n))
                 for t in range(0, 9):
-                    got = [tok.indices for tok in enumerate_fixed_skip(piece, n, t)]
+                    got = [tok.indices
+                           for tok in enumerate_piece(piece, SkipConfig("fixed", n, t=t))]
                     want = [c for c in all_combos
                             if sum(b - a - 1 for a, b in zip(c, c[1:])) <= t]
                     assert got == want, (k, n, t)
                 for w in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
-                    got = [tok.indices for tok in enumerate_variable_skip(piece, n, w)]
+                    got = [tok.indices
+                           for tok in enumerate_piece(piece, SkipConfig("variable", n, w=w))]
                     want = [c for c in all_combos
                             if all(onsets[b] - onsets[a] <= w for a, b in zip(c, c[1:]))]
                     assert got == want, (k, n, w)

@@ -218,6 +218,17 @@ class TestMine:
             f"{t.piece_id}\t{','.join(map(str, t.indices))}\t{format_key(t.type_key)}"
             f"\t{t.weight!r}" for t in tokens] + [""]
 
+    def test_streamed_csv_holds_only_the_ranked_list(self, synth_corpus, tmp_path, capsys):
+        corpus, _ = synth_corpus
+        argv = ["mine", "--input", str(corpus), "--skip", "fixed:2", "--query", MRDCC_TEXT]
+        assert main(argv + ["--output", str(tmp_path / "r.csv")]) == 0
+        status = capsys.readouterr().out
+        assert status.startswith("query rank: ")
+        assert main(argv) == 0
+        streamed = capsys.readouterr()
+        assert streamed.out == (tmp_path / "r.csv").read_text()
+        assert streamed.err == status
+
 
 class TestGridCommand:
     def test_grid_row_count_and_determinism(self, synth_corpus, tmp_path):
@@ -235,6 +246,16 @@ class TestGridCommand:
         with open(grid_a, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 1820
+
+    def test_streamed_grid_csv_holds_only_rows(self, synth_corpus, capsys):
+        corpus, _ = synth_corpus
+        assert main(["grid", "--input", str(corpus), "--query", MRDCC_TEXT,
+                     "--output", "-"]) == 0
+        streamed = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(streamed.out)))
+        assert len(rows) == 1821
+        assert rows[0] == GRID_COLUMNS
+        assert streamed.err == "wrote 1820 configuration rows to -\n"
 
     def test_report_from_grid(self, synth_corpus, tmp_path):
         corpus, _ = synth_corpus
@@ -309,6 +330,7 @@ class TestExitCodes:
         ["grid", "--planned-comparisons", "0", "--query", MRDCC_TEXT],
         ["grid", "--jobs", "0", "--query", MRDCC_TEXT],
         ["grid", "--jobs", "-4", "--query", MRDCC_TEXT],
+        ["mine", "--skip", "variable:nan"],
     ])
     def test_invalid_flag_value_is_2(self, fixture_corpus, tmp_path, flags):
         argv = flags[:1] + ["--input", str(fixture_corpus),

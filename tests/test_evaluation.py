@@ -386,6 +386,14 @@ class TestGrid:
             grid = run_grid(corpus, MRDCC, 3, skip_configs=skips, jobs=jobs)
             assert grid.rows == single, jobs
 
+    def test_rows_spell_the_level_as_its_label(self):
+        corpus = mrdcc_statement_corpus(1, 3)
+        skips = [SkipConfig("fixed", 3, t=None), SkipConfig("fixed", 3, t=2),
+                 SkipConfig("variable", 3, w=2.0)]
+        grid = run_grid(corpus, MRDCC, 3, skip_configs=skips)
+        assert [row.skip_level for row in grid.rows[::140]] == ["inf", "2", "2"]
+        assert [row.level("skip") for row in grid.rows[::140]] == [s.label for s in skips]
+
     def test_skip_config_cardinality_mismatch_rejected(self):
         corpus = mrdcc_statement_corpus(1, 3)
         for skips in ([SkipConfig("fixed", 4, t=8)],

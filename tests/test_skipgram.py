@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from vlgram.corpus import PerformanceDataError, Slice
 from vlgram.skipgram import (EncodedPiece, SkipConfig, enumerate_contiguous,
-                             enumerate_fixed_skip, enumerate_nested, enumerate_piece,
-                             enumerate_variable_skip)
+                             enumerate_nested, enumerate_piece)
 from vlgram.vlt import VltPattern, format_key, parse_pattern
 
 
@@ -60,23 +59,24 @@ class TestContiguous:
 class TestFixedSkip:
     def test_pairs_from_first_event(self):
         # over abcde, a pairs with b (0 skips), c (1), d (2), e (3)
-        tokens = list(enumerate_fixed_skip(piece_of(5), 2, 3))
+        tokens = list(enumerate_piece(piece_of(5), SkipConfig("fixed", 2, t=3)))
         from_a = [t.indices for t in tokens if t.indices[0] == 0]
         assert from_a == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
     def test_trigrams_with_one_skip(self):
-        tokens = list(enumerate_fixed_skip(piece_of(5), 3, 1))
+        tokens = list(enumerate_piece(piece_of(5), SkipConfig("fixed", 3, t=1)))
         assert sorted(index_set(tokens)) == [
             (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
             (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
     def test_unlimited_budget_gives_all_combinations(self):
-        tokens = list(enumerate_fixed_skip(piece_of(20), 5, None))
+        tokens = list(enumerate_piece(piece_of(20), SkipConfig("fixed", 5, t=None)))
         assert len(tokens) == math.comb(20, 5) == 15504
 
     def test_zero_budget_reproduces_contiguous(self):
         piece = piece_of(12, seed=4)
-        fixed = [(t.indices, t.type_key) for t in enumerate_fixed_skip(piece, 3, 0)]
+        fixed = [(t.indices, t.type_key)
+                 for t in enumerate_piece(piece, SkipConfig("fixed", 3, t=0))]
         contiguous = [(t.indices, t.type_key) for t in enumerate_contiguous(piece, 3)]
         assert fixed == contiguous
 
@@ -86,7 +86,7 @@ class TestFixedSkip:
             piece = piece_of(k, seed=k)
             for n in (2, 3, 4):
                 for t in range(0, 9):
-                    got = index_set(enumerate_fixed_skip(piece, n, t))
+                    got = index_set(enumerate_piece(piece, SkipConfig("fixed", n, t=t)))
                     want = [c for c in combinations(range(k), n)
                             if sum(b - a - 1 for a, b in zip(c, c[1:])) <= t]
                     assert got == want, (k, n, t)
@@ -95,13 +95,13 @@ class TestFixedSkip:
         piece = piece_of(10, seed=6)
         previous = set()
         for t in range(0, 9):
-            current = set(index_set(enumerate_fixed_skip(piece, 3, t)))
+            current = set(index_set(enumerate_piece(piece, SkipConfig("fixed", 3, t=t))))
             assert previous <= current
             previous = current
 
     def test_lexicographic_order_no_duplicates(self):
         piece = piece_of(11, seed=8)
-        got = index_set(enumerate_fixed_skip(piece, 4, 5))
+        got = index_set(enumerate_piece(piece, SkipConfig("fixed", 4, t=5)))
         assert got == sorted(set(got))
         for idx in got:
             assert all(a < b for a, b in zip(idx, idx[1:]))
@@ -110,21 +110,21 @@ class TestFixedSkip:
 class TestVariableSkip:
     def test_window_filters_pairs(self):
         piece = piece_with_onsets([0.0, 0.4, 1.0, 2.5])
-        got = index_set(enumerate_variable_skip(piece, 2, 1.0))
+        got = index_set(enumerate_piece(piece, SkipConfig("variable", 2, w=1.0)))
         assert got == [(0, 1), (0, 2), (1, 2)]
 
     def test_tiny_window_yields_nothing(self):
         piece = piece_with_onsets([0.0, 0.5, 1.0, 1.5])
-        assert list(enumerate_variable_skip(piece, 2, 0.001)) == []
+        assert list(enumerate_piece(piece, SkipConfig("variable", 2, w=0.001))) == []
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_variable_skip(piece_of(5), 2, 0.0))
+            list(enumerate_piece(piece_of(5), SkipConfig("variable", 2, w=0.0)))
 
     def test_isochronous_equals_combination_oracle(self):
         # at 0.5s spacing a 2.0s window admits any gap of up to 4 slices
         piece = piece_with_onsets([0.5 * i for i in range(10)])
-        got = index_set(enumerate_variable_skip(piece, 3, 2.0))
+        got = index_set(enumerate_piece(piece, SkipConfig("variable", 3, w=2.0)))
         want = [c for c in combinations(range(10), 3)
                 if all(b - a <= 4 for a, b in zip(c, c[1:]))]
         assert got == want
@@ -138,7 +138,7 @@ class TestVariableSkip:
             piece = piece_with_onsets(onsets)
             for n in (2, 3, 4):
                 for w in (0.1, 0.3, 0.6, 1.0, 1.7, 2.5):
-                    got = index_set(enumerate_variable_skip(piece, n, w))
+                    got = index_set(enumerate_piece(piece, SkipConfig("variable", n, w=w)))
                     want = [c for c in combinations(range(k), n)
                             if all(onsets[b] - onsets[a] <= w for a, b in zip(c, c[1:]))]
                     assert got == want, (k, n, w)
@@ -147,7 +147,7 @@ class TestVariableSkip:
         piece = piece_of(10, seed=1)
         previous = set()
         for w in (0.2, 0.5, 1.0, 2.0):
-            current = set(index_set(enumerate_variable_skip(piece, 3, w)))
+            current = set(index_set(enumerate_piece(piece, SkipConfig("variable", 3, w=w))))
             assert previous <= current
             previous = current
 
@@ -155,7 +155,7 @@ class TestVariableSkip:
         slices = [Slice("p", i, Fraction(i), (48, 60), None) for i in range(5)]
         piece = EncodedPiece.from_slices(slices)
         with pytest.raises(PerformanceDataError, match="variable"):
-            list(enumerate_variable_skip(piece, 2, 1.0))
+            list(enumerate_piece(piece, SkipConfig("variable", 2, w=1.0)))
 
 
 @st.composite
@@ -194,8 +194,18 @@ class TestNested:
         tagged = [(level, tok.indices, tok.type_key)
                   for level, tok in enumerate_nested(piece, chain)]
         assert all(0 <= level < len(chain) for level, _, _ in tagged)
+        onsets = piece.onsets_perf
         for at, skip in enumerate(chain):
-            want = [(t.indices, t.type_key) for t in enumerate_piece(piece, skip)]
+            if skip.mode == "fixed":
+                want = [c for c in combinations(range(len(piece)), skip.n)
+                        if skip.t is None or sum(b - a - 1 for a, b in zip(c, c[1:])) <= skip.t]
+            else:
+                # the walker's own float test: every slice after a member up
+                # to the next lies within the window of the member's onset
+                want = [c for c in combinations(range(len(piece)), skip.n)
+                        if all(onsets[x] <= onsets[a] + skip.w
+                               for a, b in zip(c, c[1:]) for x in range(a + 1, b + 1))]
+            want = [(c, piece.token_at(c).type_key) for c in want]
             assert [(indices, key) for level, indices, key in tagged if level <= at] == want
 
     def test_window_test_is_the_enumerators_float_sum(self):
@@ -206,7 +216,8 @@ class TestNested:
         chain = [SkipConfig("variable", 2, w=0.1), SkipConfig("variable", 2, w=0.2)]
         tagged = {tok.indices: level for level, tok in enumerate_nested(piece, chain)}
         assert tagged == {(0, 1): 0, (1, 2): 1}
-        assert index_set(enumerate_variable_skip(piece, 2, 0.2)) == [(0, 1), (1, 2)]
+        assert index_set(enumerate_piece(piece, SkipConfig("variable", 2, w=0.2))) == \
+            [(0, 1), (1, 2)]
 
     @pytest.mark.parametrize("chain", [
         [],
@@ -228,7 +239,7 @@ class TestTokenContent:
                   Slice("p", 1, Fraction(1), (50, 65), 0.5),
                   Slice("p", 2, Fraction(2), (52, 67), 1.0)]
         piece = EncodedPiece.from_slices(slices)
-        tokens = {t.indices: t for t in enumerate_fixed_skip(piece, 2, 1)}
+        tokens = {t.indices: t for t in enumerate_piece(piece, SkipConfig("fixed", 2, t=1))}
         assert tokens[(0, 2)].type_key[1][2] == 4
         assert tokens[(0, 1)].type_key[1][2] == 2
         assert tokens[(0, 2)].type_key[0][2] is None
@@ -240,18 +251,18 @@ class TestTokenContent:
                   Slice("p", 3, Fraction(3), (60, 76), 1.2)]
         # slices 0 and 3 form the same dyad chain as 0 and... use two pieces
         piece = EncodedPiece.from_slices(slices)
-        tokens = {t.indices: t for t in enumerate_fixed_skip(piece, 2, 2)}
+        tokens = {t.indices: t for t in enumerate_piece(piece, SkipConfig("fixed", 2, t=2))}
         # (48,64) to (60,76) is motion 0 with identical chords both sides
         assert tokens[(0, 3)].type_key[0] == tokens[(0, 3)].type_key[1][:2] + (None,)
 
     def test_onsets_follow_selection(self):
         piece = piece_with_onsets([0.0, 0.3, 0.9, 1.1])
-        tokens = {t.indices: t for t in enumerate_fixed_skip(piece, 2, 2)}
+        tokens = {t.indices: t for t in enumerate_piece(piece, SkipConfig("fixed", 2, t=2))}
         assert tokens[(0, 2)].onsets_perf == (0.0, 0.9)
 
     def test_pattern_property_roundtrips(self):
         piece = piece_of(6, seed=12)
-        for token in enumerate_fixed_skip(piece, 3, 2):
+        for token in enumerate_piece(piece, SkipConfig("fixed", 3, t=2)):
             assert VltPattern.from_key(token.type_key).key == token.type_key
             assert parse_pattern(format_key(token.type_key)).key == token.type_key
 
@@ -276,13 +287,6 @@ class TestSkipConfig:
         with pytest.raises(ValueError):
             SkipConfig("variable", 3, w=0.0)
         with pytest.raises(ValueError):
+            SkipConfig("variable", 3, w=math.nan)
+        with pytest.raises(ValueError):
             SkipConfig("sideways", 3, t=2)
-
-    def test_dispatch(self):
-        piece = piece_of(8, seed=3)
-        fixed = SkipConfig("fixed", 3, t=2)
-        assert index_set(enumerate_piece(piece, fixed)) == \
-            index_set(enumerate_fixed_skip(piece, 3, 2))
-        variable = SkipConfig("variable", 3, w=1.5)
-        assert index_set(enumerate_piece(piece, variable)) == \
-            index_set(enumerate_variable_skip(piece, 3, 1.5))
