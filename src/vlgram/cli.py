@@ -273,8 +273,7 @@ def _cmd_report(args) -> int:
         writer = _csv_writer(out)
         writer.writerow(["stage", "level", "n_configs", "mrr", "se_rr"])
         for stage in ("skip", "weight", "filter", "rank"):
-            for level in grid.levels(stage):
-                rrs = grid.group(stage, level)
+            for level, rrs in grid.groups(stage).items():
                 mean, var = evaluation.mean_var(rrs)
                 se = (var / len(rrs)) ** 0.5
                 writer.writerow([stage, level, len(rrs), _fmt(mean), _fmt(se)])

@@ -13,6 +13,12 @@ Expansion slices a piece at every distinct note onset; a slice contains
 every note whose half-open sounding interval [onset, onset + duration)
 covers the slice onset. Parsing and expansion are pure per piece, so
 distinct pieces may be processed concurrently and merged in piece order.
+
+Score times stay ``Fraction``s on every note and slice, and in all printed
+text. Parsing reads each distinct time text once per call. Sorting,
+slicing and performed-onset anchoring compare them as exact integer
+ticks at the piece's common denominator (see ``_ticks``), never as
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -108,7 +114,18 @@ class Corpus:
         return len(self.pieces)
 
 
-def _parse_line(line: str, line_no: int, source: str) -> NoteEvent:
+def _time(text: str, times: dict[str, tuple[Fraction, int, int]]) -> tuple[Fraction, int, int]:
+    """A score-time text as ``(value, numerator, denominator)``, parsed once per ``times``."""
+    parsed = times.get(text)
+    if parsed is None:
+        value = Fraction(text)
+        parsed = times[text] = (value, value.numerator, value.denominator)
+    return parsed
+
+
+def _parse_line(line: str, line_no: int, source: str,
+                times: dict[str, tuple[Fraction, int, int]]) -> tuple[NoteEvent, int, int]:
+    """One note row, and its onset's numerator and denominator."""
     fields = line.split("\t")
     if len(fields) not in (4, 6):
         raise CorpusParseError(
@@ -117,14 +134,14 @@ def _parse_line(line: str, line_no: int, source: str) -> NoteEvent:
     if not piece_id:
         raise CorpusParseError("empty piece id", line_no, source)
     try:
-        onset = Fraction(fields[1].strip())
-        duration = Fraction(fields[2].strip())
+        onset, onset_num, onset_den = _time(fields[1].strip(), times)
+        duration, duration_num, _ = _time(fields[2].strip(), times)
         pitch = int(fields[3].strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise CorpusParseError(f"bad numeric field: {exc}", line_no, source) from None
-    if onset < 0:
+    if onset_num < 0:
         raise CorpusParseError(f"negative onset {onset}", line_no, source)
-    if duration <= 0:
+    if duration_num <= 0:
         raise CorpusParseError(f"non-positive duration {duration}", line_no, source)
     if not 0 <= pitch <= 127:
         raise CorpusParseError(f"pitch {pitch} outside 0..127", line_no, source)
@@ -143,7 +160,8 @@ def _parse_line(line: str, line_no: int, source: str) -> NoteEvent:
         if duration_perf <= 0:
             raise CorpusParseError(
                 f"non-positive performed duration {duration_perf}", line_no, source)
-    return NoteEvent(piece_id, onset, duration, pitch, onset_perf, duration_perf)
+    note = NoteEvent(piece_id, onset, duration, pitch, onset_perf, duration_perf)
+    return note, onset_num, onset_den
 
 
 def _decode(data: bytes, source: str) -> str:
@@ -189,18 +207,20 @@ def parse_corpus(source: "str | Path | IO") -> Corpus:
     CorpusParseError naming the line; duplicate (piece, onset, pitch)
     rows are dropped, each recorded in ``Corpus.warnings`` and all of them
     logged as one warning; an input with no notes at all raises
-    EmptyCorpusError.
+    EmptyCorpusError. Each distinct time text is parsed once per call, and
+    notes whose times have the same text share one ``Fraction``.
     """
     pieces: dict[str, list[NoteEvent]] = {}
-    seen: set[tuple[str, Fraction, int]] = set()
+    seen: set[tuple[str, int, int, int]] = set()
+    times: dict[str, tuple[Fraction, int, int]] = {}
     warnings: list[str] = []
     for name, lines in _iter_sources(source):
         for line_no, raw in enumerate(lines, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            note = _parse_line(line, line_no, name)
-            dup_key = (note.piece_id, note.onset_score, note.pitch)
+            note, onset_num, onset_den = _parse_line(line, line_no, name, times)
+            dup_key = (note.piece_id, onset_num, onset_den, note.pitch)
             if dup_key in seen:
                 msg = (f"{name}:{line_no}: duplicate note "
                        f"({note.piece_id}, {note.onset_score}, {note.pitch}); keeping first")
@@ -214,9 +234,24 @@ def parse_corpus(source: "str | Path | IO") -> Corpus:
         raise EmptyCorpusError("corpus contains no note events")
     ordered = []
     for piece_id, notes in pieces.items():
-        notes.sort(key=lambda n: (n.onset_score, n.pitch))
-        ordered.append(Piece(piece_id, notes))
+        _, (onsets,) = _ticks([n.onset_score for n in notes])
+        order = sorted(zip(onsets, [n.pitch for n in notes], range(len(notes))))
+        ordered.append(Piece(piece_id, [notes[i] for _, _, i in order]))
     return Corpus(ordered, warnings)
+
+
+def _ticks(*columns: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    """Score times as exact integer ticks of ``1/scale`` beat.
+
+    ``scale`` is the lcm of every denominator in ``columns``, so each time
+    ``num/den`` is the tick ``num * (scale // den)``. Ticks compare, hash
+    and add exactly as their Fractions do, and ``tick / scale`` equals
+    ``float(time)`` bit for bit: both are correctly rounded divisions of
+    the same rational.
+    """
+    ratios = [[t.as_integer_ratio() for t in column] for column in columns]
+    scale = math.lcm(*{den for column in ratios for _, den in column})
+    return scale, [[num * (scale // den) for num, den in column] for column in ratios]
 
 
 def expand(notes: Sequence[NoteEvent]) -> list[Slice]:
@@ -224,27 +259,27 @@ def expand(notes: Sequence[NoteEvent]) -> list[Slice]:
 
     Each slice holds all notes sounding at its onset under half-open
     sounding intervals: a note ending exactly at an onset does not sound
-    in that slice.
+    in that slice. A slice's onset is its first note's ``Fraction``.
     """
     if not notes:
         raise ValueError("cannot expand an empty piece")
-    by_onset = sorted(notes, key=lambda n: (n.onset_score, n.pitch))
-    onsets = sorted({n.onset_score for n in notes})
+    _, (onsets, durations) = _ticks([n.onset_score for n in notes],
+                                    [n.duration_score for n in notes])
+    events = sorted(zip(onsets, [n.pitch for n in notes], durations, range(len(notes))))
     piece_id = notes[0].piece_id
     slices = []
-    active: list[tuple[Fraction, int, int]] = []  # (offset, tiebreak, pitch) heap
+    active: list[tuple[int, int]] = []  # (offset tick, pitch) heap
     pos = 0
-    counter = 0
-    for index, onset in enumerate(onsets):
-        while pos < len(by_onset) and by_onset[pos].onset_score <= onset:
-            note = by_onset[pos]
-            heappush(active, (note.offset_score, counter, note.pitch))
-            counter += 1
+    while pos < len(events):
+        onset, _, _, first = events[pos]
+        while pos < len(events) and events[pos][0] == onset:
+            _, pitch, duration, _ = events[pos]
+            heappush(active, (onset + duration, pitch))
             pos += 1
         while active and active[0][0] <= onset:
             heappop(active)
-        pitches = tuple(sorted({p for _, _, p in active}))
-        slices.append(Slice(piece_id, index, onset, pitches))
+        pitches = tuple(sorted({p for _, p in active}))
+        slices.append(Slice(piece_id, len(slices), notes[first].onset_score, pitches))
     return slices
 
 
@@ -257,13 +292,16 @@ def assign_performed_onsets(notes: Sequence[NoteEvent],
     score time between the nearest anchors, and extrapolated from the two
     nearest anchors beyond the first and last.
     """
-    anchor_map: dict[Fraction, float] = {}
-    for n in notes:
-        if n.onset_perf is None:
+    scale, (note_ticks, slice_ticks) = _ticks([n.onset_score for n in notes],
+                                              [s.onset_score for s in slices])
+    anchor_map: dict[int, float] = {}
+    for tick, n in zip(note_ticks, notes):
+        perf = n.onset_perf
+        if perf is None:
             continue
-        prev = anchor_map.get(n.onset_score)
-        if prev is None or n.onset_perf < prev:
-            anchor_map[n.onset_score] = n.onset_perf
+        prev = anchor_map.get(tick)
+        if prev is None or perf < prev:
+            anchor_map[tick] = perf
     anchors = sorted(anchor_map.items())
     if len(anchors) < 2:
         raise PerformanceDataError(f"piece {notes[0].piece_id}: insufficient performance anchors")
@@ -271,15 +309,15 @@ def assign_performed_onsets(notes: Sequence[NoteEvent],
         if p1 < p0:
             raise PerformanceDataError(
                 f"piece {notes[0].piece_id}: performed onsets not monotone with score onsets "
-                f"(beat {s0} at {p0}s, beat {s1} at {p1}s)")
-    scores = [float(s) for s, _ in anchors]
+                f"(beat {Fraction(s0, scale)} at {p0}s, beat {Fraction(s1, scale)} at {p1}s)")
+    scores = [tick / scale for tick, _ in anchors]
     perfs = [p for _, p in anchors]
 
-    def interpolate(score: Fraction) -> float:
-        exact = anchor_map.get(score)
+    def interpolate(tick: int) -> float:
+        exact = anchor_map.get(tick)
         if exact is not None:
             return exact
-        x = float(score)
+        x = tick / scale
         j = bisect_left(scores, x)
         if j == 0:
             lo, hi = 0, 1
@@ -291,8 +329,8 @@ def assign_performed_onsets(notes: Sequence[NoteEvent],
         return perfs[lo] + (x - scores[lo]) * slope
 
     return [
-        Slice(s.piece_id, s.index, s.onset_score, s.pitches, interpolate(s.onset_score))
-        for s in slices
+        Slice(s.piece_id, s.index, s.onset_score, s.pitches, interpolate(tick))
+        for s, tick in zip(slices, slice_ticks)
     ]
 
 
@@ -305,25 +343,37 @@ def render_fixed_tempo(slices: Sequence[Slice], bpm: float = FALLBACK_BPM) -> li
     ]
 
 
-def _candidate_reduction(oversized: frozenset[int],
-                         population: Counter) -> frozenset[int] | None:
-    """Best interval-class set in ``population`` that is a subset of ``oversized``.
+def _ranked(population: Counter) -> list[frozenset[int]]:
+    """The interval-class sets of ``population`` usable as a reduction, best first.
 
-    Preference order: larger set, then more frequent, then lexicographically
-    smallest. Returns None when the population offers no usable subset.
+    A usable set holds 1 to SLOT_COUNT classes. Preference order: larger
+    set, then more frequent, then lexicographically smallest. No two sets
+    tie, so the first subset of an oversized set is its best reduction.
     """
-    best = None
-    best_rank = None
-    for icset, freq in population.items():
-        if not 1 <= len(icset) <= SLOT_COUNT:
-            continue
-        if not oversized.issuperset(icset):
-            continue
-        rank = (len(icset), freq, tuple(-iv for iv in sorted(icset)))
-        if best_rank is None or rank > best_rank:
-            best_rank = rank
-            best = icset
-    return best
+    usable = [icset for icset in population if 1 <= len(icset) <= SLOT_COUNT]
+    usable.sort(key=lambda icset: (len(icset), population[icset],
+                                   tuple(-iv for iv in sorted(icset))), reverse=True)
+    return usable
+
+
+def _reduce(s: Slice, rankings: Iterable[list[frozenset[int]]]) -> tuple[Slice, bool]:
+    """reduce_oversized over populations already ranked by _ranked."""
+    ics, top = chord_of(s.pitches)
+    if len(ics) <= SLOT_COUNT:
+        return s, False
+    oversized = frozenset(ics)
+    for ranked in rankings:
+        kept = next((icset for icset in ranked if icset <= oversized), None)
+        if kept is not None:
+            break
+    else:
+        logger.warning("%s slice %d: no reduction candidate for %s; keeping lowest three",
+                       s.piece_id, s.index, ics)
+        kept = ics[:SLOT_COUNT]
+    if top is not None and top not in kept:
+        top = min(kept, key=lambda iv: (min((iv - top) % 12, (top - iv) % 12), iv))
+    pitches = chord_pitches((kept, top), s.bass)
+    return Slice(s.piece_id, s.index, s.onset_score, pitches, s.onset_perf), True
 
 
 def reduce_oversized(s: Slice, neighbors: Counter, piece_pop: Counter,
@@ -339,22 +389,7 @@ def reduce_oversized(s: Slice, neighbors: Counter, piece_pop: Counter,
     survives, else the kept class nearest it (circular distance, smaller
     class on ties).
     """
-    ics, top = chord_of(s.pitches)
-    if len(ics) <= SLOT_COUNT:
-        return s, False
-    oversized = frozenset(ics)
-    for population in (neighbors, piece_pop, corpus_pop):
-        kept = _candidate_reduction(oversized, population)
-        if kept is not None:
-            break
-    else:
-        logger.warning("%s slice %d: no reduction candidate for %s; keeping lowest three",
-                       s.piece_id, s.index, ics)
-        kept = ics[:SLOT_COUNT]
-    if top is not None and top not in kept:
-        top = min(kept, key=lambda iv: (min((iv - top) % 12, (top - iv) % 12), iv))
-    pitches = chord_pitches((kept, top), s.bass)
-    return Slice(s.piece_id, s.index, s.onset_score, pitches, s.onset_perf), True
+    return _reduce(s, map(_ranked, (neighbors, piece_pop, corpus_pop)))
 
 
 @dataclass
@@ -373,6 +408,7 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
 
     Reference populations are measured on the original, pre-reduction
     interval-class sets, so the result does not depend on processing order.
+    Each piece's population and the corpus's are ranked once.
     """
     stats = PrepareStats()
     piece_sets = {}
@@ -381,16 +417,18 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
         sets = [frozenset(chord_of(s.pitches)[0]) for s in piece.slices]
         piece_sets[piece.piece_id] = sets
         corpus_pop.update(sets)
+    corpus_ranked = _ranked(corpus_pop)
     for piece in corpus.pieces:
         sets = piece_sets[piece.piece_id]
-        piece_pop = Counter(sets)
+        piece_ranked = _ranked(Counter(sets))
         for i, s in enumerate(piece.slices):
             stats.n_slices += 1
             if len(sets[i]) <= SLOT_COUNT:
                 continue
             lo = max(0, i - REDUCTION_WINDOW)
-            neighbors = Counter(sets[lo:i] + sets[i + 1:i + 1 + REDUCTION_WINDOW])
-            reduced, replaced = reduce_oversized(s, neighbors, piece_pop, corpus_pop)
+            window = sets[lo:i] + sets[i + 1:i + 1 + REDUCTION_WINDOW]
+            neighbors = Counter(icset for icset in window if icset <= sets[i])
+            reduced, replaced = _reduce(s, (_ranked(neighbors), piece_ranked, corpus_ranked))
             piece.slices[i] = reduced
             if replaced:
                 stats.n_reduced += 1

@@ -120,15 +120,20 @@ class GridResult:
     n: int
     rows: list[ConfigResult]
 
+    def groups(self, stage: str) -> dict[str, list[float]]:
+        """Each level of a stage, in first-seen order, with the reciprocal
+        ranks of its configurations in row order."""
+        groups: dict[str, list[float]] = {}
+        for r in self.rows:
+            groups.setdefault(r.level(stage), []).append(r.rr)
+        return groups
+
     def group(self, stage: str, level: str) -> list[float]:
         """Reciprocal ranks of every configuration containing the level."""
-        return [r.rr for r in self.rows if r.level(stage) == level]
+        return self.groups(stage).get(level, [])
 
     def levels(self, stage: str) -> list[str]:
-        seen = {}
-        for r in self.rows:
-            seen.setdefault(r.level(stage), None)
-        return list(seen)
+        return list(self.groups(stage))
 
     def result_for(self, skip_mode: str, skip_level: str, weight: str,
                    fkind: str, measure: str) -> ConfigResult:
@@ -419,12 +424,16 @@ def compare_levels(grid: GridResult, level_a: tuple[str, str], level_b: tuple[st
     ("skip_mode", "variable"). Swapping the arguments flips the signs of
     the difference, t, and d.
     """
-    xs = grid.group(*level_a)
-    ys = grid.group(*level_b)
+    return _compare(level_a[1], grid.group(*level_a), level_b[1], grid.group(*level_b),
+                    planned_comparisons)
+
+
+def _compare(label_a: str, xs: Sequence[float], label_b: str, ys: Sequence[float],
+             planned_comparisons: int) -> LevelComparison:
     t, df, p, d = pooled_t_test(xs, ys, planned_comparisons)
     m1 = sum(xs) / len(xs)
     m2 = sum(ys) / len(ys)
-    return LevelComparison(level_a[1], level_b[1], len(xs), len(ys),
+    return LevelComparison(label_a, label_b, len(xs), len(ys),
                            m1, m2, m1 - m2, t, df, p, d)
 
 
@@ -450,20 +459,20 @@ def summarize_grid(grid: GridResult,
     rows = []
     for stage in ("skip", "weight", "filter", "rank"):
         baseline = BASELINES[stage]
-        for level in grid.levels(stage):
-            rrs = grid.group(stage, level)
+        groups = grid.groups(stage)
+        for level, rrs in groups.items():
             is_base = level == baseline
             comp = None
             if not is_base:
-                comp = compare_levels(grid, (stage, level), (stage, baseline),
-                                      planned_comparisons)
+                comp = _compare(level, rrs, baseline, groups.get(baseline, []),
+                                planned_comparisons)
             rows.append(SummaryRow(stage, level, len(rrs), sum(rrs) / len(rrs),
                                    is_base, comp, all(rr == 0.0 for rr in rrs)))
-    fixed = grid.group("skip_mode", "fixed")
-    var = grid.group("skip_mode", "variable")
+    modes = grid.groups("skip_mode")
+    fixed = modes.get("fixed", [])
+    var = modes.get("variable", [])
     if fixed and var:
-        comp = compare_levels(grid, ("skip_mode", "variable"), ("skip_mode", "fixed"),
-                              planned_comparisons)
+        comp = _compare("variable", var, "fixed", fixed, planned_comparisons)
         rows.append(SummaryRow("skip_mode", "variable", len(var), sum(var) / len(var),
                                False, comp, all(rr == 0.0 for rr in var)))
     return rows

@@ -54,8 +54,8 @@ class SkipConfig:
         else:
             if self.t is not None:
                 raise ValueError("variable mode takes a window, not a skip count")
-            if self.w is None or not self.w > 0:  # also rejects nan
-                raise ValueError("variable mode needs a window > 0 seconds")
+            if self.w is None or not 0 < self.w < math.inf:  # also rejects nan
+                raise ValueError("variable mode needs a finite window > 0 seconds")
 
     @property
     def bound(self) -> float:

@@ -331,6 +331,7 @@ class TestExitCodes:
         ["grid", "--jobs", "0", "--query", MRDCC_TEXT],
         ["grid", "--jobs", "-4", "--query", MRDCC_TEXT],
         ["mine", "--skip", "variable:nan"],
+        ["mine", "--skip", "variable:inf"],
     ])
     def test_invalid_flag_value_is_2(self, fixture_corpus, tmp_path, flags):
         argv = flags[:1] + ["--input", str(fixture_corpus),

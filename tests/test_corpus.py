@@ -1,10 +1,14 @@
 import io
 import random
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlgram.corpus import (CorpusParseError, EmptyCorpusError, NoteEvent,
                            PerformanceDataError, Slice, assign_performed_onsets,
@@ -74,6 +78,40 @@ class TestParse:
         assert records[0].levelname == "WARNING"
         assert ":2: duplicate note" in records[0].getMessage()
         assert "3 duplicate rows" in records[0].getMessage()
+
+    def test_equal_times_in_any_spelling_are_one_note(self, caplog):
+        corpus = parse_text("p\t2/4\t1\t64\np\t0.5\t1\t60\np\t1/2\t2\t60\n"
+                            "p\t2/4\t1/3\t60\np\t1/3\t1\t60\n")
+        notes = corpus.pieces[0].notes
+        assert [(n.onset_score, n.duration_score, n.pitch) for n in notes] == [
+            (Fraction(1, 3), 1, 60), (Fraction(1, 2), 1, 60), (Fraction(1, 2), 1, 64)]
+        assert len(corpus.warnings) == 2
+        assert corpus.warnings[0] == ("<stream>:3: duplicate note (p, 1/2, 60); "
+                                      "keeping first")
+        records = [r for r in caplog.records if r.name == "vlgram.corpus"]
+        assert "duplicate note (p, 1/2, 60)" in records[0].getMessage()
+
+    def test_same_text_shares_one_fraction(self):
+        corpus = parse_text("p\t1/3\t1/3\t60\np\t1/3\t2/3\t64\nq\t2/3\t1/3\t62\n")
+        (a, b), (c,) = (piece.notes for piece in corpus.pieces)
+        assert a.onset_score is b.onset_score is a.duration_score is c.duration_score
+        assert b.duration_score is c.onset_score
+
+    def test_repeated_bad_time_fails_at_first_line(self):
+        for bad, reason in (("x/2", "Invalid literal for Fraction: 'x/2'"),
+                            ("1/0", "Fraction(1, 0)")):
+            text = f"p\t0\t1\t60\np\t{bad}\t1\t62\np\t1\t{bad}\t64\n"
+            with pytest.raises(CorpusParseError) as err:
+                parse_text(text)
+            assert err.value.line_no == 2
+            assert str(err.value) == f"<stream>:2: bad numeric field: {reason}"
+
+    def test_negative_onset_names_its_fraction(self):
+        with pytest.raises(CorpusParseError) as err:
+            parse_text("p\t0\t1\t60\np\t-1/2\t1\t62\n")
+        assert str(err.value) == "<stream>:2: negative onset -1/2"
+        with pytest.raises(CorpusParseError, match="non-positive duration -3/4"):
+            parse_text("p\t0\t-0.75\t60\n")
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -147,8 +185,8 @@ class TestExpand:
         for _ in range(30):
             notes = []
             for _ in range(rng.randint(1, 50)):
-                onset = Fraction(rng.randint(0, 24), rng.choice([1, 2, 4]))
-                dur = Fraction(rng.randint(1, 8), rng.choice([1, 2, 4]))
+                onset = Fraction(rng.randint(0, 24), rng.choice([1, 2, 3, 4, 7]))
+                dur = Fraction(rng.randint(1, 8), rng.choice([1, 2, 3, 4, 7]))
                 notes.append(NoteEvent("a", onset, dur, rng.randint(30, 90)))
             slices = expand(notes)
             assert len(slices) == len({n.onset_score for n in notes})
@@ -232,11 +270,126 @@ class TestPerformedOnsets:
         with pytest.raises(PerformanceDataError, match="monotone"):
             assign_performed_onsets(notes, expand(notes))
 
+    def test_not_monotone_names_beats_as_fractions(self):
+        # the 1/3 note makes the common denominator 6; beats still print reduced
+        corpus = parse_text("p\t1/2\t1\t60\t1.0\t0.1\np\t1/3\t1\t62\n"
+                            "p\t3/2\t1\t64\t0.5\t0.1\n")
+        notes = corpus.pieces[0].notes
+        with pytest.raises(PerformanceDataError) as err:
+            assign_performed_onsets(notes, expand(notes))
+        assert str(err.value) == ("piece p: performed onsets not monotone with score "
+                                  "onsets (beat 1/2 at 1.0s, beat 3/2 at 0.5s)")
+
     def test_fixed_tempo_rendering(self):
         notes = [note("a", 0, 1, 60), note("a", 2, 1, 62)]
         slices = render_fixed_tempo(expand(notes), bpm=100)
         assert slices[0].onset_perf == 0.0
         assert slices[1].onset_perf == pytest.approx(1.2)
+
+
+def oracle_expand(notes):
+    """expand on Fraction arithmetic: a sweep over the sorted distinct onsets."""
+    by_onset = sorted(notes, key=lambda n: (n.onset_score, n.pitch))
+    slices, active, pos = [], [], 0
+    for index, onset in enumerate(sorted({n.onset_score for n in notes})):
+        while pos < len(by_onset) and by_onset[pos].onset_score <= onset:
+            heappush(active, (by_onset[pos].offset_score, pos, by_onset[pos].pitch))
+            pos += 1
+        while active and active[0][0] <= onset:
+            heappop(active)
+        slices.append(Slice(notes[0].piece_id, index, onset,
+                            tuple(sorted({p for _, _, p in active}))))
+    return slices
+
+
+def oracle_assign(notes, slices):
+    """assign_performed_onsets on Fraction keys and float(Fraction) anchors."""
+    anchor_map = {}
+    for n in notes:
+        if n.onset_perf is not None:
+            prev = anchor_map.get(n.onset_score)
+            if prev is None or n.onset_perf < prev:
+                anchor_map[n.onset_score] = n.onset_perf
+    anchors = sorted(anchor_map.items())
+    if len(anchors) < 2:
+        raise PerformanceDataError(f"piece {notes[0].piece_id}: insufficient performance anchors")
+    for (s0, p0), (s1, p1) in zip(anchors, anchors[1:]):
+        if p1 < p0:
+            raise PerformanceDataError(
+                f"piece {notes[0].piece_id}: performed onsets not monotone with score onsets "
+                f"(beat {s0} at {p0}s, beat {s1} at {p1}s)")
+    scores = [float(s) for s, _ in anchors]
+    perfs = [p for _, p in anchors]
+
+    def interpolate(score):
+        if score in anchor_map:
+            return anchor_map[score]
+        x = float(score)
+        j = bisect_left(scores, x)
+        lo, hi = (0, 1) if j == 0 else (
+            (len(scores) - 2, len(scores) - 1) if j >= len(scores) else (j - 1, j))
+        slope = (perfs[hi] - perfs[lo]) / (scores[hi] - scores[lo])
+        return perfs[lo] + (x - scores[lo]) * slope
+
+    return [Slice(s.piece_id, s.index, s.onset_score, s.pitches, interpolate(s.onset_score))
+            for s in slices]
+
+
+# Denominators of common rhythms; some pieces add large primes, whose lcm is
+# far beyond any one of them. Extra slices may also sit on fifths, elevenths
+# and thirteenths, which no note has.
+RHYTHM_DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
+LARGE_DENOMINATORS = (1009, 7919, 104729)
+SLICE_ONLY_DENOMINATORS = (5, 11, 13)
+
+
+@st.composite
+def score_time(draw, denominators, low=0):
+    den = draw(st.sampled_from(denominators))
+    return Fraction(draw(st.integers(low * den, 16 * den)), den)
+
+
+@st.composite
+def tick_path_piece(draw):
+    """Random notes, some with performed onsets, and extra slices off the notes."""
+    dens = RHYTHM_DENOMINATORS + draw(st.sampled_from(((), LARGE_DENOMINATORS)))
+    tempo = draw(st.floats(0.2, 2.0))
+    # about half the pieces keep a steady tempo; the rest may break monotony
+    free = st.floats(0.0, 40.0) if draw(st.booleans()) else st.nothing()
+    notes = []
+    for _ in range(draw(st.integers(1, 24))):
+        onset = draw(score_time(dens))
+        duration = draw(score_time(dens, low=1))
+        perf = draw(st.one_of(st.none(), st.just(float(onset) * tempo), free))
+        notes.append(NoteEvent("p", onset, duration, draw(st.integers(30, 90)),
+                               perf, None if perf is None else 0.5))
+    extra = [Slice("p", 100 + i, draw(score_time(dens + SLICE_ONLY_DENOMINATORS)), (60,))
+             for i in range(draw(st.integers(0, 5)))]
+    return notes, extra
+
+
+def slice_fields(slices):
+    return [(s.piece_id, s.index, s.onset_score, s.pitches, repr(s.onset_perf))
+            for s in slices]
+
+
+class TestTickPath:
+    @settings(max_examples=300, deadline=None)
+    @given(tick_path_piece())
+    def test_expand_and_anchoring_equal_fraction_oracle(self, piece):
+        notes, extra = piece
+        slices = expand(notes)
+        assert slice_fields(slices) == slice_fields(oracle_expand(notes))
+        assert all(any(s.onset_score is n.onset_score for n in notes) for s in slices)
+        mixed = extra[:1] + slices + extra[1:]
+        try:
+            expected = oracle_assign(notes, mixed)
+        except PerformanceDataError as err:
+            with pytest.raises(PerformanceDataError) as got:
+                assign_performed_onsets(notes, mixed)
+            assert str(got.value) == str(err)
+            return
+        assert slice_fields(assign_performed_onsets(notes, mixed)) == slice_fields(expected)
 
 
 def classes(s):
@@ -371,6 +524,28 @@ class TestPrepare:
         assert stats.n_reduced == 1
         assert stats.reduced_fraction == pytest.approx(1 / 8)
         assert classes(corpus.pieces[0].slices[7]) == (4, 7)
+
+    def test_reduce_corpus_equals_per_slice_reduce_oversized(self):
+        # each oversized slice, reduced against Counters of its original
+        # window, piece and corpus, as reduce_oversized documents
+        rng = random.Random(17)
+        for _ in range(4):
+            rows = [f"{piece}\t{i}\t1\t{p}" for piece in ("p1", "p2", "p3")
+                    for i in range(40) for p in rng.sample(range(40, 80), rng.randint(1, 7))]
+            corpus = parse_text("\n".join(rows) + "\n")
+            prepare_corpus(corpus)
+            unreduced = [render_fixed_tempo(expand(piece.notes)) for piece in corpus.pieces]
+            sets = [[frozenset(classes(s)) for s in slices] for slices in unreduced]
+            corpus_pop = Counter(c for piece_sets in sets for c in piece_sets)
+            n_reduced = 0
+            for slices, piece_sets, done in zip(unreduced, sets, corpus.pieces):
+                for i, s in enumerate(slices):
+                    window = piece_sets[max(0, i - 5):i] + piece_sets[i + 1:i + 6]
+                    expected, replaced = reduce_oversized(
+                        s, Counter(window), Counter(piece_sets), corpus_pop)
+                    n_reduced += replaced
+                    assert done.slices[i] == expected
+            assert n_reduced > 20
 
     def test_all_slices_within_limit_after_reduction(self):
         rng = random.Random(13)

@@ -419,3 +419,26 @@ class TestGrid:
             assert rows[0].comparison is None
         mode_row = by_stage["skip_mode"][0]
         assert mode_row.comparison.df == 1818
+
+    def test_summary_rows_equal_per_level_comparisons(self):
+        corpus, _ = planted_corpus(seed=53, n_pieces=3, length=24)
+        grid = run_grid(corpus, MRDCC, 3, skip_configs=[
+            SkipConfig("fixed", 3, t=0), SkipConfig("variable", 3, w=1.0),
+            SkipConfig("fixed", 3, t=2)])
+        expected = []
+        for stage in ("skip", "weight", "filter", "rank", "skip_mode"):
+            groups = grid.groups(stage)
+            assert list(groups) == grid.levels(stage)
+            for level, rrs in groups.items():
+                assert rrs == [r.rr for r in grid.rows if r.level(stage) == level]
+            baseline = BASELINES.get(stage, "fixed")
+            for level in grid.levels(stage):
+                if stage == "skip_mode" and level == "fixed":
+                    continue
+                rrs = grid.group(stage, level)
+                comp = (None if level == baseline else
+                        compare_levels(grid, (stage, level), (stage, baseline), 50))
+                expected.append((stage, level, len(rrs), sum(rrs) / len(rrs), comp))
+        assert [(r.stage, r.level, r.n_configs, r.mrr, r.comparison)
+                for r in summarize_grid(grid, 50)] == expected
+        assert grid.group("skip", "fixed:9") == []

@@ -289,4 +289,6 @@ class TestSkipConfig:
         with pytest.raises(ValueError):
             SkipConfig("variable", 3, w=math.nan)
         with pytest.raises(ValueError):
+            SkipConfig("variable", 3, w=math.inf)
+        with pytest.raises(ValueError):
             SkipConfig("sideways", 3, t=2)
