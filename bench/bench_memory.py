@@ -1,0 +1,141 @@
+"""Memory of ``vlgram mine`` on the mine-poly workload, stage by stage.
+
+Run from the root of a checkout (pytest-benchmark)::
+
+    PYTHONPATH=src python -m pytest bench/bench_memory.py --benchmark-only -s
+
+The input is the mine-poly benchmark workload's at seed 0, written once by
+``perfbench/workloads.write_input``, and both tests use that workload's
+``mine`` flags. Results go to each benchmark's ``extra_info`` (printed with
+``-s``, and kept by ``--benchmark-json``):
+
+``test_stages``
+    runs ``mine``'s steps in process under tracemalloc: load (parse,
+    prepare and release the notes, as every command does), encode, then
+    the chain kernel's aggregate, score and rank, and writing the CSV.
+    After each stage it records the traced memory still held
+    (``current_mb``) and the peak since the previous stage (``peak_mb``).
+``test_mine_vmhwm``
+    runs ``vlgram mine`` in a fresh interpreter, three times. Each reads
+    its own VmHWM from ``/proc/self/status`` after importing ``vlgram.cli``
+    (``import_mb``) and once the command returns (``vmhwm_mb``), so the
+    difference is the command's own working set.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+import vlgram
+from vlgram import cli, evaluation, ranking, skipgram
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import CADENCE, MINE_FLAGS, write_input  # noqa: E402
+
+MB = 1 << 20
+STAGES = ("load", "encode", "aggregate", "score", "rank", "write")
+
+# Imports vlgram.cli, runs the command given as arguments, and prints
+# {"exit", "import_mb", "vmhwm_mb"} as the last line of its stdout.
+CHILD = """
+import json, sys
+
+def vmhwm_mb():
+    with open("/proc/self/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:")) / 1024
+
+from vlgram.cli import main
+import_mb = vmhwm_mb()
+code = main(sys.argv[1:])
+print(json.dumps({"exit": code, "import_mb": import_mb, "vmhwm_mb": vmhwm_mb()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def poly_input(tmp_path_factory):
+    path = tmp_path_factory.mktemp("memory") / "mine-poly-0.tsv"
+    write_input("mine-poly", 0, str(path))
+    return path
+
+
+def mine_stages(path: Path, out_path: Path) -> dict:
+    """Traced memory after each of mine's stages, run as ``_cmd_mine`` runs them."""
+    args = cli.build_parser().parse_args(["mine", "--input", str(path), *MINE_FLAGS])
+    skip = cli._parse_skip(args.skip, args.n)
+    kind, measure = cli._FILTER_CLI[args.filter], args.rank
+    marks = {}
+
+    def mark(stage):
+        current, peak = tracemalloc.get_traced_memory()
+        marks[stage] = {"current_mb": round(current / MB, 2), "peak_mb": round(peak / MB, 2)}
+        tracemalloc.reset_peak()
+
+    def rank(_skip, keys, weighted):
+        mark("aggregate")
+        table, scores, masks = next(weighted)
+        mark("score")
+        ranked = ranking.rank_types(((key, score) for key, score, keep
+                                     in zip(keys, scores[measure], masks[kind])
+                                     if keep and score is not None), table, measure)
+        mark("rank")
+        return ranked
+
+    tracemalloc.start()
+    try:
+        corpus = cli._load_prepared(args.input)
+        mark("load")
+        # Held in a list and popped into the call, so that the kernel's
+        # release of the encoded pieces before scoring frees them here too.
+        encoded = [skipgram.encode_corpus(corpus)]
+        mark("encode")
+        [ranked] = evaluation._level(encoded.pop(), (skip,), (cli._WEIGHT_CLI[args.weight],),
+                                     (measure,), (kind,), args.min_count, args.similarity,
+                                     rank)
+        with open(out_path, "w", encoding="utf-8", newline="") as out:
+            writer = cli._csv_writer(out)
+            writer.writerow(["rank", "score", "count", "coverage", "type"])
+            for entry in ranked.entries:
+                writer.writerow([entry.rank, cli._fmt(entry.score), cli._fmt(entry.count),
+                                 entry.coverage, entry.text])
+        mark("write")
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) > 0
+    return marks
+
+
+def test_stages(benchmark, poly_input, tmp_path):
+    marks = benchmark.pedantic(mine_stages, args=(poly_input, tmp_path / "ranked.csv"),
+                               rounds=1, iterations=1)
+    assert list(marks) == list(STAGES)
+    benchmark.extra_info.update(marks)
+    print(json.dumps(marks, indent=1))
+
+
+def mine_vmhwm(path: Path, out_path: Path) -> dict:
+    """VmHWM of a fresh ``vlgram mine`` process on ``path``, with the workload's flags."""
+    src = str(Path(vlgram.__file__).resolve().parents[1])
+    argv = ["mine", "--input", str(path), *MINE_FLAGS, "--query", CADENCE,
+            "--output", str(out_path)]
+    done = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_mine_vmhwm(benchmark, poly_input, tmp_path):
+    runs = []
+
+    def run():
+        runs.append(mine_vmhwm(poly_input, tmp_path / "ranked.csv"))
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    assert all(r["exit"] == 0 for r in runs)
+    benchmark.extra_info.update({key: [r[key] for r in runs]
+                                 for key in ("import_mb", "vmhwm_mb")})
+    print(json.dumps(benchmark.extra_info))

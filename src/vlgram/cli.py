@@ -79,8 +79,12 @@ def _at_least(convert, low, at_most=math.inf):
 
 
 def _load_prepared(path: str) -> corpus_mod.Corpus:
+    """The prepared corpus at ``path``, each piece's notes released: no command
+    reads them once the slices are built."""
     corpus = corpus_mod.parse_corpus(path)
     corpus_mod.prepare_corpus(corpus)
+    for piece in corpus.pieces:
+        piece.notes = []
     return corpus
 
 
@@ -133,6 +137,10 @@ def _cmd_encode(args) -> int:
 
 def _cmd_mine(args) -> int:
     skip = _parse_skip(args.skip, args.n)
+    query = parse_pattern(args.query) if args.query else None
+    if query is not None and len(query) != args.n:
+        print(f"error: query has {len(query)} chords but --n is {args.n}", file=sys.stderr)
+        return USAGE_ERROR
     corpus = _load_prepared(args.input)
     config = evaluation.PipelineConfig(
         skip=skip,
@@ -140,11 +148,6 @@ def _cmd_mine(args) -> int:
         filter=filters.FilterSpec(_FILTER_CLI[args.filter], args.min_count, args.similarity),
         measure=args.rank,
     )
-    query = parse_pattern(args.query) if args.query else None
-    if query is not None and len(query) != args.n:
-        print(f"error: query has {len(query)} chords but --n is {args.n}", file=sys.stderr)
-        return USAGE_ERROR
-
     with ExitStack() as files:
         out = files.enter_context(_open_out(args.output))
         dump = args.dump_tokens and files.enter_context(_open_out(args.dump_tokens))
@@ -165,11 +168,11 @@ GRID_COLUMNS = ["skip_mode", "skip_level", "weight", "filter", "rank_measure",
 
 
 def _cmd_grid(args) -> int:
-    corpus = _load_prepared(args.input)
     query = parse_pattern(args.query)
     if len(query) != args.n:
         print(f"error: query has {len(query)} chords but --n is {args.n}", file=sys.stderr)
         return USAGE_ERROR
+    corpus = _load_prepared(args.input)
     with ExitStack() as files:
         out = files.enter_context(_open_out(args.output))
         summary_out = args.summary and files.enter_context(_open_out(args.summary))

@@ -33,7 +33,7 @@ from heapq import heappush, heappop
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .vlt import SLOT_COUNT, chord_of, chord_pitches
+from .vlt import SLOT_COUNT, Chord, chord_of, chord_pitches
 
 logger = logging.getLogger(__name__)
 
@@ -98,10 +98,17 @@ class Slice:
 
 @dataclass
 class Piece:
+    """A piece's notes and, once prepared, its slices and each slice's chord.
+
+    ``chords`` is filled by reduce_corpus, one per slice, equal chords as one
+    object; it is empty until then.
+    """
+
     piece_id: str
     notes: list[NoteEvent]
     slices: list[Slice] = field(default_factory=list)
     synthetic_tempo: bool = False
+    chords: list[Chord] = field(default_factory=list)
 
 
 @dataclass
@@ -356,11 +363,13 @@ def _ranked(population: Counter) -> list[frozenset[int]]:
     return usable
 
 
-def _reduce(s: Slice, rankings: Iterable[list[frozenset[int]]]) -> tuple[Slice, bool]:
-    """reduce_oversized over populations already ranked by _ranked."""
-    ics, top = chord_of(s.pitches)
+def _reduce(s: Slice, chord: Chord, rankings: Iterable[list[frozenset[int]]]
+            ) -> tuple[Slice, Chord, bool]:
+    """reduce_oversized over populations already ranked by _ranked, given the
+    slice's chord; also returns the chord the result is voiced from."""
+    ics, top = chord
     if len(ics) <= SLOT_COUNT:
-        return s, False
+        return s, chord, False
     oversized = frozenset(ics)
     for ranked in rankings:
         kept = next((icset for icset in ranked if icset <= oversized), None)
@@ -372,8 +381,9 @@ def _reduce(s: Slice, rankings: Iterable[list[frozenset[int]]]) -> tuple[Slice, 
         kept = ics[:SLOT_COUNT]
     if top is not None and top not in kept:
         top = min(kept, key=lambda iv: (min((iv - top) % 12, (top - iv) % 12), iv))
-    pitches = chord_pitches((kept, top), s.bass)
-    return Slice(s.piece_id, s.index, s.onset_score, pitches, s.onset_perf), True
+    chord = (tuple(sorted(kept)), top)
+    pitches = chord_pitches(chord, s.bass)
+    return Slice(s.piece_id, s.index, s.onset_score, pitches, s.onset_perf), chord, True
 
 
 def reduce_oversized(s: Slice, neighbors: Counter, piece_pop: Counter,
@@ -389,7 +399,9 @@ def reduce_oversized(s: Slice, neighbors: Counter, piece_pop: Counter,
     survives, else the kept class nearest it (circular distance, smaller
     class on ties).
     """
-    return _reduce(s, map(_ranked, (neighbors, piece_pop, corpus_pop)))
+    reduced, _chord, replaced = _reduce(s, chord_of(s.pitches),
+                                        map(_ranked, (neighbors, piece_pop, corpus_pop)))
+    return reduced, replaced
 
 
 @dataclass
@@ -408,18 +420,26 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
 
     Reference populations are measured on the original, pre-reduction
     interval-class sets, so the result does not depend on processing order.
-    Each piece's population and the corpus's are ranked once.
+    Each piece's population and the corpus's are ranked once. The chord of
+    each distinct pitch tuple is computed once, and each slice's chord is
+    kept in ``Piece.chords``: a reduced slice's is the chord it was voiced
+    from. Equal chords, and their interval-class sets, are one object
+    across the corpus.
     """
     stats = PrepareStats()
-    piece_sets = {}
-    corpus_pop: Counter = Counter()
+    # Each distinct chord's one object and its interval-class set, by chord
+    # and by every distinct pitch tuple voicing it.
+    by_chord: dict[Chord, tuple[Chord, frozenset[int]]] = {}
+    by_pitches: dict[tuple[int, ...], tuple[Chord, frozenset[int]]] = {}
     for piece in corpus.pieces:
-        sets = [frozenset(chord_of(s.pitches)[0]) for s in piece.slices]
-        piece_sets[piece.piece_id] = sets
-        corpus_pop.update(sets)
-    corpus_ranked = _ranked(corpus_pop)
-    for piece in corpus.pieces:
-        sets = piece_sets[piece.piece_id]
+        for pitches in {s.pitches for s in piece.slices} - by_pitches.keys():
+            chord = chord_of(pitches)
+            by_pitches[pitches] = by_chord.setdefault(chord, (chord, frozenset(chord[0])))
+    piece_entries = [[by_pitches[s.pitches] for s in piece.slices] for piece in corpus.pieces]
+    corpus_ranked = _ranked(Counter(icset for entries in piece_entries for _, icset in entries))
+    for piece, entries in zip(corpus.pieces, piece_entries):
+        chords = [chord for chord, _ in entries]
+        sets = [icset for _, icset in entries]
         piece_ranked = _ranked(Counter(sets))
         for i, s in enumerate(piece.slices):
             stats.n_slices += 1
@@ -428,10 +448,13 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
             lo = max(0, i - REDUCTION_WINDOW)
             window = sets[lo:i] + sets[i + 1:i + 1 + REDUCTION_WINDOW]
             neighbors = Counter(icset for icset in window if icset <= sets[i])
-            reduced, replaced = _reduce(s, (_ranked(neighbors), piece_ranked, corpus_ranked))
+            reduced, chord, replaced = _reduce(s, chords[i], (_ranked(neighbors), piece_ranked,
+                                                              corpus_ranked))
             piece.slices[i] = reduced
+            chords[i] = by_chord.setdefault(chord, (chord, frozenset(chord[0])))[0]
             if replaced:
                 stats.n_reduced += 1
+        piece.chords = chords
     return stats
 
 

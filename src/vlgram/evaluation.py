@@ -264,9 +264,9 @@ def run_config(corpus: Corpus, config: PipelineConfig, query: VltPattern | None 
 
     def rank(_skip, keys, weighted):
         table, scores, masks = next(weighted)
-        scored = [(key, score) for key, score, keep in zip(keys, scores[measure], masks[kind])
-                  if keep and score is not None]
-        return rank_types(scored, table, measure)
+        return rank_types(((key, score) for key, score, keep
+                           in zip(keys, scores[measure], masks[kind])
+                           if keep and score is not None), table, measure)
 
     [ranked] = _level(encode_corpus(corpus), (config.skip,), (config.weight,), (measure,),
                       (kind,), config.filter.min_count, config.filter.similarity, rank, dump)

@@ -18,7 +18,8 @@ averaging over all two-component splits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .vlt import PatternKey, format_key
@@ -455,7 +456,7 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedEntry:
     rank: int
     score: float
@@ -476,34 +477,34 @@ class RankedList:
 
     measure: str
     entries: list[RankedEntry]
-    _by_key: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._by_key = {e.key: e for e in self.entries}
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def rank_of(self, key: PatternKey) -> int | None:
-        entry = self._by_key.get(key)
-        return entry.rank if entry else None
+        """The type's rank, or None when it is not listed (a scan of the entries)."""
+        return next((e.rank for e in self.entries if e.key == key), None)
 
 
 def rank_types(scored: Iterable[tuple[PatternKey, float]], table: TypeTable,
                measure: str) -> RankedList:
-    """Order scored types descending and assign competition ranks."""
-    decorated = sorted(
-        ((score, format_key(key), key) for key, score in scored),
-        key=lambda item: (-item[0], item[1]))
-    entries = []
+    """Order scored types descending and assign competition ranks.
+
+    ``scored`` may be any iterable, a generator included; it is read once.
+    One list is sorted, and its items are replaced by the entries in place.
+    """
+    ranked = [(score, format_key(key), key) for key, score in scored]
+    # Two stable sorts order by score descending, ties by text ascending,
+    # without building a sort key per type.
+    ranked.sort(key=itemgetter(1))
+    ranked.sort(key=itemgetter(0), reverse=True)
     prev_score: float | None = None
     prev_rank = 0
-    for pos, (score, text, key) in enumerate(decorated, start=1):
-        rank = prev_rank if score == prev_score else pos
-        entries.append(RankedEntry(rank, score, key, table.count(key), table.covered(key),
-                                   text))
+    for pos, (score, text, key) in enumerate(ranked):
+        rank = prev_rank if score == prev_score else pos + 1
+        ranked[pos] = RankedEntry(rank, score, key, table.count(key), table.covered(key), text)
         prev_score, prev_rank = score, rank
-    return RankedList(measure, entries)
+    return RankedList(measure, ranked)
 
 
 def rank_table(table: TypeTable, measure: str) -> RankedList:

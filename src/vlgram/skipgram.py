@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import Corpus, PerformanceDataError, Slice
-from .vlt import Chord, PatternKey, chord_of, format_key
+from .vlt import Chord, PatternKey, VltKey, chord_of, format_key
 
 
 @dataclass(frozen=True)
@@ -86,22 +86,55 @@ class SkipToken:
     weight: float = 1.0
 
 
+# A type key member's bass motion indexes a chord's member row; the first
+# member of a key has no bass motion and sits last.
+_MOTIONS = (*range(12), None)
+
+
+def _member_rows(chords: Sequence[Chord], rows: dict) -> list[tuple[VltKey, ...]]:
+    """Each chord's row of type key members ``(intervals, top, motion)``, one per
+    bass motion in ``_MOTIONS`` order. Equal chords share the row in ``rows``."""
+    out = []
+    for chord in chords:
+        row = rows.get(chord)
+        if row is None:
+            intervals, top = chord
+            row = rows[chord] = tuple((intervals, top, motion) for motion in _MOTIONS)
+        out.append(row)
+    return out
+
+
 @dataclass
 class EncodedPiece:
-    """Per-slice mining view of a piece: chord identities, bass pcs, performed onsets."""
+    """Per-slice mining view of a piece: chord identities, bass pcs, performed onsets.
+
+    ``members`` holds each slice's row of type key members (see
+    ``_member_rows``), so every token's key is built from shared member
+    tuples without allocating them. ``rows``, when given, is a chord ->
+    row dict shared with other pieces, so that equal members are one
+    object across them.
+    """
 
     piece_id: str
     chords: list[Chord]
     bass_pcs: list[int]
     onsets_perf: list[float | None]
+    members: list[tuple[VltKey, ...]] = field(init=False, repr=False, compare=False)
+    rows: InitVar[dict | None] = None
+
+    def __post_init__(self, rows):
+        self.members = _member_rows(self.chords, {} if rows is None else rows)
 
     @classmethod
-    def from_slices(cls, slices: Sequence[Slice]) -> "EncodedPiece":
+    def from_slices(cls, slices: Sequence[Slice], chords: list[Chord] | None = None,
+                    rows: dict | None = None) -> "EncodedPiece":
+        """Encode ``slices``; ``chords``, when given, is each slice's chord."""
         return cls(
             piece_id=slices[0].piece_id if slices else "",
-            chords=[chord_of(s.pitches) for s in slices],
+            chords=[chord_of(s.pitches) for s in slices] if chords is None else chords,
             bass_pcs=[s.bass % 12 for s in slices],
             onsets_perf=[s.onset_perf for s in slices],
+            rows=rows,
         )
 
     def __len__(self) -> int:
@@ -109,12 +142,12 @@ class EncodedPiece:
 
     def token_at(self, indices: Sequence[int]) -> SkipToken:
         """Build the token for an explicit index tuple."""
+        members = self.members
+        bass_pcs = self.bass_pcs
         key = []
         prev = None
         for i in indices:
-            ivs, top = self.chords[i]
-            motion = None if prev is None else (self.bass_pcs[i] - self.bass_pcs[prev]) % 12
-            key.append((ivs, top, motion))
+            key.append(members[i][-1 if prev is None else (bass_pcs[i] - bass_pcs[prev]) % 12])
             prev = i
         return SkipToken(
             self.piece_id,
@@ -233,12 +266,15 @@ def enumerate_piece(piece: EncodedPiece, config: SkipConfig) -> Iterator[SkipTok
 
 
 def encode_corpus(corpus: Corpus) -> list[EncodedPiece]:
+    """Encode every prepared piece, taking each slice's chord from ``Piece.chords``
+    where reduce_corpus filled it. All pieces share one member table."""
     unprepared = [p.piece_id for p in corpus.pieces if not p.slices]
     if unprepared:
         raise ValueError(
             f"corpus is not prepared (no slices for {unprepared[:3]}...); "
             f"call prepare_corpus first")
-    return [EncodedPiece.from_slices(p.slices) for p in corpus.pieces]
+    rows: dict = {}
+    return [EncodedPiece.from_slices(p.slices, p.chords or None, rows) for p in corpus.pieces]
 
 
 def enumerate_corpus(pieces: Iterable[EncodedPiece],

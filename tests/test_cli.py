@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from vlgram import evaluation
-from vlgram.cli import GRID_COLUMNS, main
+from vlgram.cli import GRID_COLUMNS, _load_prepared, main
 from vlgram.corpus import parse_corpus, prepare_corpus
 from vlgram.evaluation import PipelineConfig, run_config
 from vlgram.filters import FilterSpec
@@ -57,6 +57,19 @@ def synth_corpus(tmp_path):
                        "--output", str(corpus), "--manifest", str(manifest)])
     assert code == 0
     return corpus, manifest
+
+
+class TestLoadPrepared:
+    def test_slices_equal_prepare_corpus_and_notes_released(self, synth_corpus):
+        path, _ = synth_corpus
+        loaded = _load_prepared(str(path))
+        fresh = parse_corpus(path)
+        prepare_corpus(fresh)
+        assert [p.piece_id for p in loaded.pieces] == [p.piece_id for p in fresh.pieces]
+        for piece, expected in zip(loaded.pieces, fresh.pieces):
+            assert piece.slices == expected.slices
+            assert piece.chords == expected.chords
+            assert piece.notes == [] and expected.notes
 
 
 class TestExpandEncode:
@@ -475,6 +488,14 @@ class TestExitCodes:
                            "--query", "<4,7,_>[5]<4,_,_>", "--n", "3",
                            "--output", str(tmp_path / "r.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["mine", "grid"])
+    def test_query_mismatch_is_2_before_the_input_is_read(self, tmp_path, command):
+        code, _ = run_cli([command, "--input", str(tmp_path / "missing.tsv"),
+                           "--query", "<4,7,_>[5]<4,_,_>", "--n", "3",
+                           "--output", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert not (tmp_path / "out.csv").exists()
 
     def test_variable_skip_works_with_rendered_tempo(self, fixture_corpus, tmp_path):
         # fixture carries performed times, variable mode runs

@@ -459,6 +459,27 @@ class TestRanking:
             again = rank_table(table, measure)
             assert [e.key for e in ranked.entries] == [e.key for e in again.entries]
 
+    def test_generator_and_list_give_the_same_entries(self):
+        # a stream read once equals the list; ties share a rank, and the
+        # rank of a key that is listed, tied or absent is found
+        table, _ = bigram_contingency_table(4, 3, 2, 1)
+        texts = ["<4,7,_>[5]<3,8,_>", "<2,5,_>[5]<1,_,_>", "<4,7,_>[5]<1,_,_>",
+                 "<1,3,_>[5]<1,_,_>", "<3,_,_>[0]<3,_,_>"]
+        scores = [2.0, 3.0, 2.0, -1.5, 2.0]
+        scored = [(key_of(t), s) for t, s in zip(texts, scores)]
+        ranked = rank_types(scored, table, "pmi")
+        streamed = rank_types((pair for pair in scored), table, "pmi")
+        assert streamed == ranked
+        assert [(e.rank, e.text) for e in ranked.entries] == [
+            (1, "<2,5,_>[5]<1,_,_>"), (2, "<3,_,_>[0]<3,_,_>"), (2, "<4,7,_>[5]<1,_,_>"),
+            (2, "<4,7,_>[5]<3,8,_>"), (5, "<1,3,_>[5]<1,_,_>")]
+        assert ranked.rank_of(key_of("<2,5,_>[5]<1,_,_>")) == 1
+        assert ranked.rank_of(key_of("<4,7,_>[5]<3,8,_>")) == 2
+        assert ranked.rank_of(key_of("<1,3,_>[5]<1,_,_>")) == 5
+        assert ranked.rank_of(key_of("<4,_,_>[5]<4,_,_>")) is None
+        assert all(e.count == table.count(e.key) for e in ranked.entries)
+        assert not hasattr(ranked.entries[0], "__dict__")
+
     def test_ties_break_by_canonical_text(self):
         table, _ = bigram_contingency_table(1, 1, 1, 1)
         scored = [(key_of("<2,5,_>[5]<1,_,_>"), 2.0),

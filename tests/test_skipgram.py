@@ -1,7 +1,11 @@
+import importlib.util
+import io
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 from vlgram.corpus import PerformanceDataError, Slice
 from vlgram.skipgram import (EncodedPiece, SkipConfig, enumerate_contiguous,
                              enumerate_nested, enumerate_piece)
-from vlgram.vlt import VltPattern, format_key, parse_pattern
+from vlgram.vlt import VltPattern, chord_of, format_key, parse_pattern
 
 
 def piece_of(k, seed=0, iois=None):
@@ -274,6 +278,94 @@ class TestEncodeCorpus:
         notes = [NoteEvent("a", Fraction(0), Fraction(1), 60)]
         with pytest.raises(ValueError, match="prepare"):
             encode_corpus(Corpus([Piece("a", notes)]))
+
+    def test_each_slice_chord_computed_once(self, monkeypatch):
+        # prepare_corpus and encode_corpus together encode each slice's
+        # chord at most once, on the benchmark's polyphonic generator, and
+        # the encoded chord is the final slice's, equal chords as one object
+        import vlgram.corpus
+        import vlgram.skipgram
+        from vlgram import vlt
+        from vlgram.corpus import parse_corpus, prepare_corpus
+        from vlgram.skipgram import encode_corpus
+
+        calls = []
+
+        def counted(pitches):
+            calls.append(pitches)
+            return vlt.chord_of(pitches)
+
+        corpus = parse_corpus(io.StringIO("".join(perfbench_workloads().poly_lines(4, 40, 3))))
+        monkeypatch.setattr(vlgram.corpus, "chord_of", counted)
+        monkeypatch.setattr(vlgram.skipgram, "chord_of", counted)
+        stats = prepare_corpus(corpus)
+        pieces = encode_corpus(corpus)
+        assert stats.n_reduced > 10
+        assert len(calls) <= stats.n_slices == sum(len(p) for p in pieces)
+        shared = {}
+        for piece, encoded in zip(corpus.pieces, pieces):
+            for s, chord in zip(piece.slices, encoded.chords):
+                assert chord == vlt.chord_of(s.pitches)
+                assert shared.setdefault(chord, chord) is chord
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, imported without writing bytecode."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@st.composite
+def slice_corpus(draw):
+    """2-4 pieces of 3-12 slices with chords from a small pool, as encode_corpus
+    sees them with or without reduce_corpus's chords."""
+    from vlgram.corpus import Corpus, Piece
+    pool = draw(st.lists(st.frozensets(st.integers(0, 30), min_size=1, max_size=4),
+                         min_size=1, max_size=5))
+    pieces = []
+    for p in range(draw(st.integers(2, 4))):
+        slices = []
+        for i in range(draw(st.integers(3, 12))):
+            bass = draw(st.integers(36, 48))
+            pitches = tuple(sorted({bass + iv for iv in draw(st.sampled_from(pool))} | {bass}))
+            slices.append(Slice(f"p{p}", i, Fraction(i), pitches, 0.5 * i))
+        piece = Piece(f"p{p}", [], slices)
+        if draw(st.booleans()):
+            piece.chords = [chord_of(s.pitches) for s in slices]
+        pieces.append(piece)
+    return Corpus(pieces)
+
+
+class TestSharedMembers:
+    @settings(max_examples=100, deadline=None)
+    @given(slice_corpus(), st.integers(2, 3), st.integers(0, 4))
+    def test_equal_members_are_one_object_across_type_keys(self, corpus, n, t):
+        from vlgram.ranking import TableBuilder
+        from vlgram.skipgram import encode_corpus, enumerate_corpus
+        pieces = encode_corpus(corpus)
+        builder = TableBuilder(n, len(pieces), ("count",))
+        for tok in enumerate_corpus(pieces, SkipConfig("fixed", n, t=t)):
+            builder.add(tok.piece_id, tok.type_key, (1.0,))
+        shared = {}
+        for key in builder.keys:
+            for member in key:
+                assert shared.setdefault(member, member) is member
+        # and each key is still the one chord_of and the bass motions give
+        for piece, encoded in zip(corpus.pieces, pieces):
+            indices = range(len(piece.slices))
+            key = encoded.token_at(indices).type_key
+            basses = [s.bass for s in piece.slices]
+            assert key == tuple(
+                (*chord_of(s.pitches), None if i == 0 else (basses[i] - basses[i - 1]) % 12)
+                for i, s in enumerate(piece.slices))
 
 
 class TestSkipConfig:
