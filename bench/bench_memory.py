@@ -1,13 +1,13 @@
-"""Memory of ``vlgram mine`` on the mine-poly workload, stage by stage.
+"""Memory of ``vlgram mine`` stage by stage, and of ``vlgram grid``'s process tree.
 
 Run from the root of a checkout (pytest-benchmark)::
 
     PYTHONPATH=src python -m pytest bench/bench_memory.py --benchmark-only -s
 
-The input is the mine-poly benchmark workload's at seed 0, written once by
-``perfbench/workloads.write_input``, and both tests use that workload's
-``mine`` flags. Results go to each benchmark's ``extra_info`` (printed with
-``-s``, and kept by ``--benchmark-json``):
+The inputs are the mine-poly and grid-jobs2 benchmark workloads' at seed 0,
+written once by ``perfbench/workloads.write_input``, and each test uses its
+workload's flags. Results go to each benchmark's ``extra_info`` (printed
+with ``-s``, and kept by ``--benchmark-json``):
 
 ``test_stages``
     runs ``mine``'s steps in process under tracemalloc: load (parse,
@@ -20,12 +20,20 @@ The input is the mine-poly benchmark workload's at seed 0, written once by
     its own VmHWM from ``/proc/self/status`` after importing ``vlgram.cli``
     (``import_mb``) and once the command returns (``vmhwm_mb``), so the
     difference is the command's own working set.
+``test_grid_tree_rss[jobs]``
+    runs ``vlgram grid`` at ``--jobs`` 1 and 2 in a fresh interpreter,
+    three times each. While it runs, the resident memory of its process
+    tree, pool workers included, is sampled from ``/proc`` as
+    ``perfbench/run.py`` samples it: ``peak_mb`` is the largest sum seen,
+    ``processes`` the most processes seen at once, and ``wall_s`` the
+    command's wall time, interpreter start-up included.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -35,7 +43,8 @@ import vlgram
 from vlgram import cli, evaluation, ranking, skipgram
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import CADENCE, MINE_FLAGS, write_input  # noqa: E402
+from run import RSS_SAMPLE_INTERVAL_S, _tree_rss_kb  # noqa: E402
+from workloads import CADENCE, MINE_FLAGS, command_argv, write_input  # noqa: E402
 
 MB = 1 << 20
 STAGES = ("load", "encode", "aggregate", "score", "rank", "write")
@@ -90,9 +99,10 @@ def mine_stages(path: Path, out_path: Path) -> dict:
     try:
         corpus = cli._load_prepared(args.input)
         mark("load")
-        # Held in a list and popped into the call, so that the kernel's
-        # release of the encoded pieces before scoring frees them here too.
+        # As in run_config: the corpus is released once encoded, and the
+        # pieces, held in a list and popped into the call, once aggregated.
         encoded = [skipgram.encode_corpus(corpus)]
+        del corpus
         mark("encode")
         [ranked] = evaluation._level(encoded.pop(), (skip,), (cli._WEIGHT_CLI[args.weight],),
                                      (measure,), (kind,), args.min_count, args.similarity,
@@ -139,3 +149,57 @@ def test_mine_vmhwm(benchmark, poly_input, tmp_path):
     benchmark.extra_info.update({key: [r[key] for r in runs]
                                  for key in ("import_mb", "vmhwm_mb")})
     print(json.dumps(benchmark.extra_info))
+
+
+@pytest.fixture(scope="module")
+def grid_input(tmp_path_factory):
+    path = tmp_path_factory.mktemp("memory") / "grid-jobs2-0.tsv"
+    write_input("grid-jobs2", 0, str(path))
+    return path
+
+
+def tree_size(root: int) -> int:
+    """The number of processes in ``root``'s tree, read from /proc."""
+    count, stack = 0, [root]
+    while stack:
+        pid = stack.pop()
+        try:
+            for tid in os.listdir(f"/proc/{pid}/task"):
+                with open(f"/proc/{pid}/task/{tid}/children", encoding="ascii") as handle:
+                    stack.extend(int(c) for c in handle.read().split())
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        count += 1
+    return count
+
+
+def grid_tree(path: Path, out_dir: Path, jobs: int) -> dict:
+    """Peak tree RSS, most processes and wall time of a fresh ``vlgram grid`` on ``path``."""
+    src = str(Path(vlgram.__file__).resolve().parents[1])
+    argv = command_argv("grid-jobs2", str(path), str(out_dir))
+    argv[argv.index("--jobs") + 1] = str(jobs)
+    page_kb = os.sysconf("SC_PAGE_SIZE") // 1024
+    peak_kb = most = 0
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "vlgram", *argv], stdout=subprocess.DEVNULL,
+                            env={**os.environ, "PYTHONPATH": src})
+    while proc.poll() is None:
+        peak_kb = max(peak_kb, _tree_rss_kb(proc.pid, page_kb))
+        most = max(most, tree_size(proc.pid))
+        time.sleep(RSS_SAMPLE_INTERVAL_S)
+    wall_s = time.perf_counter() - start
+    assert proc.returncode == 0
+    return {"peak_mb": round(peak_kb / 1024, 2), "processes": most, "wall_s": round(wall_s, 3)}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_tree_rss(benchmark, grid_input, tmp_path, jobs):
+    runs = []
+
+    def run():
+        runs.append(grid_tree(grid_input, tmp_path, jobs))
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    benchmark.extra_info.update({key: [r[key] for r in runs] for key in runs[0]})
+    print(json.dumps(benchmark.extra_info))
+    assert all(1 <= r["processes"] <= jobs for r in runs)

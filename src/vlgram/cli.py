@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from contextlib import ExitStack, contextmanager
 
@@ -88,6 +89,12 @@ def _load_prepared(path: str) -> corpus_mod.Corpus:
     return corpus
 
 
+def _distinct_outputs(a: str | None, b: str | None) -> None:
+    """Reject two output paths that name one file; "-" (stdout) may be given twice."""
+    if {a, b}.isdisjoint({None, "-"}) and os.path.realpath(a) == os.path.realpath(b):
+        raise argparse.ArgumentTypeError(f"{a} and {b} name the same file")
+
+
 @contextmanager
 def _open_out(path: str | None):
     """The output file at ``path``, closed on exit; stdout (left open) for None or "-"."""
@@ -136,22 +143,22 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    skip = _parse_skip(args.skip, args.n)
-    query = parse_pattern(args.query) if args.query else None
-    if query is not None and len(query) != args.n:
-        print(f"error: query has {len(query)} chords but --n is {args.n}", file=sys.stderr)
-        return USAGE_ERROR
-    corpus = _load_prepared(args.input)
+    _distinct_outputs(args.output, args.dump_tokens)
     config = evaluation.PipelineConfig(
-        skip=skip,
+        skip=_parse_skip(args.skip, args.n),
         weight=_WEIGHT_CLI[args.weight],
         filter=filters.FilterSpec(_FILTER_CLI[args.filter], args.min_count, args.similarity),
         measure=args.rank,
     )
+    query = parse_pattern(args.query) if args.query else None
+    if query is not None and len(query) != args.n:
+        raise argparse.ArgumentTypeError(f"query has {len(query)} chords but --n is {args.n}")
+    loaded = [_load_prepared(args.input)]
     with ExitStack() as files:
         out = files.enter_context(_open_out(args.output))
         dump = args.dump_tokens and files.enter_context(_open_out(args.dump_tokens))
-        ranked, rank = evaluation.run_config(corpus, config, query, dump or None)
+        # Popped into the call, so that run_config frees the corpus once it is encoded.
+        ranked, rank = evaluation.run_config(loaded.pop(), config, query, dump or None)
         writer = _csv_writer(out)
         writer.writerow(["rank", "score", "count", "coverage", "type"])
         for entry in ranked.entries:
@@ -168,10 +175,10 @@ GRID_COLUMNS = ["skip_mode", "skip_level", "weight", "filter", "rank_measure",
 
 
 def _cmd_grid(args) -> int:
+    _distinct_outputs(args.output, args.summary)
     query = parse_pattern(args.query)
     if len(query) != args.n:
-        print(f"error: query has {len(query)} chords but --n is {args.n}", file=sys.stderr)
-        return USAGE_ERROR
+        raise argparse.ArgumentTypeError(f"query has {len(query)} chords but --n is {args.n}")
     corpus = _load_prepared(args.input)
     with ExitStack() as files:
         out = files.enter_context(_open_out(args.output))
@@ -327,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planned-comparisons", type=_at_least(int, 1),
                    default=evaluation.DEFAULT_PLANNED_COMPARISONS)
     p.add_argument("--jobs", type=_at_least(int, 1), default=1,
-                   help="parallel workers: each skip mode's levels split into up to "
-                        "this many chains, one worker per chain")
+                   help="processes in all, this one included, each running at most one "
+                        "chain of each skip mode's levels")
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")

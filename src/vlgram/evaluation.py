@@ -15,9 +15,9 @@ tokens it admits, replayed in token order, so its sums are exactly those
 of a pass over that level alone. Each weighting's scores and filter
 keep-masks are shared by all the configurations that differ only in
 filter or measure. The grid runs each mode's levels as one chain, or
-with several jobs as interleaved chains on a process pool over an
-immutable corpus, and results are collated in a fixed configuration
-order regardless of worker scheduling.
+with several jobs as interleaved chains shared out over the calling
+process and a pool of the others, and results are collated in a fixed
+configuration order regardless of worker scheduling.
 
 A seeded synthetic-corpus generator provides desk-scale corpora with a
 query pattern planted at controlled skip distances and tempi, recorded
@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from array import array
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -268,7 +269,10 @@ def run_config(corpus: Corpus, config: PipelineConfig, query: VltPattern | None 
                            in zip(keys, scores[measure], masks[kind])
                            if keep and score is not None), table, measure)
 
-    [ranked] = _level(encode_corpus(corpus), (config.skip,), (config.weight,), (measure,),
+    # Popped into the call, the pieces are freed by the kernel once aggregated.
+    encoded = [encode_corpus(corpus)]
+    del corpus
+    [ranked] = _level(encoded.pop(), (config.skip,), (config.weight,), (measure,),
                       (kind,), config.filter.min_count, config.filter.similarity, rank, dump)
     return ranked, None if query is None else ranked.rank_of(query.key)
 
@@ -288,10 +292,10 @@ def _query_ranks(scores: list, masks: dict[str, list[bool]],
             for kind, mask in masks.items()}
 
 
-def _grid_chain(pieces: list[EncodedPiece], chain: Sequence[SkipConfig],
+def _grid_chain(chains: Sequence[tuple[SkipConfig, ...]], pieces: list[EncodedPiece],
                 query_key: PatternKey, min_count: float,
-                similarity: str) -> list[list[ConfigResult]]:
-    """All (weight, filter, measure) results for each level of a chain, in chain order."""
+                similarity: str) -> dict[SkipConfig, list[ConfigResult]]:
+    """All (weight, filter, measure) results for each level of each of ``chains``."""
     def level_rows(skip, keys, weighted):
         qpos = keys.index(query_key) if query_key in keys else None
         mode, level = skip.label.split(":")
@@ -303,15 +307,19 @@ def _grid_chain(pieces: list[EncodedPiece], chain: Sequence[SkipConfig],
                      for fkind in FILTER_KINDS for measure in MEASURES]
         return rows
 
-    return _level(pieces, chain, WEIGHT_KINDS, MEASURES, FILTER_KINDS, min_count, similarity,
-                  level_rows)
+    by_skip = {}
+    for chain in chains:
+        by_skip.update(zip(chain, _level(pieces, chain, WEIGHT_KINDS, MEASURES, FILTER_KINDS,
+                                         min_count, similarity, level_rows)))
+    return by_skip
 
 
-def _chains(skips: Sequence[SkipConfig], jobs: int) -> list[tuple[SkipConfig, ...]]:
-    """The distinct skip levels as ascending chains, ``min(jobs, levels)`` per mode.
+def _shares(skips: Sequence[SkipConfig], jobs: int) -> list[list[tuple[SkipConfig, ...]]]:
+    """The distinct skip levels as ascending chains, dealt out into one share per process.
 
-    A mode's levels are dealt out in turn, so with ``jobs=2`` the fixed
-    budgets 0-8 become {0, 2, 4, 6, 8} and {1, 3, 5, 7}.
+    Each mode's levels are dealt in turn into ``min(jobs, levels)`` chains,
+    and the chains into ``min(jobs, chains)`` shares: at ``jobs=2``, fixed
+    {0, 2, 4, 6, 8} with variable {0.5, 1.5}, and {1, 3, 5, 7} with {1, 2}.
     """
     chains = []
     for mode in ("fixed", "variable"):
@@ -319,7 +327,8 @@ def _chains(skips: Sequence[SkipConfig], jobs: int) -> list[tuple[SkipConfig, ..
                         key=lambda skip: skip.bound)
         ways = min(jobs, len(levels))
         chains += [tuple(levels[i::ways]) for i in range(ways)]
-    return chains
+    ways = min(jobs, len(chains)) or 1
+    return [chains[i::ways] for i in range(ways)]
 
 
 def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
@@ -330,12 +339,12 @@ def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
 
     The skip levels of each mode run as ascending chains through the chain
     kernel, each chain enumerating and weighing its widest level once.
-    ``jobs`` splits each mode's levels into up to ``jobs`` interleaved
-    chains, and with ``jobs`` above 1 the chains run on a process pool of
-    at most one worker per chain. Rows appear in ``skip_configs`` order
-    (duplicates included), then canonical weight, filter and measure
-    order, whatever the parallelism, so repeated runs produce identical
-    output.
+    ``jobs`` counts processes, this one included: the chains are dealt into
+    up to ``jobs`` shares, this process runs the first, and a process pool
+    of one worker per other share runs the rest. Rows appear in
+    ``skip_configs`` order (duplicates included), then canonical weight,
+    filter and measure order, whatever the parallelism, so repeated runs
+    produce identical output.
     """
     if len(query) != n:
         raise ValueError(f"query cardinality {len(query)} does not match n={n}")
@@ -343,23 +352,17 @@ def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
     for skip in skips:
         if skip.n != n:
             raise ValueError(f"skip level {skip.label} has n={skip.n}, not n={n}")
-    pieces = encode_corpus(corpus)
-    chains = _chains(skips, jobs)
-    args = [(pieces, chain, query.key, min_count, similarity) for chain in chains]
-    if jobs > 1 and len(chains) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chains))) as pool:
-            per_chain = list(pool.map(_grid_chain_star, args))
-    else:
-        per_chain = [_grid_chain(*a) for a in args]
-    by_skip = {}
-    for chain, per_level in zip(chains, per_chain):
-        by_skip.update(zip(chain, per_level))
+    shares = _shares(skips, jobs)
+    task = (encode_corpus(corpus), query.key, min_count, similarity)
+    # Submitting first forks the workers before this process builds its own
+    # tables; leaving the block, on error too, waits for every worker to exit.
+    with ProcessPoolExecutor(len(shares) - 1) if len(shares) > 1 else nullcontext() as pool:
+        futures = [pool.submit(_grid_chain, share, *task) for share in shares[1:]]
+        by_skip = _grid_chain(shares[0], *task)
+        for future in futures:
+            by_skip.update(future.result())
     rows = [row for skip in skips for row in by_skip[skip]]
     return GridResult(str(query), n, rows)
-
-
-def _grid_chain_star(args):
-    return _grid_chain(*args)
 
 
 @dataclass(frozen=True)

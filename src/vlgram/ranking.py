@@ -316,22 +316,16 @@ def am_g2(key: PatternKey, table: TypeTable) -> float | None:
     return total / (table.n - 1)
 
 
+_SCORERS = {"pmi": am_pmi, "pmi-local": am_pmi_local, "pmi-cov": am_pmi_coverage,
+            "dice": am_dice, "chi2": am_chi2, "g2": am_g2}
+
+
 def score_type(key: PatternKey, table: TypeTable, measure: str) -> float | None:
     if measure == "counts":
         return table.count(key)
-    if measure == "pmi":
-        return am_pmi(key, table)
-    if measure == "pmi-local":
-        return am_pmi_local(key, table)
-    if measure == "pmi-cov":
-        return am_pmi_coverage(key, table)
-    if measure == "dice":
-        return am_dice(key, table)
-    if measure == "chi2":
-        return am_chi2(key, table)
-    if measure == "g2":
-        return am_g2(key, table)
-    raise ValueError(f"unknown measure {measure!r}")
+    if measure not in _SCORERS:
+        raise ValueError(f"unknown measure {measure!r}")
+    return _SCORERS[measure](key, table)
 
 
 def score_all(table: TypeTable, keys: Sequence[PatternKey],

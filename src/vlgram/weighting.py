@@ -136,18 +136,14 @@ def w_resonant_periodicity(onsets: Sequence[float]) -> float:
     return r * _resonance_from_period(period)
 
 
+_WEIGHERS = {"count": w_count, "periodicity": w_periodicity, "resonance": w_resonance,
+             "proximity": w_proximity, "resonant_periodicity": w_resonant_periodicity}
+
+
 def weigh_onsets(onsets: Sequence[float], kind: str) -> float:
-    if kind == "count":
-        return 1.0
-    if kind == "periodicity":
-        return w_periodicity(onsets)
-    if kind == "resonance":
-        return w_resonance(onsets)
-    if kind == "proximity":
-        return w_proximity(onsets)
-    if kind == "resonant_periodicity":
-        return w_resonant_periodicity(onsets)
-    raise ValueError(f"unknown weight kind {kind!r}")
+    if kind not in _WEIGHERS:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return _WEIGHERS[kind](onsets)
 
 
 def weigh_all(onsets: Sequence[float]) -> tuple[float, float, float, float, float]:

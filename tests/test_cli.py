@@ -1,12 +1,13 @@
 import csv
 import io
+import weakref
 from collections import Counter, defaultdict
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from vlgram import evaluation
+from vlgram import cli, evaluation
 from vlgram.cli import GRID_COLUMNS, _load_prepared, main
 from vlgram.corpus import parse_corpus, prepare_corpus
 from vlgram.evaluation import PipelineConfig, run_config
@@ -243,6 +244,36 @@ class TestMine:
         assert streamed.err == status
 
 
+    def test_corpus_and_pieces_are_freed_before_scoring(self, synth_corpus, tmp_path,
+                                                         monkeypatch):
+        path, _ = synth_corpus
+        refs, alive = [], []
+        load, encode, score = cli._load_prepared, evaluation.encode_corpus, evaluation.score_all
+
+        def loading(source):
+            corpus = load(source)
+            refs.append(weakref.ref(corpus))
+            return corpus
+
+        def encoding(corpus):
+            pieces = encode(corpus)
+            refs.extend(weakref.ref(piece) for piece in pieces)
+            return pieces
+
+        def scoring(*args):
+            alive.append([ref() is not None for ref in refs])
+            return score(*args)
+
+        monkeypatch.setattr(cli, "_load_prepared", loading)
+        monkeypatch.setattr(evaluation, "encode_corpus", encoding)
+        monkeypatch.setattr(evaluation, "score_all", scoring)
+        code, out = run_cli(["mine", "--input", str(path), "--query", MRDCC_TEXT,
+                             "--output", str(tmp_path / "ranked.csv")])
+        assert code == 0 and out.startswith("query rank: ")
+        assert len(refs) == 1 + 5  # the corpus and its five encoded pieces
+        assert alive == [[False] * len(refs)]
+
+
 class TestGridCommand:
     def test_grid_row_count_and_determinism(self, synth_corpus, tmp_path):
         corpus, _ = synth_corpus
@@ -345,16 +376,31 @@ class TestExitCodes:
         ["grid", "--jobs", "-4", "--query", MRDCC_TEXT],
         ["mine", "--skip", "variable:nan"],
         ["mine", "--skip", "variable:inf"],
+        ["grid", "--query", MRDCC_TEXT, "--summary", "{tmp}/out.csv"],
+        ["mine", "--n", "2", "--dump-tokens", "{tmp}/./sub/../out.csv"],
     ])
     def test_invalid_flag_value_is_2(self, fixture_corpus, tmp_path, flags):
+        (tmp_path / "sub").mkdir()
         argv = flags[:1] + ["--input", str(fixture_corpus),
                             "--output", str(tmp_path / "out.csv")] + flags[1:]
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         try:
             code, _ = run_cli(argv)
         except SystemExit as err:
             code = err.code
         assert code == 2
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flags, written", [
+        (["mine", "--dump-tokens", "-"], ["a\t0,1\t", "\nrank,score,"]),
+        (["grid", "--query", "<4,7,_>[5]<4,_,_>", "--summary", "-"],
+         [GRID_HEADER + "\n", "\nstage,level,"]),
+    ])
+    def test_two_outputs_may_both_be_stdout(self, fixture_corpus, flags, written):
+        code, out = run_cli(flags[:1] + ["--input", str(fixture_corpus), "--n", "2",
+                                         "--output", "-"] + flags[1:])
+        assert code == 0
+        assert all(part in out for part in written)
 
     @pytest.mark.parametrize("flags", [
         ["--pieces", "-3"],

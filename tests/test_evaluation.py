@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from vlgram import evaluation
-from vlgram.corpus import Corpus, NoteEvent, Piece, prepare_corpus
+from vlgram.corpus import Corpus, NoteEvent, PerformanceDataError, Piece, prepare_corpus
 from vlgram.evaluation import (BASELINES, FIXED_SKIPS, VARIABLE_WINDOWS,
                                ConfigResult, GenerationError, PipelineConfig,
                                PlantSpec, compare_levels, default_grid,
@@ -338,14 +342,18 @@ class TestGrid:
         assert serial.rows == parallel.rows
 
     def test_pool_has_at_most_one_worker_per_level(self, monkeypatch):
-        recorded = []
-        chains = []
+        events = []
+        grid_chain = evaluation._grid_chain
 
-        class SerialPool:
-            """Stands in for ProcessPoolExecutor: records its size and tasks, maps in-process."""
+        def bounds(chains):
+            return [[skip.bound for skip in chain] for chain in chains]
+
+        class DeferredPool:
+            """Stands in for ProcessPoolExecutor: records its size and each submitted
+            share, and runs a share in-process only when its result is read."""
 
             def __init__(self, max_workers):
-                recorded.append(max_workers)
+                events.append(("pool", max_workers))
 
             def __enter__(self):
                 return self
@@ -353,25 +361,61 @@ class TestGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable):
-                tasks = list(iterable)
-                chains.append([[skip.bound for skip in task[1]] for task in tasks])
-                return map(fn, tasks)
+            def submit(self, fn, chains, *task):
+                assert fn is evaluation._grid_chain
+                events.append(("submit", bounds(chains)))
+                return SimpleNamespace(result=lambda: grid_chain(chains, *task))
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+        def parent_chain(chains, *task):
+            events.append(("parent", bounds(chains)))
+            return grid_chain(chains, *task)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", DeferredPool)
+        monkeypatch.setattr(evaluation, "_grid_chain", parent_chain)
         corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
         skips = [SkipConfig("fixed", 3, t=2), SkipConfig("variable", 3, w=1.0)]
         serial = run_grid(corpus, MRDCC, 3, skip_configs=skips, jobs=1)
-        assert recorded == []
+        assert events == [("parent", [[2], [1.0]])]
+        events.clear()
         pooled = run_grid(corpus, MRDCC, 3, skip_configs=skips, jobs=20)
-        assert recorded == [2]
+        assert events == [("pool", 1), ("submit", [[1.0]]), ("parent", [[2]])]
         assert pooled.rows == serial.rows
-        # all 13 levels at jobs=2: each mode's levels dealt into two chains
+        # all 13 levels at jobs=2: each mode's levels dealt into two chains,
+        # one chain of each mode per process, the worker's submitted first
         serial = run_grid(corpus, MRDCC, 3, jobs=1)
+        events.clear()
         pooled = run_grid(corpus, MRDCC, 3, jobs=2)
-        assert recorded == [2, 2]
-        assert chains[-1] == [[0, 2, 4, 6, 8], [1, 3, 5, 7], [0.5, 1.5], [1.0, 2.0]]
+        assert events == [("pool", 1), ("submit", [[1, 3, 5, 7], [1.0, 2.0]]),
+                          ("parent", [[0, 2, 4, 6, 8], [0.5, 1.5]])]
         assert pooled.rows == serial.rows
+
+    def test_jobs_2_runs_one_worker_process_beside_this_one(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            """Records, at shutdown, how many worker processes the pool started."""
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pools.append(len(self._processes))
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
+        serial = run_grid(corpus, MRDCC, 3, jobs=1)
+        assert pools == []
+        pooled = run_grid(corpus, MRDCC, 3, jobs=2)
+        assert pools == [1]
+        assert pooled.rows == serial.rows
+        assert multiprocessing.active_children() == []
+        # without performed onsets a variable level raises, here and in the
+        # worker: the worker has exited by the time the error leaves run_grid
+        for piece in corpus.pieces:
+            piece.slices = [dataclasses.replace(s, onset_perf=None) for s in piece.slices]
+        windows = [SkipConfig("variable", 3, w=w) for w in VARIABLE_WINDOWS]
+        with pytest.raises(PerformanceDataError):
+            run_grid(corpus, MRDCC, 3, skip_configs=windows, jobs=2)
+        assert pools == [1, 1]
+        assert multiprocessing.active_children() == []
 
     def test_chains_match_single_level_runs(self):
         corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
