@@ -9,9 +9,10 @@ Each stream is a fixed-seed synthetic corpus (3 pieces x 100 slices).
 types; ``diverse`` draws from twelve, so most tokens are new types. For
 ``TableBuilder`` (over the five weightings) and ``score_all`` (over all
 seven measures of the resulting tables), the stream is enumerated at
-``fixed:8`` and weighed once, outside the timed calls. ``test_fixed_levels``
-times enumerating, weighing and aggregating the nine fixed levels 0-8
-through the chain kernel, as one chain and as nine one-level passes.
+``fixed:8`` and weighed once, outside the timed calls. ``test_levels``
+times enumerating, weighing and aggregating each mode's levels through the
+chain kernel: the nine fixed levels 0-8 and the four variable windows
+0.5-2, each as one chain and as one-level passes.
 """
 
 import pytest
@@ -23,7 +24,8 @@ from vlgram.skipgram import SkipConfig, encode_corpus, enumerate_corpus
 from vlgram.weighting import WEIGHT_KINDS, weigh_all
 
 SKIP = SkipConfig("fixed", 3, t=8)
-FIXED_CHAIN = tuple(SkipConfig("fixed", 3, t=t) for t in range(9))
+CHAINS = {"fixed": tuple(SkipConfig("fixed", 3, t=t) for t in range(9)),
+          "variable": tuple(SkipConfig("variable", 3, w=w) for w in (0.5, 1.0, 1.5, 2.0))}
 
 
 @pytest.fixture(scope="module", params=[1, 12], ids=["shared", "diverse"])
@@ -71,7 +73,9 @@ def type_counts(pieces, chains):
 
 
 @pytest.mark.parametrize("split", ["one-chain", "per-level"])
-def test_fixed_levels(benchmark, pieces, split):
-    chains = [FIXED_CHAIN] if split == "one-chain" else [(skip,) for skip in FIXED_CHAIN]
+@pytest.mark.parametrize("mode", ["fixed", "variable"])
+def test_levels(benchmark, pieces, mode, split):
+    levels = CHAINS[mode]
+    chains = [levels] if split == "one-chain" else [(skip,) for skip in levels]
     counts = benchmark(type_counts, pieces, chains)
-    assert counts == type_counts(pieces, [(skip,) for skip in FIXED_CHAIN])
+    assert counts == type_counts(pieces, [(skip,) for skip in levels])

@@ -210,6 +210,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _distinct_outputs(args.output, args.manifest)
     if not 0.0 < args.ioi_min <= args.ioi_max < math.inf:
         raise argparse.ArgumentTypeError(
             "need 0 < --ioi-min <= --ioi-max, both finite, "
@@ -232,26 +233,28 @@ def _cmd_synth(args) -> int:
     else:
         exclude = []
     vocabulary = evaluation.default_vocabulary(args.vocab_size, args.seed, exclude)
-    corpus, records = evaluation.generate_synthetic_corpus(
-        args.pieces, args.length, vocabulary, seed=args.seed, plant=plant,
-        ioi_range=(args.ioi_min, args.ioi_max))
-    with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        handle.write("# synthetic corpus\n")
+    with ExitStack() as files:
+        # The manifest opens first, so that one it cannot write leaves no corpus file.
+        manifest = args.manifest and files.enter_context(_open_out(args.manifest))
+        out = files.enter_context(_open_out(args.output))
+        corpus, records = evaluation.generate_synthetic_corpus(
+            args.pieces, args.length, vocabulary, seed=args.seed, plant=plant,
+            ioi_range=(args.ioi_min, args.ioi_max))
+        out.write("# synthetic corpus\n")
         for piece in corpus.pieces:
             for n in piece.notes:
-                handle.write(f"{n.piece_id}\t{n.onset_score}\t{n.duration_score}"
-                             f"\t{n.pitch}\t{n.onset_perf!r}\t{n.duration_perf!r}\n")
-    if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8", newline="") as handle:
-            writer = _csv_writer(handle)
+                out.write(f"{n.piece_id}\t{n.onset_score}\t{n.duration_score}"
+                          f"\t{n.pitch}\t{n.onset_perf!r}\t{n.duration_perf!r}\n")
+        if manifest:
+            writer = _csv_writer(manifest)
             writer.writerow(["piece_id", "indices", "gaps", "total_gap"])
             for rec in records:
                 writer.writerow([rec.piece_id,
                                  " ".join(str(i) for i in rec.indices),
                                  " ".join(str(g) for g in rec.gaps),
                                  rec.total_gap])
-    print(f"wrote {sum(len(p.notes) for p in corpus.pieces)} notes, "
-          f"{len(records)} planted instances")
+    _status(f"wrote {sum(len(p.notes) for p in corpus.pieces)} notes, "
+            f"{len(records)} planted instances", args.output, args.manifest)
     return 0
 
 

@@ -9,15 +9,16 @@ two-sample t statistics, Bonferroni-adjusted p values, and Cohen's d.
 
 Every command computes its ranks through one chain kernel. The skip
 levels of one mode are nested, so a chain of ascending levels is
-enumerated and weighed once, at its widest level, with every weighting
-aggregated in the same pass; each narrower level is then rebuilt from the
-tokens it admits, replayed in token order, so its sums are exactly those
-of a pass over that level alone. Each weighting's scores and filter
-keep-masks are shared by all the configurations that differ only in
-filter or measure. The grid runs each mode's levels as one chain, or
-with several jobs as interleaved chains shared out over the calling
-process and a pool of the others, and results are collated in a fixed
-configuration order regardless of worker scheduling.
+enumerated, weighed and keyed once, at its widest level, with every
+weighting aggregated in the same pass. Each narrower level is summed onto
+the widest level's slots from the tokens it admits, in token order, so
+its sums are exactly those of a pass over that level alone. Each
+weighting's scores and filter keep-masks are shared by all the
+configurations that differ only in filter or measure. The grid runs each
+mode's levels as one chain, or with several jobs as interleaved chains
+shared out over the calling process and a pool of the others, and
+results are collated in a fixed configuration order regardless of worker
+scheduling.
 
 A seeded synthetic-corpus generator provides desk-scale corpora with a
 query pattern planted at controlled skip distances and tempi, recorded
@@ -32,12 +33,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import sqrt
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .corpus import Corpus, NoteEvent, Piece
 from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
-from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all
+from .ranking import MEASURES, RankedList, TableBuilder, TypeTable, rank_types, score_all
 from .skipgram import EncodedPiece, SkipConfig, dump_token, encode_corpus, enumerate_nested
 from .vlt import Chord, PatternKey, VltPattern, chord_pitches
 from .weighting import WEIGHT_KINDS, weigh_all, weigh_onsets
@@ -47,6 +49,7 @@ VARIABLE_WINDOWS = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_PLANNED_COMPARISONS = 6
 
 BASELINES = {"skip": "fixed:0", "weight": "count", "filter": "none", "rank": "counts"}
+_STAGE_FIELDS = dict(skip_mode="skip_mode", weight="weight", filter="filter", rank="measure")
 
 
 class GenerationError(Exception):
@@ -104,15 +107,9 @@ class ConfigResult:
     def level(self, stage: str) -> str:
         if stage == "skip":
             return f"{self.skip_mode}:{self.skip_level}"
-        if stage == "skip_mode":
-            return self.skip_mode
-        if stage == "weight":
-            return self.weight
-        if stage == "filter":
-            return self.filter
-        if stage == "rank":
-            return self.measure
-        raise ValueError(f"unknown stage {stage!r}")
+        if stage not in _STAGE_FIELDS:
+            raise ValueError(f"unknown stage {stage!r}")
+        return getattr(self, _STAGE_FIELDS[stage])
 
 
 @dataclass
@@ -151,59 +148,57 @@ def mrr(ranks: Iterable["int | None"]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _scored(builder: TableBuilder, measures: Sequence[str], filter_kinds: Sequence[str],
-            min_count: float, similarity: str) -> tuple[list[PatternKey], Iterator[tuple]]:
-    """A filled builder's type keys and, per weighting, its (table, scores, masks) triple."""
-    keys = builder.keys
-    harmony = harmony_mask(keys, filter_kinds, similarity)
-    joint_slots = [slots[1] for slots in builder.slots]
-    return keys, ((table, score_all(table, keys, measures),
-                   keep_masks(filter_kinds, list(map(table.sums.__getitem__, joint_slots)),
-                              min_count, harmony))
-                  for table in builder.tables)
-
-
 def _fill_widest(builder: TableBuilder, pieces: list[EncodedPiece],
                  chain: Sequence[SkipConfig], dump: TextIO | None) -> list[tuple]:
     """Aggregate the widest level of ``chain`` into ``builder``, token by token.
 
-    Returns, per piece, the tokens that a narrower level admits: (piece id,
-    their narrowest levels, their types' key objects from the builder,
-    their weights flattened into one array).
+    Returns, per piece, the tokens a narrower level admits as three columns:
+    their narrowest levels, their type ids and their weights, token by token.
     """
-    kinds = builder.kinds
+    kinds, add, widest, records = builder.kinds, builder.add_id, len(chain) - 1, []
     all_weights = kinds == WEIGHT_KINDS
-    add = builder.add
-    widest = len(chain) - 1
-    records = []
     for piece in pieces:
         pid = piece.piece_id
-        levels, keys, flat = [], [], array("d")
+        levels, tids, flat = array("i"), array("i"), array("d")
         for level, tok in enumerate_nested(piece, chain):
             onsets = tok.onsets_perf
             ws = weigh_all(onsets) if all_weights else [weigh_onsets(onsets, k) for k in kinds]
-            key = add(pid, tok.type_key, ws)
+            tid = add(pid, tok.type_key, ws)
             if dump is not None:
                 dump_token(tok, ws[0], dump)
             if level < widest:
                 levels.append(level)
-                keys.append(key)
+                tids.append(tid)
                 flat.extend(ws)
         if levels:
-            records.append((pid, levels, keys, flat))
+            records.append((levels, tids, flat))
     return records
 
 
-def _replay(builder: TableBuilder, records: list[tuple], level: int) -> None:
-    """Add, in token order, the recorded tokens whose narrowest level is at most ``level``."""
-    add = builder.add
-    width = len(builder.kinds)
-    for pid, levels, keys, flat in records:
-        at = 0
-        for narrowest, key in zip(levels, keys):
-            if narrowest <= level:
-                add(pid, key, flat[at:at + width])
-            at += width
+def _sum_level(records: list[tuple], level: int, slots: list[tuple[int, ...]],
+               size: int, width: int) -> tuple[list[int], list[int], list[list[float]]]:
+    """A narrower level's type ids in first-seen order, pieces per type id, and sums.
+
+    One ordered pass over the records adds the weights of each token whose
+    narrowest level is at most ``level`` into zeroed sums on the widest
+    builder's slots, so each slot gets the left-to-right float sum that a
+    builder fed that level alone makes.
+    """
+    tids, covers = [], [0] * len(slots)
+    sums = [[0.0] * size for _ in range(width)]
+    for levels, type_ids, flat in records:
+        admitted = [narrowest <= level for narrowest in levels]
+        level_ids = list(compress(type_ids, admitted))
+        for tid in dict.fromkeys(level_ids):
+            if not covers[tid]:
+                tids.append(tid)
+            covers[tid] += 1
+        token_slots = list(map(slots.__getitem__, level_ids))
+        for k, level_sums in enumerate(sums):
+            for type_slots, w in zip(token_slots, compress(flat[k::width], admitted)):
+                for slot in type_slots:
+                    level_sums[slot] += w
+    return tids, covers, sums
 
 
 def _level(pieces: list[EncodedPiece], chain: Sequence[SkipConfig], weights: Sequence[str],
@@ -212,42 +207,44 @@ def _level(pieces: list[EncodedPiece], chain: Sequence[SkipConfig], weights: Seq
     """The chain kernel behind run_grid, run_config and ``vlgram mine``.
 
     ``chain`` holds ascending skip levels of one mode (run_config passes
-    one). Each token of the widest level is enumerated, weighed and keyed
-    once, and every weighting is aggregated in the same pass. For each
-    level, the widest first, ``consume(skip, keys, weighted)`` gets the
-    level's type keys in first-seen order and, one weighting at a time in
-    ``weights`` order, a (table, scores, masks) triple: score_all's scores
-    for ``measures`` and keep_masks' masks for ``filter_kinds``, both
+    one). For each level, the widest first, ``consume(skip, keys, weighted)``
+    gets the level's type keys in first-seen order and, one weighting at a
+    time in ``weights`` order, a (table, scores, masks) triple: score_all's
+    scores for ``measures`` and keep_masks' masks for ``filter_kinds``, both
     aligned with the keys. Returns what ``consume`` returned, in chain order.
 
-    The widest level's builder is filled as tokens stream in, consumed,
-    and released before the next level is filled. A token that a narrower
-    level admits is kept as a compact record: its narrowest level, its
-    type's key object from the builder and its weights, grouped by piece.
-    Each narrower level gets a fresh builder fed the records it admits, in
-    token order, so each of its sums is the same left-to-right float sum
-    that a pass over that level alone would make.
-
-    ``dump``, when given, receives each token as it is aggregated, with its
-    first weighting's weight.
+    The widest level's builder gives each type of the chain an id and its
+    slots; each narrower level is summed onto those slots (_sum_level), and
+    indexes the chain's harmony test by its type ids. ``dump``, when given,
+    receives each token as it is aggregated, with its first weight.
     """
     kinds = tuple(weights)
     n, n_pieces, widest = chain[0].n, len(pieces), len(chain) - 1
     builder = TableBuilder(n, n_pieces, kinds)
     records = _fill_widest(builder, pieces, chain, dump)
-    # Only the tables outlive aggregation: the pieces (run_config's own
-    # encoding) and each builder's bookkeeping are freed before scoring,
-    # and each level's keys and tables before the next level is filled.
-    del pieces
+    del pieces  # run_config's own encoding, freed before scoring
+    keys, slots, span_slots = builder.keys, builder.slots, builder.span_slots
+    size, tables, tids, level_keys = len(builder.sums[0]), builder.tables, range(len(keys)), keys
+    del builder  # its sums and key index go with the widest level's tables
+    harmony = harmony_mask(keys, filter_kinds, similarity)
+    joints = [type_slots[1] for type_slots in slots]
     results = [None] * len(chain)
     for index in (widest, *range(widest)):
         if index < widest:
-            builder = TableBuilder(n, n_pieces, kinds)
-            _replay(builder, records, index)
-        keys, weighted = _scored(builder, measures, filter_kinds, min_count, similarity)
-        del builder
-        results[index] = consume(chain[index], keys, weighted)
-        del keys, weighted
+            tids, covers, sums = _sum_level(records, index, slots, size, len(kinds))
+            level_keys = list(map(keys.__getitem__, tids))
+            ids = dict(zip(level_keys, tids))
+            tables = [TypeTable(n, n_pieces, kind, level_sums, ids, slots, span_slots, covers)
+                      for kind, level_sums in zip(kinds, sums)]
+            del sums  # held by the tables only, so freed before the next level's
+        level_joints = list(map(joints.__getitem__, tids))
+        level_harmony = harmony and list(map(harmony.__getitem__, tids))
+        weighted = ((table, score_all(table, level_keys, measures, tids),
+                     keep_masks(filter_kinds, list(map(table.sums.__getitem__, level_joints)),
+                                min_count, level_harmony))
+                    for table in tables)
+        results[index] = consume(chain[index], level_keys, weighted)
+        del tables, weighted
     return results
 
 

@@ -48,10 +48,11 @@ def _spans(n: int) -> list[tuple[int, int]]:
 class TypeTable:
     """A read-only view of one weight kind's counts in a TableBuilder.
 
-    ``sums`` is that kind's list of sums; the rest is shared with the
-    builder. ``count(key, i, j)`` is the weighted count of ``key[i:j]``,
-    ``covered(key)`` counts distinct pieces containing the type, and
-    ``total`` is the weighted token count N; scores are ratios of these sums.
+    ``sums`` is that kind's list of sums; the rest is the builder's, but a
+    chain's narrower level has its own ``ids`` and ``covers``. ``count(key,
+    i, j)`` is the weighted count of ``key[i:j]``, ``covered(key)`` counts
+    the pieces containing the type, and ``total`` is the weighted token
+    count N; scores are ratios of these sums.
     """
 
     n: int
@@ -70,7 +71,7 @@ class TypeTable:
     @property
     def joint(self) -> dict:
         """Each type's weighted count, in first-seen order (built on each read)."""
-        return dict(zip(self.ids, map(self.sums.__getitem__, (s[1] for s in self.slots))))
+        return {key: self.sums[self.slots[tid][1]] for key, tid in self.ids.items()}
 
     def count(self, key: PatternKey, i: int = 0, j: int | None = None) -> float:
         """The weighted count of ``key[i:j]`` (j defaults to n: the type itself)."""
@@ -142,11 +143,13 @@ class TableBuilder:
 
     def add(self, piece_id: str, key: PatternKey, weights: Sequence[float]) -> PatternKey:
         """Add one token's weights; returns the key object the builder stores for its type."""
+        return self.keys[self.add_id(piece_id, key, weights)]
+
+    def add_id(self, piece_id: str, key: PatternKey, weights: Sequence[float]) -> int:
+        """Add one token's weights; returns its type's id, the type's index in ``keys``."""
         tid = self.ids.get(key)
         if tid is None:
             tid = self._new_type(key)
-        else:
-            key = self.keys[tid]
         if self._last_piece[tid] != piece_id:
             self._last_piece[tid] = piece_id
             self.covers[tid] += 1
@@ -154,7 +157,7 @@ class TableBuilder:
         for sums, w in zip(self.sums, weights):
             for slot in slots:
                 sums[slot] += w
-        return key
+        return tid
 
     @property
     def tables(self) -> list[TypeTable]:
@@ -329,11 +332,13 @@ def score_type(key: PatternKey, table: TypeTable, measure: str) -> float | None:
 
 
 def score_all(table: TypeTable, keys: Sequence[PatternKey],
-              measures: Sequence[str] = MEASURES) -> dict[str, list]:
+              measures: Sequence[str] = MEASURES,
+              tids: Iterable[int] | None = None) -> dict[str, list]:
     """Scores for ``measures`` aligned to ``keys``, sharing the shared work.
 
     A type a measure cannot score gets None, as from score_type. Only the
-    parts the requested measures need are computed.
+    parts the requested measures need are computed. ``tids``, when given,
+    holds the keys' type ids in the table, so that no key is looked up.
     """
     for measure in measures:
         if measure not in MEASURES:
@@ -341,7 +346,6 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     n = table.n
     sums = table.sums
     total = sums[0]
-    ids = table.ids
     type_slots = table.slots
     covers = table.covers
     comps = table.n_compositions
@@ -363,8 +367,7 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     only_counts = out.keys() <= {"counts"}
     need_pmi = pmis is not None or locals_ is not None or covs is not None
     need_splits = chis is not None or g2s is not None
-    for idx, key in enumerate(keys):
-        tid = ids.get(key)
+    for idx, tid in enumerate(map(table.ids.get, keys) if tids is None else tids):
         f = 0.0 if tid is None else sums[type_slots[tid][1]]
         if counts is not None:
             counts[idx] = f

@@ -147,14 +147,36 @@ def weigh_onsets(onsets: Sequence[float], kind: str) -> float:
 
 
 def weigh_all(onsets: Sequence[float]) -> tuple[float, float, float, float, float]:
-    """All five weights at once, sharing the candidate-period search.
+    """All five weights at once, each equal to weigh_onsets' bit for bit.
 
     Ordered as WEIGHT_KINDS: count, periodicity, resonance, proximity,
-    resonant periodicity.
+    resonant periodicity. The IOIs are taken once, for the candidate-period
+    search and for proximity; wrap_phase, mean_resultant_length and the
+    resonance step are inlined with the same float operations in the same
+    order.
     """
-    r, period = _periodicity_detail(onsets)
-    res = _resonance_from_period(period)
-    return (1.0, r, res, w_proximity(onsets), r * res)
+    iois = _iois(onsets)
+    candidates = sorted({ioi for ioi in iois if ioi > 0.0})
+    r, period, k = math.inf, None, len(onsets)
+    cos, sin = math.cos, math.sin
+    if not candidates:
+        logger.debug("token with all-zero IOIs treated as perfectly contiguous")
+        r = 1.0
+    for p in candidates:
+        phi, sr, si = 0.0, 1.0, 0.0
+        for ioi in iois:
+            phi = (phi + ioi / p + 0.5) % 1.0 - 0.5
+            a = _TWO_PI * phi
+            sr += cos(a)
+            si += sin(a)
+        rp = math.sqrt(sr * sr + si * si) / k
+        if rp < r:
+            r, period = rp, p
+    res = 0.0
+    if period is not None:
+        res = max(resonance_amplitude(1.0 / period), 0.0) / resonance_peak()[1]
+    proximity = sum(2.0 ** (-ioi / PROXIMITY_HALF_LIFE_S) for ioi in iois) / len(iois)
+    return (1.0, r, res, proximity, r * res)
 
 
 def apply_weights(tokens: Iterable, kind: str) -> list:

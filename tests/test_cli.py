@@ -392,15 +392,22 @@ class TestExitCodes:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("flags, written", [
-        (["mine", "--dump-tokens", "-"], ["a\t0,1\t", "\nrank,score,"]),
-        (["grid", "--query", "<4,7,_>[5]<4,_,_>", "--summary", "-"],
-         [GRID_HEADER + "\n", "\nstage,level,"]),
+        (["mine", "--input", "{input}", "--n", "2", "--dump-tokens", "-"],
+         ["a\t0,1\t", "\nrank,score,"]),
+        (["grid", "--input", "{input}", "--n", "2", "--query", "<4,7,_>[5]<4,_,_>",
+          "--summary", "-"], [GRID_HEADER + "\n", "\nstage,level,"]),
+        (SYNTH_VALID + ["--manifest", "-"],
+         ["# synthetic corpus\n", "\npiece_id,indices,gaps,total_gap\n"]),
     ])
-    def test_two_outputs_may_both_be_stdout(self, fixture_corpus, flags, written):
-        code, out = run_cli(flags[:1] + ["--input", str(fixture_corpus), "--n", "2",
-                                         "--output", "-"] + flags[1:])
+    def test_two_outputs_may_both_be_stdout(self, fixture_corpus, tmp_path, monkeypatch,
+                                            flags, written):
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.replace("{input}", str(fixture_corpus)) for arg in flags]
+        code, out = run_cli(argv + ["--output", "-"])
         assert code == 0
         assert all(part in out for part in written)
+        assert "wrote " not in out  # the status line goes to stderr
+        assert not (tmp_path / "-").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--pieces", "-3"],
@@ -419,16 +426,25 @@ class TestExitCodes:
         ["--gap-min", "3", "--gap-max", "2"],
         ["--length", "5", "--per-piece", "6"],
         ["--length", "60", "--per-piece", "6"],
+        ["--manifest", "{tmp}/./c.tsv"],
     ])
     def test_synth_invalid_flag_value_is_2(self, tmp_path, flags):
         out = tmp_path / "c.tsv"
         argv = SYNTH_VALID + ["--output", str(out), "--manifest", str(tmp_path / "m.csv")] + flags
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         try:
             code, _ = run_cli(argv)
         except SystemExit as err:
             code = err.code
         assert code == 2
         assert not out.exists() and not (tmp_path / "m.csv").exists()
+
+    def test_synth_unwritable_manifest_leaves_no_corpus_file(self, tmp_path):
+        out = tmp_path / "c.tsv"
+        code, _ = run_cli(SYNTH_VALID + ["--output", str(out),
+                                         "--manifest", str(tmp_path / "absent" / "m.csv")])
+        assert code == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--length", "13"]])
     def test_synth_valid_flags_are_0(self, tmp_path, flags):

@@ -7,9 +7,11 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlgram import evaluation
-from vlgram.corpus import Corpus, NoteEvent, PerformanceDataError, Piece, prepare_corpus
+from vlgram.corpus import Corpus, NoteEvent, PerformanceDataError, Piece, Slice, prepare_corpus
 from vlgram.evaluation import (BASELINES, FIXED_SKIPS, VARIABLE_WINDOWS,
                                ConfigResult, GenerationError, PipelineConfig,
                                PlantSpec, compare_levels, default_grid,
@@ -17,10 +19,10 @@ from vlgram.evaluation import (BASELINES, FIXED_SKIPS, VARIABLE_WINDOWS,
                                generate_synthetic_corpus, mrr, pooled_t_test,
                                run_config, run_grid, summarize_grid)
 from vlgram.filters import FILTER_KINDS, FilterSpec
-from vlgram.ranking import MEASURES
+from vlgram.ranking import MEASURES, TableBuilder
 from vlgram.skipgram import SkipConfig, EncodedPiece, encode_corpus, enumerate_piece
 from vlgram.vlt import Vlt, parse_pattern
-from vlgram.weighting import WEIGHT_KINDS
+from vlgram.weighting import WEIGHT_KINDS, weigh_all
 
 MRDCC = parse_pattern("<5,9*,_>[0]<4,7*,10>[5]<4,_,_>")
 
@@ -288,6 +290,58 @@ class TestSyntheticCorpus:
         vocab = default_vocabulary(20, seed=7, exclude=exclude)
         assert not set(vocab) & set(exclude)
         assert len(vocab) == len(set(vocab)) == 20
+
+
+@st.composite
+def chain_corpora(draw):
+    """Encoded pieces and an ascending chain of one mode's levels over them.
+
+    Performed onsets step by 0, 0.25, 0.5 or 1.25 s, so tokens have zero
+    IOIs and the variable windows admit different tokens.
+    """
+    pool = draw(st.lists(st.frozensets(st.integers(1, 11), max_size=3), min_size=1, max_size=4))
+    pieces = []
+    for p in range(draw(st.integers(1, 4))):
+        slices, onset = [], 0.0
+        for i in range(draw(st.integers(1, 10))):
+            bass = draw(st.integers(36, 47))
+            pitches = tuple(sorted({bass} | {bass + iv for iv in draw(st.sampled_from(pool))}))
+            slices.append(Slice(f"p{p}", i, Fraction(i), pitches, onset))
+            onset += draw(st.sampled_from([0.0, 0.25, 0.5, 1.25]))
+        pieces.append(Piece(f"p{p}", [], slices))
+    n = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        budgets = draw(st.sets(st.integers(0, 6), min_size=1, max_size=4))
+        chain = [SkipConfig("fixed", n, t=t) for t in sorted(budgets)]
+    else:
+        windows = draw(st.sets(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0]),
+                               min_size=1, max_size=4))
+        chain = [SkipConfig("variable", n, w=w) for w in sorted(windows)]
+    return encode_corpus(Corpus(pieces)), chain
+
+
+class TestChainLevels:
+    @settings(max_examples=200, deadline=None)
+    @given(chain_corpora())
+    def test_each_level_equals_a_builder_fed_that_level_alone(self, case):
+        pieces, chain = case
+        n = chain[0].n
+        levels = evaluation._level(
+            pieces, chain, WEIGHT_KINDS, (), (), 0.0, "intersect",
+            lambda _skip, keys, weighted: (keys, [table for table, _, _ in weighted]))
+        for skip, (keys, tables) in zip(chain, levels):
+            fresh = TableBuilder(n, len(pieces), WEIGHT_KINDS)
+            for piece in pieces:
+                for tok in enumerate_piece(piece, skip):
+                    fresh.add(tok.piece_id, tok.type_key, weigh_all(tok.onsets_perf))
+            assert keys == fresh.keys
+            for table, want in zip(tables, fresh.tables, strict=True):
+                assert list(table.ids) == list(table.joint) == fresh.keys
+                assert table.total == want.total
+                for key in fresh.keys:
+                    assert table.covered(key) == want.covered(key)
+                    for i, j in [(0, n), *want.span_slots]:
+                        assert table.count(key, i, j) == want.count(key, i, j)
 
 
 class TestGrid:

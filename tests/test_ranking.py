@@ -168,14 +168,16 @@ class TestSpanTableProperty:
     @given(grouped_tokens())
     def test_keys_in_first_seen_order_and_coverage_shared(self, drawn):
         n, tokens = drawn
-        builder = TableBuilder(n, 4, ("a", "b"))
+        builder, by_id = TableBuilder(n, 4, ("a", "b")), TableBuilder(n, 4, ("a", "b"))
         stored = {}
         for piece_id, key, weights in tokens:
-            # add returns the first-seen key object of the type, which
-            # evaluation._level keeps in place of each token's own tuple
+            # add returns the first-seen key object of the type; add_id, which
+            # evaluation._level calls, returns the type's index in keys
             assert builder.add(piece_id, key, weights) is stored.setdefault(key, key)
+            assert by_id.keys[by_id.add_id(piece_id, key, weights)] is stored[key]
+        assert (by_id.sums, by_id.covers) == (builder.sums, builder.covers)
         first_seen = list(dict.fromkeys(key for _, key, _ in tokens))
-        # evaluation._level takes a level's type order from builder.keys
+        # evaluation._level takes the widest level's type order from builder.keys
         assert list(builder.ids) == builder.keys == first_seen
         for table in builder.tables:
             assert list(table.joint) == first_seen

@@ -200,12 +200,22 @@ class TestUnitIntervalAndInvariance:
                     weigh_onsets(shifted, kind), abs=1e-9)
 
     def test_weigh_all_matches_individual_kinds(self):
+        # 2 to 5 members; some IOIs are zero, and some tokens have only zero
+        # IOIs. Candidate periods 0.5 and 1.0 tie for the least phase
+        # concentration in the first token, so the shorter one must win.
         rng = random.Random(41)
-        for _ in range(100):
-            onsets = onsets_from_iois([rng.uniform(0.05, 2.0) for _ in range(2)])
+        tokens = [onsets_from_iois([0.25, 0.5, 0.75, 1.0])]
+        for case in range(2000):
+            members = rng.randint(2, 5)
+            if case % 10 == 0:
+                iois = [0.0] * (members - 1)
+            else:
+                iois = [rng.choice([0.0, rng.uniform(0.05, 2.0)]) for _ in range(members - 1)]
+            tokens.append(onsets_from_iois(iois, start=rng.uniform(0.0, 50.0)))
+        for onsets in tokens:
             combined = weigh_all(onsets)
             singles = tuple(weigh_onsets(onsets, kind) for kind in WEIGHT_KINDS)
-            assert combined == singles
+            assert combined == singles, onsets
 
     def test_mean_resultant_length_matches_oracle(self):
         rng = random.Random(43)
