@@ -1,4 +1,5 @@
-"""Memory of ``vlgram mine`` stage by stage, and of ``vlgram grid``'s process tree.
+"""Memory of ``vlgram mine`` stage by stage, of ``vlgram grid``'s process tree, and of
+a criterion-7-shaped grid.
 
 Run from the root of a checkout (pytest-benchmark)::
 
@@ -6,8 +7,11 @@ Run from the root of a checkout (pytest-benchmark)::
 
 The inputs are the mine-poly and grid-jobs2 benchmark workloads' at seed 0,
 written once by ``perfbench/workloads.write_input``, and each test uses its
-workload's flags. Results go to each benchmark's ``extra_info`` (printed
-with ``-s``, and kept by ``--benchmark-json``):
+workload's flags; the criterion-7-shaped input is the criterion-7 generator's
+corpus cut to 6 pieces of 500 slices. Results go to each benchmark's
+``extra_info`` (printed with ``-s``, and kept by ``--benchmark-json``).
+Every fresh process also reports whether the command loaded ``multiprocessing``
+(``multiprocessing``), which only ``grid --jobs`` 2 or more needs:
 
 ``test_stages``
     runs ``mine``'s steps in process under tracemalloc: load (parse,
@@ -26,7 +30,13 @@ with ``-s``, and kept by ``--benchmark-json``):
     tree, pool workers included, is sampled from ``/proc`` as
     ``perfbench/run.py`` samples it: ``peak_mb`` is the largest sum seen,
     ``processes`` the most processes seen at once, and ``wall_s`` the
-    command's wall time, interpreter start-up included.
+    command's wall time, interpreter start-up included. ``import_mb`` is
+    the parent process's VmHWM after importing ``vlgram.cli``.
+``test_criterion7_grid_vmhwm``
+    runs ``vlgram grid --jobs 1 --summary`` in a fresh interpreter, three
+    times, on 6 pieces x 500 slices of the criterion-7 generator
+    (vocabulary seed 2, synth seed 7; about 16 s a run on a 2-core
+    machine), and reports ``import_mb``, ``vmhwm_mb`` and ``wall_s``.
 """
 
 import json
@@ -44,13 +54,14 @@ from vlgram import cli, evaluation, ranking, skipgram
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import RSS_SAMPLE_INTERVAL_S, _tree_rss_kb  # noqa: E402
-from workloads import CADENCE, MINE_FLAGS, command_argv, write_input  # noqa: E402
+from workloads import CADENCE, MINE_FLAGS, command_argv, synth_lines, write_input  # noqa: E402
 
 MB = 1 << 20
 STAGES = ("load", "encode", "aggregate", "score", "rank", "write")
 
 # Imports vlgram.cli, runs the command given as arguments, and prints
-# {"exit", "import_mb", "vmhwm_mb"} as the last line of its stdout.
+# {"exit", "import_mb", "vmhwm_mb", "multiprocessing"} as the last line of
+# its stdout.
 CHILD = """
 import json, sys
 
@@ -62,7 +73,8 @@ def vmhwm_mb():
 from vlgram.cli import main
 import_mb = vmhwm_mb()
 code = main(sys.argv[1:])
-print(json.dumps({"exit": code, "import_mb": import_mb, "vmhwm_mb": vmhwm_mb()}))
+print(json.dumps({"exit": code, "import_mb": import_mb, "vmhwm_mb": vmhwm_mb(),
+                  "multiprocessing": "multiprocessing" in sys.modules}))
 """
 
 
@@ -128,14 +140,22 @@ def test_stages(benchmark, poly_input, tmp_path):
     print(json.dumps(marks, indent=1))
 
 
+def child_env() -> dict:
+    """The environment of a fresh process that imports this checkout's vlgram."""
+    return {**os.environ, "PYTHONPATH": str(Path(vlgram.__file__).resolve().parents[1])}
+
+
+def child_vmhwm(argv: list[str]) -> dict:
+    """CHILD's report of a fresh process running the ``vlgram`` command ``argv``."""
+    done = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
+                          text=True, check=True, env=child_env())
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def mine_vmhwm(path: Path, out_path: Path) -> dict:
     """VmHWM of a fresh ``vlgram mine`` process on ``path``, with the workload's flags."""
-    src = str(Path(vlgram.__file__).resolve().parents[1])
-    argv = ["mine", "--input", str(path), *MINE_FLAGS, "--query", CADENCE,
-            "--output", str(out_path)]
-    done = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
-                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    return json.loads(done.stdout.splitlines()[-1])
+    return child_vmhwm(["mine", "--input", str(path), *MINE_FLAGS, "--query", CADENCE,
+                        "--output", str(out_path)])
 
 
 def test_mine_vmhwm(benchmark, poly_input, tmp_path):
@@ -147,7 +167,7 @@ def test_mine_vmhwm(benchmark, poly_input, tmp_path):
     benchmark.pedantic(run, rounds=3, iterations=1)
     assert all(r["exit"] == 0 for r in runs)
     benchmark.extra_info.update({key: [r[key] for r in runs]
-                                 for key in ("import_mb", "vmhwm_mb")})
+                                 for key in ("import_mb", "vmhwm_mb", "multiprocessing")})
     print(json.dumps(benchmark.extra_info))
 
 
@@ -174,22 +194,25 @@ def tree_size(root: int) -> int:
 
 
 def grid_tree(path: Path, out_dir: Path, jobs: int) -> dict:
-    """Peak tree RSS, most processes and wall time of a fresh ``vlgram grid`` on ``path``."""
-    src = str(Path(vlgram.__file__).resolve().parents[1])
+    """Peak tree RSS, most processes, wall time and CHILD's report of a fresh
+    ``vlgram grid`` on ``path``."""
     argv = command_argv("grid-jobs2", str(path), str(out_dir))
     argv[argv.index("--jobs") + 1] = str(jobs)
     page_kb = os.sysconf("SC_PAGE_SIZE") // 1024
     peak_kb = most = 0
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "vlgram", *argv], stdout=subprocess.DEVNULL,
-                            env={**os.environ, "PYTHONPATH": src})
+    proc = subprocess.Popen([sys.executable, "-c", CHILD, *argv], stdout=subprocess.PIPE,
+                            text=True, env=child_env())
     while proc.poll() is None:
         peak_kb = max(peak_kb, _tree_rss_kb(proc.pid, page_kb))
         most = max(most, tree_size(proc.pid))
         time.sleep(RSS_SAMPLE_INTERVAL_S)
     wall_s = time.perf_counter() - start
-    assert proc.returncode == 0
-    return {"peak_mb": round(peak_kb / 1024, 2), "processes": most, "wall_s": round(wall_s, 3)}
+    report = json.loads(proc.stdout.read().splitlines()[-1])
+    proc.stdout.close()
+    assert proc.returncode == 0 and report["exit"] == 0
+    return {"peak_mb": round(peak_kb / 1024, 2), "processes": most, "wall_s": round(wall_s, 3),
+            "import_mb": report["import_mb"], "multiprocessing": report["multiprocessing"]}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -203,3 +226,29 @@ def test_grid_tree_rss(benchmark, grid_input, tmp_path, jobs):
     benchmark.extra_info.update({key: [r[key] for r in runs] for key in runs[0]})
     print(json.dumps(benchmark.extra_info))
     assert all(1 <= r["processes"] <= jobs for r in runs)
+    assert all(r["multiprocessing"] is (jobs > 1) for r in runs)
+
+
+@pytest.fixture(scope="module")
+def criterion7_input(tmp_path_factory):
+    """6 pieces x 500 slices of the criterion-7 generator (vocabulary seed 2, synth seed 7)."""
+    path = tmp_path_factory.mktemp("memory") / "criterion7-6x500.tsv"
+    path.write_text("".join(synth_lines(12, 6, 500, 0)), encoding="utf-8")
+    return path
+
+
+def test_criterion7_grid_vmhwm(benchmark, criterion7_input, tmp_path):
+    runs = []
+
+    def run():
+        start = time.perf_counter()
+        report = child_vmhwm(["grid", "--input", str(criterion7_input), "--query", CADENCE,
+                              "--output", str(tmp_path / "grid.csv"),
+                              "--summary", str(tmp_path / "summary.csv"), "--jobs", "1"])
+        runs.append({**report, "wall_s": round(time.perf_counter() - start, 3)})
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    assert all(r["exit"] == 0 and not r["multiprocessing"] for r in runs)
+    benchmark.extra_info.update({key: [r[key] for r in runs]
+                                 for key in ("import_mb", "vmhwm_mb", "wall_s")})
+    print(json.dumps(benchmark.extra_info))

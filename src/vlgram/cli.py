@@ -97,12 +97,19 @@ def _distinct_outputs(a: str | None, b: str | None) -> None:
 
 @contextmanager
 def _open_out(path: str | None):
-    """The output file at ``path``, closed on exit; stdout (left open) for None or "-"."""
+    """The output file at ``path``, closed on exit and removed again if this call created
+    it and the command fails; stdout (left open) for None or "-"."""
     if path in (None, "-"):
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        return
+    created = not os.path.lexists(path)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        try:
             yield handle
+        except BaseException:
+            if created:
+                os.remove(path)
+            raise
 
 
 def _status(line: str, *paths: str | None) -> None:
@@ -179,11 +186,11 @@ def _cmd_grid(args) -> int:
     query = parse_pattern(args.query)
     if len(query) != args.n:
         raise argparse.ArgumentTypeError(f"query has {len(query)} chords but --n is {args.n}")
-    corpus = _load_prepared(args.input)
+    loaded = [_load_prepared(args.input)]  # popped into run_grid, which frees it once encoded
     with ExitStack() as files:
         out = files.enter_context(_open_out(args.output))
         summary_out = args.summary and files.enter_context(_open_out(args.summary))
-        grid = evaluation.run_grid(corpus, query, args.n, min_count=args.min_count,
+        grid = evaluation.run_grid(loaded.pop(), query, args.n, min_count=args.min_count,
                                    similarity=args.similarity, jobs=args.jobs)
         writer = _csv_writer(out)
         writer.writerow(GRID_COLUMNS)
@@ -191,17 +198,13 @@ def _cmd_grid(args) -> int:
             writer.writerow([row.skip_mode, row.skip_level, row.weight, row.filter,
                              row.measure, _fmt(row.query_rank), _fmt(row.rr)])
         if summary_out:
-            summary = evaluation.summarize_grid(grid, args.planned_comparisons)
             writer = _csv_writer(summary_out)
             writer.writerow(["stage", "level", "n_configs", "mrr", "delta", "t", "df",
                              "p", "d", "na"])
-            for row in summary:
+            for row in evaluation.summarize_grid(grid, args.planned_comparisons):
                 comp = row.comparison
-                if comp is None:
-                    stats = ["", "", "", "", ""]
-                else:
-                    stats = [_fmt(comp.delta), _fmt(comp.t), str(comp.df),
-                             _fmt(comp.p), _fmt(comp.d)]
+                stats = [""] * 5 if comp is None else [
+                    _fmt(comp.delta), _fmt(comp.t), str(comp.df), _fmt(comp.p), _fmt(comp.d)]
                 writer.writerow([row.stage, row.level, row.n_configs, _fmt(row.mrr),
                                  *stats, "NA" if row.all_absent else ""])
     _status(f"wrote {len(grid.rows)} configuration rows to {args.output}",
@@ -218,7 +221,7 @@ def _cmd_synth(args) -> int:
     if args.gap_max < args.gap_min:
         raise argparse.ArgumentTypeError(
             f"--gap-max {args.gap_max} is below --gap-min {args.gap_min}")
-    plant = None
+    plant, exclude = None, []
     if args.pattern:
         pattern = parse_pattern(args.pattern)
         width = len(pattern) + (len(pattern) - 1) * args.gap_max
@@ -230,8 +233,6 @@ def _cmd_synth(args) -> int:
         gaps = tuple(range(args.gap_min, args.gap_max + 1))
         plant = evaluation.PlantSpec(pattern, gaps, args.rate, args.per_piece)
         exclude = [(c.intervals, c.top) for c in pattern.chords]
-    else:
-        exclude = []
     vocabulary = evaluation.default_vocabulary(args.vocab_size, args.seed, exclude)
     with ExitStack() as files:
         # The manifest opens first, so that one it cannot write leaves no corpus file.

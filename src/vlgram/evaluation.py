@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -349,11 +348,15 @@ def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
     for skip in skips:
         if skip.n != n:
             raise ValueError(f"skip level {skip.label} has n={skip.n}, not n={n}")
-    shares = _shares(skips, jobs)
+    shares, pool = _shares(skips, jobs), nullcontext()
     task = (encode_corpus(corpus), query.key, min_count, similarity)
+    del corpus  # the caller's, when popped into the call, is freed once encoded
+    if len(shares) > 1:  # only a pool loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(len(shares) - 1)
     # Submitting first forks the workers before this process builds its own
     # tables; leaving the block, on error too, waits for every worker to exit.
-    with ProcessPoolExecutor(len(shares) - 1) if len(shares) > 1 else nullcontext() as pool:
+    with pool:
         futures = [pool.submit(_grid_chain, share, *task) for share in shares[1:]]
         by_skip = _grid_chain(shares[0], *task)
         for future in futures:
@@ -462,10 +465,8 @@ def summarize_grid(grid: GridResult,
         groups = grid.groups(stage)
         for level, rrs in groups.items():
             is_base = level == baseline
-            comp = None
-            if not is_base:
-                comp = _compare(level, rrs, baseline, groups.get(baseline, []),
-                                planned_comparisons)
+            comp = None if is_base else _compare(level, rrs, baseline, groups.get(baseline, []),
+                                                 planned_comparisons)
             rows.append(SummaryRow(stage, level, len(rrs), sum(rrs) / len(rrs),
                                    is_base, comp, all(rr == 0.0 for rr in rrs)))
     modes = grid.groups("skip_mode")

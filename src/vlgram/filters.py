@@ -10,14 +10,13 @@ change between adjacent members.
 
 Filters act on aggregated types, never on individual tokens, and are
 written once, as keep-masks over a level's types (keep_masks). The
-harmony criteria read nothing but the type key, so the predicate is
-cached.
+harmony criteria read nothing but the type key, and the chain kernel
+tests each of a chain's types once, so the predicate keeps no cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .vlt import PatternKey
@@ -42,7 +41,6 @@ class FilterSpec:
             raise ValueError(f"unknown similarity mode {self.similarity!r}")
 
 
-@lru_cache(maxsize=262144)
 def harmony_pass(key: PatternKey, similarity: str = "intersect") -> bool:
     """True when the type survives all four harmony criteria."""
     sizes = [len(intervals) for intervals, _top, _motion in key]

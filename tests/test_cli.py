@@ -1,5 +1,9 @@
 import csv
 import io
+import json
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter, defaultdict
 from contextlib import redirect_stdout
@@ -7,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import vlgram
 from vlgram import cli, evaluation
 from vlgram.cli import GRID_COLUMNS, _load_prepared, main
 from vlgram.corpus import parse_corpus, prepare_corpus
@@ -275,6 +280,51 @@ class TestMine:
 
 
 class TestGridCommand:
+    def test_corpus_is_freed_before_scoring_and_the_summary(self, synth_corpus, tmp_path,
+                                                            monkeypatch):
+        path, _ = synth_corpus
+        refs, alive = [], set()
+        load = cli._load_prepared
+
+        def loading(source):
+            corpus = load(source)
+            refs.append(weakref.ref(corpus))
+            return corpus
+
+        def watching(stage, call):
+            def watched(*args):
+                alive.add((stage, refs[0]() is not None))
+                return call(*args)
+            return watched
+
+        monkeypatch.setattr(cli, "_load_prepared", loading)
+        monkeypatch.setattr(evaluation, "score_all", watching("score", evaluation.score_all))
+        monkeypatch.setattr(evaluation, "summarize_grid",
+                            watching("summary", evaluation.summarize_grid))
+        code, _ = run_cli(["grid", "--input", str(path), "--query", MRDCC_TEXT,
+                           "--output", str(tmp_path / "grid.csv"),
+                           "--summary", str(tmp_path / "summary.csv")])
+        assert code == 0
+        assert alive == {("score", False), ("summary", False)}
+
+    def test_mine_and_serial_grid_never_load_multiprocessing(self, synth_corpus, tmp_path):
+        """Only a process pool (grid --jobs 2 or more) needs multiprocessing."""
+        path, _ = synth_corpus
+        commands = [["mine", "--input", str(path), "--query", MRDCC_TEXT,
+                     "--output", str(tmp_path / "ranked.csv")],
+                    ["grid", "--input", str(path), "--query", MRDCC_TEXT, "--jobs", "1",
+                     "--output", str(tmp_path / "grid.csv"),
+                     "--summary", str(tmp_path / "summary.csv")]]
+        child = ("import json, sys\n"
+                 "from vlgram.cli import main\n"
+                 "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                 "print(json.dumps([codes, 'multiprocessing' in sys.modules]))\n")
+        src = os.path.dirname(os.path.dirname(vlgram.__file__))
+        done = subprocess.run([sys.executable, "-c", child, json.dumps(commands)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
+
     def test_grid_row_count_and_determinism(self, synth_corpus, tmp_path):
         corpus, _ = synth_corpus
         grid_a = tmp_path / "grid_a.csv"
@@ -477,6 +527,26 @@ class TestExitCodes:
                          "--output", str(tmp_path)]}[command]
         code, _ = run_cli(argv)
         assert code == 3
+
+    @pytest.mark.parametrize("flags, first", [
+        (["grid", "--input", "{input}", "--n", "2", "--query", "<4,7,_>[5]<4,_,_>",
+          "--output", "g.csv", "--summary", "absent/s.csv"], "g.csv"),
+        (["mine", "--input", "{input}", "--n", "2", "--output", "r.csv",
+          "--dump-tokens", "absent/t.tsv"], "r.csv"),
+        (SYNTH_VALID + ["--output", "absent/c.tsv", "--manifest", "m.csv"], "m.csv"),
+    ], ids=["grid", "mine", "synth"])
+    def test_unopenable_second_output_removes_the_first(self, fixture_corpus, tmp_path,
+                                                        monkeypatch, flags, first):
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.replace("{input}", str(fixture_corpus)) for arg in flags]
+        code, _ = run_cli(argv)
+        assert code == 3
+        assert not (tmp_path / first).exists()
+        # a file that was there before the command is not the command's to remove
+        (tmp_path / first).write_text("kept\n")
+        code, _ = run_cli(argv)
+        assert code == 3
+        assert (tmp_path / first).exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("grid", "--output"), ("grid", "--summary"), ("mine", "--output"),

@@ -1,7 +1,10 @@
+import concurrent.futures
 import dataclasses
+import gc
 import math
 import multiprocessing
 import random
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from types import SimpleNamespace
@@ -424,7 +427,7 @@ class TestGrid:
             events.append(("parent", bounds(chains)))
             return grid_chain(chains, *task)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", DeferredPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeferredPool)
         monkeypatch.setattr(evaluation, "_grid_chain", parent_chain)
         corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
         skips = [SkipConfig("fixed", 3, t=2), SkipConfig("variable", 3, w=1.0)]
@@ -453,7 +456,7 @@ class TestGrid:
                 pools.append(len(self._processes))
                 super().shutdown(wait, cancel_futures=cancel_futures)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
         serial = run_grid(corpus, MRDCC, 3, jobs=1)
         assert pools == []
@@ -470,6 +473,31 @@ class TestGrid:
             run_grid(corpus, MRDCC, 3, skip_configs=windows, jobs=2)
         assert pools == [1, 1]
         assert multiprocessing.active_children() == []
+
+    def test_run_grid_holds_no_memory_once_returned(self):
+        """Nothing of a grid outlives run_grid: no process-wide cache keeps its types.
+
+        On the grid-diverse benchmark input (3 pieces x 80 slices, the
+        criterion-7 generator), tracing the variable:2 level keeps the test
+        fast. A harmony_pass lru_cache, which held each of the chain's types
+        for the rest of the process, left 0.69 MB traced after the call;
+        without it 0.001 MB remains.
+        """
+        vocab = default_vocabulary(12, seed=2, exclude=[(c.intervals, c.top)
+                                                        for c in MRDCC.chords])
+        corpus, _ = generate_synthetic_corpus(3, 80, vocab, seed=7,
+                                              plant=PlantSpec(MRDCC, (1, 2, 3, 4, 5)))
+        prepare_corpus(corpus)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            grid = run_grid(corpus, MRDCC, 3, skip_configs=[SkipConfig("variable", 3, w=2.0)])
+            del grid
+            gc.collect()
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * 2 ** 20
 
     def test_chains_match_single_level_runs(self):
         corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
