@@ -7,10 +7,11 @@ Run from the root of a checkout (pytest-benchmark)::
 Each stream is a fixed-seed synthetic corpus (3 pieces x 100 slices).
 ``shared`` draws its noise from one chord shape, so its tokens repeat few
 types; ``diverse`` draws from twelve, so most tokens are new types. For
-``TableBuilder`` (over the five weightings) and ``score_all`` (over all
-seven measures of the resulting tables), the stream is enumerated at
-``fixed:8`` and weighed once, outside the timed calls. ``test_levels``
-times enumerating, weighing and aggregating each mode's levels through the
+the level pass (``TableBuilder.level_tables``, over the five weightings)
+and ``score_all`` (over all seven measures of the resulting tables), the
+stream is enumerated at ``fixed:8``, weighed and recorded once, outside
+the timed calls, as the chain kernel records it. ``test_levels`` times
+enumerating, weighing and aggregating each mode's levels through the
 chain kernel: the nine fixed levels 0-8 and the four variable windows
 0.5-2, each as one chain and as one-level passes.
 """
@@ -18,10 +19,10 @@ chain kernel: the nine fixed levels 0-8 and the four variable windows
 import pytest
 
 from vlgram.corpus import prepare_corpus
-from vlgram.evaluation import _level, default_vocabulary, generate_synthetic_corpus
+from vlgram.evaluation import _fill_widest, _level, default_vocabulary, generate_synthetic_corpus
 from vlgram.ranking import MEASURES, TableBuilder, score_all
-from vlgram.skipgram import SkipConfig, encode_corpus, enumerate_corpus
-from vlgram.weighting import WEIGHT_KINDS, weigh_all
+from vlgram.skipgram import SkipConfig, encode_corpus
+from vlgram.weighting import WEIGHT_KINDS
 
 SKIP = SkipConfig("fixed", 3, t=8)
 CHAINS = {"fixed": tuple(SkipConfig("fixed", 3, t=t) for t in range(9)),
@@ -38,30 +39,24 @@ def pieces(request):
 
 @pytest.fixture(scope="module")
 def stream(pieces):
-    tokens = [(tok.piece_id, tok.type_key, weigh_all(tok.onsets_perf))
-              for tok in enumerate_corpus(pieces, SKIP)]
-    return len(pieces), tokens
-
-
-def aggregate(n_pieces, tokens):
-    builder = TableBuilder(SKIP.n, n_pieces, WEIGHT_KINDS)
-    add = builder.add
-    for piece_id, key, weights in tokens:
-        add(piece_id, key, weights)
-    return builder
+    """The chain builder that interned the fixed:8 types, and its token records."""
+    builder = TableBuilder(SKIP.n, len(pieces), ())
+    return builder, _fill_widest(builder, pieces, (SKIP,), WEIGHT_KINDS, None)
 
 
 def test_aggregate(benchmark, stream):
-    tables = benchmark(aggregate, *stream).tables
+    builder, records = stream
+    tids, tables = benchmark(builder.level_tables, records, 0, WEIGHT_KINDS)
     assert [t.weight_kind for t in tables] == list(WEIGHT_KINDS)
-    assert tables[0].total == len(stream[1])
+    assert tables[0].total == sum(len(levels) for levels, _, _ in records)
+    assert tids == list(range(len(builder.keys)))
 
 
 def test_score_all(benchmark, stream):
-    builder = aggregate(*stream)
-    keys = list(builder.ids)
-    tables = builder.tables
-    scores = benchmark(lambda: [score_all(table, keys) for table in tables])
+    builder, records = stream
+    tids, tables = builder.level_tables(records, 0, WEIGHT_KINDS)
+    keys = builder.keys
+    scores = benchmark(lambda: [score_all(table, keys, MEASURES, tids) for table in tables])
     assert all(len(s[m]) == len(keys) for s in scores for m in MEASURES)
 
 

@@ -25,18 +25,13 @@ from contextlib import ExitStack, contextmanager
 from . import corpus as corpus_mod
 from . import evaluation, filters, ranking, skipgram
 from .vlt import PatternSyntaxError, format_chord, parse_pattern
+from .weighting import WEIGHT_KINDS
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
 INTERNAL_ERROR = 4
 
-_WEIGHT_CLI = {
-    "count": "count",
-    "periodicity": "periodicity",
-    "resonance": "resonance",
-    "proximity": "proximity",
-    "resonant-periodicity": "resonant_periodicity",
-}
+_WEIGHT_CLI = {kind.replace("_", "-"): kind for kind in WEIGHT_KINDS}  # --weight spellings
 _FILTER_CLI = {"none": "none", "freq": "frequency", "harmony": "harmony", "both": "both"}
 
 
@@ -97,19 +92,28 @@ def _distinct_outputs(a: str | None, b: str | None) -> None:
 
 @contextmanager
 def _open_out(path: str | None):
-    """The output file at ``path``, closed on exit and removed again if this call created
-    it and the command fails; stdout (left open) for None or "-"."""
+    """The output file at ``path``, closed on exit; stdout (left open) for None or "-".
+
+    Opened without truncation, a file that was there keeps its bytes until the command
+    writes it, and a regular file is cut to what was written; one that this call created
+    is removed again if the command fails."""
     if path in (None, "-"):
         yield sys.stdout
         return
     created = not os.path.lexists(path)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="",
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as handle:
+        regular = os.path.isfile(path)
         try:
             yield handle
         except BaseException:
             if created:
                 os.remove(path)
+            elif regular and handle.tell():  # keep no old bytes past a partial write
+                handle.truncate()
             raise
+        if regular:
+            handle.truncate()
 
 
 def _status(line: str, *paths: str | None) -> None:

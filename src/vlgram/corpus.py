@@ -448,12 +448,11 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
             lo = max(0, i - REDUCTION_WINDOW)
             window = sets[lo:i] + sets[i + 1:i + 1 + REDUCTION_WINDOW]
             neighbors = Counter(icset for icset in window if icset <= sets[i])
-            reduced, chord, replaced = _reduce(s, chords[i], (_ranked(neighbors), piece_ranked,
-                                                              corpus_ranked))
+            reduced, chord, _ = _reduce(s, chords[i], (_ranked(neighbors), piece_ranked,
+                                                       corpus_ranked))
             piece.slices[i] = reduced
             chords[i] = by_chord.setdefault(chord, (chord, frozenset(chord[0])))[0]
-            if replaced:
-                stats.n_reduced += 1
+            stats.n_reduced += 1
         piece.chords = chords
     return stats
 

@@ -9,11 +9,11 @@ two-sample t statistics, Bonferroni-adjusted p values, and Cohen's d.
 
 Every command computes its ranks through one chain kernel. The skip
 levels of one mode are nested, so a chain of ascending levels is
-enumerated, weighed and keyed once, at its widest level, with every
-weighting aggregated in the same pass. Each narrower level is summed onto
-the widest level's slots from the tokens it admits, in token order, so
-its sums are exactly those of a pass over that level alone. Each
-weighting's scores and filter keep-masks are shared by all the
+enumerated, weighed and keyed once, at its widest level, and each token
+is recorded with its narrowest level. Every level, the widest included,
+is then summed in one ordered pass over the tokens it admits, with every
+weighting, so its sums are exactly those of a pass over that level alone.
+Each weighting's scores and filter keep-masks are shared by all the
 configurations that differ only in filter or measure. The grid runs each
 mode's levels as one chain, or with several jobs as interleaved chains
 shared out over the calling process and a pool of the others, and
@@ -32,13 +32,12 @@ from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import sqrt
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .corpus import Corpus, NoteEvent, Piece
 from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
-from .ranking import MEASURES, RankedList, TableBuilder, TypeTable, rank_types, score_all
+from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all
 from .skipgram import EncodedPiece, SkipConfig, dump_token, encode_corpus, enumerate_nested
 from .vlt import Chord, PatternKey, VltPattern, chord_pitches
 from .weighting import WEIGHT_KINDS, weigh_all, weigh_onsets
@@ -148,13 +147,14 @@ def mrr(ranks: Iterable["int | None"]) -> float:
 
 
 def _fill_widest(builder: TableBuilder, pieces: list[EncodedPiece],
-                 chain: Sequence[SkipConfig], dump: TextIO | None) -> list[tuple]:
-    """Aggregate the widest level of ``chain`` into ``builder``, token by token.
+                 chain: Sequence[SkipConfig], kinds: tuple[str, ...],
+                 dump: TextIO | None) -> list[tuple]:
+    """Enumerate and weigh the widest level of ``chain``, interning each type in ``builder``.
 
-    Returns, per piece, the tokens a narrower level admits as three columns:
-    their narrowest levels, their type ids and their weights, token by token.
+    Returns, per piece, every token as three columns: its narrowest level,
+    its type id and its weights for ``kinds``, token by token.
     """
-    kinds, add, widest, records = builder.kinds, builder.add_id, len(chain) - 1, []
+    add, records = builder.add_id, []
     all_weights = kinds == WEIGHT_KINDS
     for piece in pieces:
         pid = piece.piece_id
@@ -162,42 +162,13 @@ def _fill_widest(builder: TableBuilder, pieces: list[EncodedPiece],
         for level, tok in enumerate_nested(piece, chain):
             onsets = tok.onsets_perf
             ws = weigh_all(onsets) if all_weights else [weigh_onsets(onsets, k) for k in kinds]
-            tid = add(pid, tok.type_key, ws)
             if dump is not None:
                 dump_token(tok, ws[0], dump)
-            if level < widest:
-                levels.append(level)
-                tids.append(tid)
-                flat.extend(ws)
-        if levels:
-            records.append((levels, tids, flat))
+            levels.append(level)
+            tids.append(add(pid, tok.type_key, ()))
+            flat.extend(ws)
+        records.append((levels, tids, flat))
     return records
-
-
-def _sum_level(records: list[tuple], level: int, slots: list[tuple[int, ...]],
-               size: int, width: int) -> tuple[list[int], list[int], list[list[float]]]:
-    """A narrower level's type ids in first-seen order, pieces per type id, and sums.
-
-    One ordered pass over the records adds the weights of each token whose
-    narrowest level is at most ``level`` into zeroed sums on the widest
-    builder's slots, so each slot gets the left-to-right float sum that a
-    builder fed that level alone makes.
-    """
-    tids, covers = [], [0] * len(slots)
-    sums = [[0.0] * size for _ in range(width)]
-    for levels, type_ids, flat in records:
-        admitted = [narrowest <= level for narrowest in levels]
-        level_ids = list(compress(type_ids, admitted))
-        for tid in dict.fromkeys(level_ids):
-            if not covers[tid]:
-                tids.append(tid)
-            covers[tid] += 1
-        token_slots = list(map(slots.__getitem__, level_ids))
-        for k, level_sums in enumerate(sums):
-            for type_slots, w in zip(token_slots, compress(flat[k::width], admitted)):
-                for slot in type_slots:
-                    level_sums[slot] += w
-    return tids, covers, sums
 
 
 def _level(pieces: list[EncodedPiece], chain: Sequence[SkipConfig], weights: Sequence[str],
@@ -206,44 +177,33 @@ def _level(pieces: list[EncodedPiece], chain: Sequence[SkipConfig], weights: Seq
     """The chain kernel behind run_grid, run_config and ``vlgram mine``.
 
     ``chain`` holds ascending skip levels of one mode (run_config passes
-    one). For each level, the widest first, ``consume(skip, keys, weighted)``
-    gets the level's type keys in first-seen order and, one weighting at a
-    time in ``weights`` order, a (table, scores, masks) triple: score_all's
-    scores for ``measures`` and keep_masks' masks for ``filter_kinds``, both
+    one). For each level, ``consume(skip, keys, weighted)`` gets the
+    level's type keys in first-seen order and, one weighting at a time in
+    ``weights`` order, a (table, scores, masks) triple: score_all's scores
+    for ``measures`` and keep_masks' masks for ``filter_kinds``, both
     aligned with the keys. Returns what ``consume`` returned, in chain order.
 
-    The widest level's builder gives each type of the chain an id and its
-    slots; each narrower level is summed onto those slots (_sum_level), and
-    indexes the chain's harmony test by its type ids. ``dump``, when given,
-    receives each token as it is aggregated, with its first weight.
+    One builder gives each type of the chain an id and its slots, and
+    every level is summed onto those slots in one ordered pass over the
+    recorded tokens (TableBuilder.level_tables); a level indexes the
+    chain's harmony test by its type ids. ``dump``, when given, receives
+    each token as it is enumerated, with its first weight.
     """
     kinds = tuple(weights)
-    n, n_pieces, widest = chain[0].n, len(pieces), len(chain) - 1
-    builder = TableBuilder(n, n_pieces, kinds)
-    records = _fill_widest(builder, pieces, chain, dump)
+    builder = TableBuilder(chain[0].n, len(pieces), ())  # no weight kinds: it only interns
+    records = _fill_widest(builder, pieces, chain, kinds, dump)
     del pieces  # run_config's own encoding, freed before scoring
-    keys, slots, span_slots = builder.keys, builder.slots, builder.span_slots
-    size, tables, tids, level_keys = len(builder.sums[0]), builder.tables, range(len(keys)), keys
-    del builder  # its sums and key index go with the widest level's tables
-    harmony = harmony_mask(keys, filter_kinds, similarity)
-    joints = [type_slots[1] for type_slots in slots]
-    results = [None] * len(chain)
-    for index in (widest, *range(widest)):
-        if index < widest:
-            tids, covers, sums = _sum_level(records, index, slots, size, len(kinds))
-            level_keys = list(map(keys.__getitem__, tids))
-            ids = dict(zip(level_keys, tids))
-            tables = [TypeTable(n, n_pieces, kind, level_sums, ids, slots, span_slots, covers)
-                      for kind, level_sums in zip(kinds, sums)]
-            del sums  # held by the tables only, so freed before the next level's
-        level_joints = list(map(joints.__getitem__, tids))
+    harmony = harmony_mask(builder.keys, filter_kinds, similarity)
+    results = []
+    for index, skip in enumerate(chain):
+        tids, tables = builder.level_tables(records, index, kinds)
+        level_keys = list(map(builder.keys.__getitem__, tids))
         level_harmony = harmony and list(map(harmony.__getitem__, tids))
         weighted = ((table, score_all(table, level_keys, measures, tids),
-                     keep_masks(filter_kinds, list(map(table.sums.__getitem__, level_joints)),
-                                min_count, level_harmony))
+                     keep_masks(filter_kinds, table.counts(tids), min_count, level_harmony))
                     for table in tables)
-        results[index] = consume(chain[index], level_keys, weighted)
-        del tables, weighted
+        results.append(consume(skip, level_keys, weighted))
+        del tables, weighted  # freed before the next level's sums
     return results
 
 
@@ -252,7 +212,7 @@ def run_config(corpus: Corpus, config: PipelineConfig, query: VltPattern | None 
     """Execute one full pipeline configuration and locate the query, if any.
 
     ``dump``, when given, receives each token of the level with its weight
-    (skipgram.dump_token) as it is aggregated.
+    (skipgram.dump_token) as it is enumerated.
     """
     if query is not None and len(query) != config.skip.n:
         raise ValueError(
@@ -265,7 +225,7 @@ def run_config(corpus: Corpus, config: PipelineConfig, query: VltPattern | None 
                            in zip(keys, scores[measure], masks[kind])
                            if keep and score is not None), table, measure)
 
-    # Popped into the call, the pieces are freed by the kernel once aggregated.
+    # Popped into the call, the pieces are freed by the kernel once enumerated.
     encoded = [encode_corpus(corpus)]
     del corpus
     [ranked] = _level(encoded.pop(), (config.skip,), (config.weight,), (measure,),
@@ -482,6 +442,9 @@ def summarize_grid(grid: GridResult,
 # ---------------------------------------------------------------------------
 # Synthetic corpora
 
+# Relative odds of each bass motion in semitones (0-11) between noise slices.
+MOTION_WEIGHTS = (6.0, 1.0, 3.0, 1.5, 1.0, 4.0, 0.5, 4.0, 1.0, 1.5, 1.0, 1.0)
+
 
 @dataclass(frozen=True)
 class PlantSpec:
@@ -516,9 +479,8 @@ def default_vocabulary(size: int = 12, seed: int = 0,
                        exclude: Iterable[Chord] = ()) -> list[Chord]:
     """A deterministic set of distinct chord shapes for noise generation."""
     rng = random.Random(seed)
-    banned = set(exclude)
     shapes: list[Chord] = []
-    seen = set(banned)
+    seen = set(exclude)
     guard = 0
     while len(shapes) < size:
         guard += 1
@@ -539,13 +501,11 @@ def generate_synthetic_corpus(n_pieces: int, piece_len: int,
                               vocabulary: Sequence[Chord], *, seed: int,
                               plant: PlantSpec | None = None,
                               ioi_range: tuple[float, float] = (0.32, 0.58),
-                              shape_weights: Sequence[float] | None = None,
-                              motion_weights: Sequence[float] | None = None,
                               ) -> tuple[Corpus, list[PlantRecord]]:
     """Generate a seeded homorhythmic corpus with optional planted patterns.
 
-    Noise slices draw chord shapes from the vocabulary (skewed toward the
-    front by default) over a random-walk bass. Planted instances realize
+    Noise slices draw chord shapes from the vocabulary (shape i at odds
+    1/(i + 1)) over a random-walk bass stepping by MOTION_WEIGHTS' odds. Planted instances realize
     the pattern's chords and bass motions exactly, separated by the drawn
     numbers of interpolated noise chords; the returned manifest records
     every instance. Slices sit on consecutive score beats with seeded
@@ -554,10 +514,7 @@ def generate_synthetic_corpus(n_pieces: int, piece_len: int,
     if not vocabulary:
         raise GenerationError("vocabulary must not be empty")
     rng = random.Random(seed)
-    if shape_weights is None:
-        shape_weights = [1.0 / (i + 1) for i in range(len(vocabulary))]
-    if motion_weights is None:
-        motion_weights = [6.0, 1.0, 3.0, 1.5, 1.0, 4.0, 0.5, 4.0, 1.0, 1.5, 1.0, 1.0]
+    shape_weights = [1.0 / (i + 1) for i in range(len(vocabulary))]
     n_planted = round(plant.piece_rate * n_pieces) if plant else 0
     planted_pieces = set(rng.sample(range(n_pieces), n_planted)) if n_planted else set()
 
@@ -566,7 +523,7 @@ def generate_synthetic_corpus(n_pieces: int, piece_len: int,
     for pidx in range(n_pieces):
         piece_id = f"synth{pidx:03d}"
         shape_draws = rng.choices(range(len(vocabulary)), weights=shape_weights, k=piece_len)
-        motion_draws = rng.choices(range(12), weights=motion_weights, k=piece_len)
+        motion_draws = rng.choices(range(12), weights=MOTION_WEIGHTS, k=piece_len)
         forced: dict[int, tuple[Chord, int]] = {}
         if plant and pidx in planted_pieces:
             chords = plant.pattern.chords

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -46,13 +47,13 @@ def _spans(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class TypeTable:
-    """A read-only view of one weight kind's counts in a TableBuilder.
+    """A read-only view of one weight kind's counts on a TableBuilder's slots.
 
     ``sums`` is that kind's list of sums; the rest is the builder's, but a
-    chain's narrower level has its own ``ids`` and ``covers``. ``count(key,
-    i, j)`` is the weighted count of ``key[i:j]``, ``covered(key)`` counts
-    the pieces containing the type, and ``total`` is the weighted token
-    count N; scores are ratios of these sums.
+    skip level's table has its own ``covers`` (TableBuilder.level_tables).
+    ``count(key, i, j)`` is the weighted count of ``key[i:j]``,
+    ``covered(key)`` counts the pieces containing the type, and ``total``
+    is the weighted token count N; scores are ratios of these sums.
     """
 
     n: int
@@ -71,7 +72,12 @@ class TypeTable:
     @property
     def joint(self) -> dict:
         """Each type's weighted count, in first-seen order (built on each read)."""
-        return {key: self.sums[self.slots[tid][1]] for key, tid in self.ids.items()}
+        return dict(zip(self.ids, self.counts(self.ids.values())))
+
+    def counts(self, tids: Iterable[int]) -> list[float]:
+        """The weighted counts of the types with ids ``tids``, in that order."""
+        sums, slots = self.sums, self.slots
+        return [sums[slots[tid][1]] for tid in tids]
 
     def count(self, key: PatternKey, i: int = 0, j: int | None = None) -> float:
         """The weighted count of ``key[i:j]`` (j defaults to n: the type itself)."""
@@ -103,6 +109,10 @@ class TableBuilder:
 
     Tokens must arrive grouped by piece (enumeration order), which lets
     piece coverage be counted with a last-seen piece id instead of sets.
+
+    The chain kernel (evaluation._level) adds its tokens with no weights, to
+    intern their types, and sums each level in one pass (``level_tables``);
+    the per-token sums of ``add`` and ``tables`` are that pass's oracle.
     """
 
     def __init__(self, n: int, n_compositions: int, kinds: Sequence[str]):
@@ -165,6 +175,35 @@ class TableBuilder:
         return [TypeTable(self.n, self.n_compositions, kind, sums, self.ids, self.slots,
                           self.span_slots, self.covers)
                 for kind, sums in zip(self.kinds, self.sums)]
+
+    def level_tables(self, records: Iterable[tuple], level: int,
+                     kinds: Sequence[str]) -> tuple[list[int], list[TypeTable]]:
+        """One skip level's type ids, in first-seen order, and a TypeTable per kind.
+
+        ``records`` holds, per piece, a chain's tokens as three columns: narrowest
+        level, type id (``add_id``) and weights for ``kinds``. One ordered pass adds
+        the weights of the tokens whose level is at most ``level`` into zeroed sums
+        on this builder's slots, so each slot gets the left-to-right float sum that
+        ``add`` makes fed that level alone, and counts each type's pieces. The tables
+        share ``ids``: a chain type absent from the level reads count 0.0, coverage 0.
+        """
+        width, slots = len(kinds), self.slots
+        tids, covers = [], [0] * len(slots)
+        sums = [[0.0] * self._size for _ in kinds]
+        for levels, type_ids, flat in records:
+            admitted = [narrowest <= level for narrowest in levels]
+            level_ids = list(compress(type_ids, admitted))
+            for tid in dict.fromkeys(level_ids):
+                if not covers[tid]:
+                    tids.append(tid)
+                covers[tid] += 1
+            token_slots = list(map(slots.__getitem__, level_ids))
+            for k, level_sums in enumerate(sums):
+                for type_slots, w in zip(token_slots, compress(flat[k::width], admitted)):
+                    for slot in type_slots:
+                        level_sums[slot] += w
+        return tids, [TypeTable(self.n, self.n_compositions, kind, level_sums, self.ids, slots,
+                                self.span_slots, covers) for kind, level_sums in zip(kinds, sums)]
 
 
 def build_type_table(tokens: Iterable, n_compositions: int, n: int,

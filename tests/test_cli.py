@@ -236,6 +236,19 @@ class TestMine:
         assert dump.read_text().split("\n") == [
             f"{t.piece_id}\t{','.join(map(str, t.indices))}\t{format_key(t.type_key)}"
             f"\t{t.weight!r}" for t in tokens] + [""]
+        # each ranked type's count is the left-to-right sum of its dumped
+        # weights, and its coverage the number of pieces it appears in
+        sums, pieces = {}, {}
+        for line in dump.read_text().splitlines():
+            piece_id, _indices, text, weight = line.split("\t")
+            sums[text] = sums.get(text, 0.0) + float(weight)
+            pieces.setdefault(text, set()).add(piece_id)
+        with open(tmp_path / "r.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows
+        for row in rows:
+            assert row["count"] == repr(sums[row["type"]])
+            assert int(row["coverage"]) == len(pieces[row["type"]])
 
     def test_streamed_csv_holds_only_the_ranked_list(self, synth_corpus, tmp_path, capsys):
         corpus, _ = synth_corpus
@@ -542,11 +555,45 @@ class TestExitCodes:
         code, _ = run_cli(argv)
         assert code == 3
         assert not (tmp_path / first).exists()
-        # a file that was there before the command is not the command's to remove
+        # a file that was there before the command is not the command's to remove,
+        # and one the command never wrote keeps its bytes
         (tmp_path / first).write_text("kept\n")
         code, _ = run_cli(argv)
         assert code == 3
-        assert (tmp_path / first).exists()
+        assert (tmp_path / first).read_text() == "kept\n"
+
+    def test_an_existing_output_holds_only_what_a_run_writes(self, fixture_corpus, tmp_path,
+                                                              monkeypatch):
+        out = tmp_path / "ranked.csv"
+        argv = ["mine", "--input", str(fixture_corpus), "--n", "2", "--output", str(out)]
+        assert run_cli(argv)[0] == 0
+        fresh = out.read_bytes()
+        (tmp_path / "plain.txt").write_text("")  # made with open()'s default permissions
+        assert out.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+        out.write_bytes(b"old\n" * 1000)  # longer than the ranked list: no old tail stays
+        assert run_cli(argv)[0] == 0
+        assert out.read_bytes() == fresh
+        dump = tmp_path / "tokens.tsv"
+        assert run_cli(argv + ["--dump-tokens", str(dump)])[0] == 0
+        tokens = dump.read_bytes()
+
+        def broken(*args, **kwargs):
+            raise ValueError("an internal fault")
+        # a run that fails after writing the dump keeps none of its old tail
+        dump.write_bytes(b"old\n" * 1000)
+        monkeypatch.setattr(evaluation, "score_all", broken)
+        assert run_cli(argv + ["--dump-tokens", str(dump)])[0] == 4
+        assert dump.read_bytes() == tokens
+        # a run that fails before it writes leaves the file as it was
+        monkeypatch.setattr(evaluation, "run_config", broken)
+        assert run_cli(argv)[0] == 4
+        assert out.read_bytes() == fresh
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_null_device_output(self, fixture_corpus):
+        code, _ = run_cli(["mine", "--input", str(fixture_corpus), "--n", "2",
+                           "--output", os.devnull])
+        assert code == 0
 
     @pytest.mark.parametrize("command, flag", [
         ("grid", "--output"), ("grid", "--summary"), ("mine", "--output"),

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -177,13 +178,42 @@ class TestSpanTableProperty:
             assert by_id.keys[by_id.add_id(piece_id, key, weights)] is stored[key]
         assert (by_id.sums, by_id.covers) == (builder.sums, builder.covers)
         first_seen = list(dict.fromkeys(key for _, key, _ in tokens))
-        # evaluation._level takes the widest level's type order from builder.keys
+        # evaluation._level takes the chain's type order from builder.keys
         assert list(builder.ids) == builder.keys == first_seen
         for table in builder.tables:
             assert list(table.joint) == first_seen
             for (i, j), part in table.span_slots.items():
                 assert list(part) == list(dict.fromkeys(key[i:j] for key in first_seen))
             assert table.covers == builder.tables[0].covers
+
+    @settings(max_examples=150, deadline=None)
+    @given(grouped_tokens(), st.data())
+    def test_level_tables_equal_a_builder_fed_that_level_alone(self, drawn, data):
+        n, tokens = drawn
+        narrowest = data.draw(st.lists(st.integers(0, 2), min_size=len(tokens),
+                                       max_size=len(tokens)))
+        chain, records = TableBuilder(n, 4, ()), {}
+        for (piece_id, key, weights), level in zip(tokens, narrowest):
+            levels, tids, flat = records.setdefault(
+                piece_id, (array("i"), array("i"), array("d")))
+            levels.append(level)
+            tids.append(chain.add_id(piece_id, key, ()))
+            flat.extend(weights)
+        assert chain.sums == [] and chain.keys == list(dict.fromkeys(k for _, k, _ in tokens))
+        for level in range(3):
+            alone = TableBuilder(n, 4, ("a", "b"))
+            for (piece_id, key, weights), narrow in zip(tokens, narrowest):
+                if narrow <= level:
+                    alone.add(piece_id, key, weights)
+            tids, tables = chain.level_tables(records.values(), level, ("a", "b"))
+            assert [chain.keys[tid] for tid in tids] == alone.keys
+            for table, want in zip(tables, alone.tables, strict=True):
+                assert table.weight_kind == want.weight_kind and table.total == want.total
+                assert table.counts(tids) == list(want.joint.values())
+                for key in chain.keys:
+                    assert table.covered(key) == want.covered(key)
+                    for i, j in [(0, n), *want.span_slots]:
+                        assert table.count(key, i, j) == want.count(key, i, j)
 
     @settings(max_examples=100, deadline=None)
     @given(grouped_tokens(), st.data())
