@@ -14,14 +14,11 @@ from .evaluation import (GridResult, PipelineConfig, PlantSpec, compare_levels,
                          default_grid, generate_synthetic_corpus, mrr,
                          run_config, run_grid, summarize_grid)
 from .filters import FilterSpec, harmony_mask, harmony_pass, keep_masks
-from .ranking import (MEASURES, Contingency2x2, RankedList, TypeTable, am_chi2,
-                      am_dice, am_g2, am_pmi, am_pmi_coverage, am_pmi_local,
-                      build_type_table, g5_split, rank_table)
+from .ranking import MEASURES, RankedList, TypeTable, build_type_table
 from .skipgram import (EncodedPiece, SkipConfig, SkipToken, enumerate_contiguous,
                        enumerate_corpus, enumerate_nested, enumerate_piece)
 from .vlt import (PatternSyntaxError, Vlt, VltPattern, chord_of, chord_pitches,
                   format_key, format_pattern, parse_pattern)
-from .weighting import (WEIGHT_KINDS, w_count, w_periodicity, w_proximity,
-                        w_resonance, w_resonant_periodicity)
+from .weighting import WEIGHT_KINDS
 
 __version__ = "0.1.0"

@@ -85,8 +85,9 @@ def _load_prepared(path: str) -> corpus_mod.Corpus:
 
 
 def _distinct_outputs(a: str | None, b: str | None) -> None:
-    """Reject two output paths that name one file; "-" (stdout) may be given twice."""
-    if {a, b}.isdisjoint({None, "-"}) and os.path.realpath(a) == os.path.realpath(b):
+    """Reject two outputs naming one regular or unmade file; "-" or a device may repeat."""
+    if ({a, b}.isdisjoint({None, "-"}) and os.path.realpath(a) == os.path.realpath(b)
+            and (os.path.isfile(a) or not os.path.exists(a))):
         raise argparse.ArgumentTypeError(f"{a} and {b} name the same file")
 
 

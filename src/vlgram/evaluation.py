@@ -40,7 +40,7 @@ from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, FilterSpec, harmony_mask, 
 from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all
 from .skipgram import EncodedPiece, SkipConfig, dump_token, encode_corpus, enumerate_nested
 from .vlt import Chord, PatternKey, VltPattern, chord_pitches
-from .weighting import WEIGHT_KINDS, weigh_all, weigh_onsets
+from .weighting import WEIGHT_KINDS, ordered_sum, weigh_all
 
 FIXED_SKIPS = (0, 1, 2, 3, 4, 5, 6, 7, 8)
 VARIABLE_WINDOWS = (0.5, 1.0, 1.5, 2.0)
@@ -143,7 +143,7 @@ class GridResult:
 def mrr(ranks: Iterable["int | None"]) -> float:
     """Mean reciprocal rank; an absent query contributes zero."""
     values = [0.0 if r is None else 1.0 / r for r in ranks]
-    return sum(values) / len(values) if values else 0.0
+    return ordered_sum(values) / len(values) if values else 0.0
 
 
 def _fill_widest(builder: TableBuilder, pieces: list[EncodedPiece],
@@ -152,21 +152,25 @@ def _fill_widest(builder: TableBuilder, pieces: list[EncodedPiece],
     """Enumerate and weigh the widest level of ``chain``, interning each type in ``builder``.
 
     Returns, per piece, every token as three columns: its narrowest level,
-    its type id and its weights for ``kinds``, token by token.
+    its type id and its weights for ``kinds``, token by token. Each token
+    is weighed every way at once (weigh_all), and the ``kinds`` are kept.
+    A count weight is 1.0, so count alone weighs nothing, and only the
+    kinds besides count and proximity need weigh_all's period search.
     """
     add, records = builder.add_id, []
-    all_weights = kinds == WEIGHT_KINDS
+    picks = [WEIGHT_KINDS.index(kind) for kind in kinds]
+    ones = (1.0,) * len(WEIGHT_KINDS) if set(kinds) == {"count"} else None
+    periods = not set(kinds) <= {"count", "proximity"}
     for piece in pieces:
         pid = piece.piece_id
         levels, tids, flat = array("i"), array("i"), array("d")
         for level, tok in enumerate_nested(piece, chain):
-            onsets = tok.onsets_perf
-            ws = weigh_all(onsets) if all_weights else [weigh_onsets(onsets, k) for k in kinds]
+            ws = ones or weigh_all(tok.onsets_perf, periods)
             if dump is not None:
-                dump_token(tok, ws[0], dump)
+                dump_token(tok, ws[picks[0]], dump)
             levels.append(level)
             tids.append(add(pid, tok.type_key, ()))
-            flat.extend(ws)
+            flat.extend(map(ws.__getitem__, picks))
         records.append((levels, tids, flat))
     return records
 
@@ -348,10 +352,10 @@ class LevelComparison:
 
 def mean_var(xs: Sequence[float]) -> tuple[float, float]:
     n = len(xs)
-    m = sum(xs) / n
+    m = ordered_sum(xs) / n
     if n < 2:
         return m, 0.0
-    return m, sum((x - m) ** 2 for x in xs) / (n - 1)
+    return m, ordered_sum((x - m) ** 2 for x in xs) / (n - 1)
 
 
 def pooled_t_test(xs: Sequence[float], ys: Sequence[float],
@@ -394,8 +398,8 @@ def compare_levels(grid: GridResult, level_a: tuple[str, str], level_b: tuple[st
 def _compare(label_a: str, xs: Sequence[float], label_b: str, ys: Sequence[float],
              planned_comparisons: int) -> LevelComparison:
     t, df, p, d = pooled_t_test(xs, ys, planned_comparisons)
-    m1 = sum(xs) / len(xs)
-    m2 = sum(ys) / len(ys)
+    m1 = ordered_sum(xs) / len(xs)
+    m2 = ordered_sum(ys) / len(ys)
     return LevelComparison(label_a, label_b, len(xs), len(ys),
                            m1, m2, m1 - m2, t, df, p, d)
 
@@ -427,14 +431,14 @@ def summarize_grid(grid: GridResult,
             is_base = level == baseline
             comp = None if is_base else _compare(level, rrs, baseline, groups.get(baseline, []),
                                                  planned_comparisons)
-            rows.append(SummaryRow(stage, level, len(rrs), sum(rrs) / len(rrs),
+            rows.append(SummaryRow(stage, level, len(rrs), ordered_sum(rrs) / len(rrs),
                                    is_base, comp, all(rr == 0.0 for rr in rrs)))
     modes = grid.groups("skip_mode")
     fixed = modes.get("fixed", [])
     var = modes.get("variable", [])
     if fixed and var:
         comp = _compare("variable", var, "fixed", fixed, planned_comparisons)
-        rows.append(SummaryRow("skip_mode", "variable", len(var), sum(var) / len(var),
+        rows.append(SummaryRow("skip_mode", "variable", len(var), ordered_sum(var) / len(var),
                                False, comp, all(rr == 0.0 for rr in var)))
     return rows
 

@@ -12,7 +12,10 @@ never negative.
 Measures: plain weighted counts, pointwise mutual information and its
 locally- and coverage-scaled variants, the Dice coefficient, and the
 chi-squared and log-likelihood statistics extended to n-grams by
-averaging over all two-component splits.
+averaging over all two-component splits. One scorer, ``score_all``,
+computes every measure for a level's types in one pass over their slots;
+its scalar oracles, one function per measure over a 2x2 contingency
+table, live with the tests.
 """
 
 from __future__ import annotations
@@ -208,68 +211,12 @@ class TableBuilder:
 
 def build_type_table(tokens: Iterable, n_compositions: int, n: int,
                      weight_kind: str = "count") -> TypeTable:
-    """Aggregate already-weighted tokens (grouped by piece) into a TypeTable."""
+    """Aggregate already-weighted tokens (grouped by piece) into a TypeTable
+    (no command calls it; the benchmark's traced mine does)."""
     builder = TableBuilder(n, n_compositions, (weight_kind,))
     for tok in tokens:
         builder.add(tok.piece_id, tok.type_key, (tok.weight,))
     return builder.tables[0]
-
-
-@dataclass(frozen=True)
-class Contingency2x2:
-    """Observed 2x2 cells with margins and independence expectations."""
-
-    o11: float
-    o12: float
-    o21: float
-    o22: float
-
-    def __post_init__(self):
-        if min(self.o11, self.o12, self.o21, self.o22) < 0.0:
-            raise TableInvariantError(f"negative contingency cell: {self.cells()}")
-
-    @property
-    def r1(self) -> float:
-        return self.o11 + self.o12
-
-    @property
-    def r2(self) -> float:
-        return self.o21 + self.o22
-
-    @property
-    def c1(self) -> float:
-        return self.o11 + self.o21
-
-    @property
-    def c2(self) -> float:
-        return self.o12 + self.o22
-
-    @property
-    def total(self) -> float:
-        return self.o11 + self.o12 + self.o21 + self.o22
-
-    def cells(self) -> tuple[float, float, float, float]:
-        return (self.o11, self.o12, self.o21, self.o22)
-
-    def expected(self) -> tuple[float, float, float, float]:
-        n = self.total
-        return (self.r1 * self.c1 / n, self.r1 * self.c2 / n,
-                self.r2 * self.c1 / n, self.r2 * self.c2 / n)
-
-    def chi2(self) -> float:
-        total = 0.0
-        for o, e in zip(self.cells(), self.expected()):
-            if e > 0.0:
-                d = o - e
-                total += d * d / e
-        return total
-
-    def g2(self) -> float:
-        total = 0.0
-        for o, e in zip(self.cells(), self.expected()):
-            if o > 0.0:
-                total += o * math.log(o / e)
-        return 2.0 * total
 
 
 def _checked_cell(value: float, scale: float, what: str) -> float:
@@ -280,103 +227,13 @@ def _checked_cell(value: float, scale: float, what: str) -> float:
     return value
 
 
-def g5_split(key: PatternKey, i: int, table: TypeTable) -> Contingency2x2:
-    """The 2x2 table for splitting the type after position ``i`` (1-based)."""
-    if not 1 <= i <= table.n - 1:
-        raise ValueError(f"split {i} outside 1..{table.n - 1}")
-    return _split_cells(table.count(key), table.count(key, 0, i), table.count(key, i),
-                        table.total)
-
-
-def _split_cells(o11: float, r1: float, c1: float, n: float) -> Contingency2x2:
-    """The 2x2 table from a joint count, its prefix and suffix counts, and N."""
-    scale = max(n, 1.0)
-    o12 = _checked_cell(r1 - o11, scale, "prefix-only")
-    o21 = _checked_cell(c1 - o11, scale, "suffix-only")
-    o22 = _checked_cell(n - r1 - c1 + o11, scale, "neither")
-    return Contingency2x2(o11, o12, o21, o22)
-
-
-def am_pmi(key: PatternKey, table: TypeTable) -> float | None:
-    """Base-2 log ratio of the observed to the independence probability.
-
-    Undefined (None) for types with no observed weight or a zero marginal;
-    such types are dropped from this measure's list rather than scored.
-    """
-    f = table.count(key)
-    if f <= 0.0:
-        return None
-    n = table.total
-    denom = 1.0
-    for i in range(table.n):
-        m = table.count(key, i, i + 1)
-        if m <= 0.0:
-            return None
-        denom *= m / n
-    return math.log2((f / n) / denom)
-
-
-def am_pmi_local(key: PatternKey, table: TypeTable) -> float | None:
-    pmi = am_pmi(key, table)
-    if pmi is None:
-        return None
-    return (table.count(key) / table.total) * pmi
-
-
-def am_pmi_coverage(key: PatternKey, table: TypeTable) -> float | None:
-    pmi = am_pmi(key, table)
-    if pmi is None:
-        return None
-    return (table.covered(key) / table.n_compositions) * pmi
-
-
-def am_dice(key: PatternKey, table: TypeTable) -> float | None:
-    f = table.count(key)
-    if f <= 0.0:
-        return None
-    denom = 0.0
-    for i in range(table.n):
-        denom += table.count(key, i, i + 1)
-    return table.n * f / denom
-
-
-def am_chi2(key: PatternKey, table: TypeTable) -> float | None:
-    if table.count(key) <= 0.0:
-        return None
-    total = 0.0
-    for i in range(1, table.n):
-        total += g5_split(key, i, table).chi2()
-    return total / (table.n - 1)
-
-
-def am_g2(key: PatternKey, table: TypeTable) -> float | None:
-    if table.count(key) <= 0.0:
-        return None
-    total = 0.0
-    for i in range(1, table.n):
-        total += g5_split(key, i, table).g2()
-    return total / (table.n - 1)
-
-
-_SCORERS = {"pmi": am_pmi, "pmi-local": am_pmi_local, "pmi-cov": am_pmi_coverage,
-            "dice": am_dice, "chi2": am_chi2, "g2": am_g2}
-
-
-def score_type(key: PatternKey, table: TypeTable, measure: str) -> float | None:
-    if measure == "counts":
-        return table.count(key)
-    if measure not in _SCORERS:
-        raise ValueError(f"unknown measure {measure!r}")
-    return _SCORERS[measure](key, table)
-
-
 def score_all(table: TypeTable, keys: Sequence[PatternKey],
               measures: Sequence[str] = MEASURES,
               tids: Iterable[int] | None = None) -> dict[str, list]:
     """Scores for ``measures`` aligned to ``keys``, sharing the shared work.
 
-    A type a measure cannot score gets None, as from score_type. Only the
-    parts the requested measures need are computed. ``tids``, when given,
+    A measure other than counts gives None for a type with no weight or a
+    zero marginal. Only the parts the requested measures need are computed. ``tids``, when given,
     holds the keys' type ids in the table, so that no key is looked up.
     """
     for measure in measures:
@@ -437,8 +294,8 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
         if dices is not None:
             dices[idx] = n * f / msum
         if need_splits:
-            # Contingency2x2's chi2/g2 inlined, in its operation order, so
-            # every float matches am_chi2/am_g2 bit for bit.
+            # Each split's 2x2 cells, margins and expectations, summed cell
+            # by cell in a fixed order: the scalar oracles' operation order.
             chi_sum = g2_sum = 0.0
             for pre_at, suf_at in splits:
                 pre = sums[slots[pre_at]]
@@ -492,6 +349,12 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     return out
 
 
+def score_type(key: PatternKey, table: TypeTable, measure: str) -> float | None:
+    """One type's score under one measure (an adapter over score_all, kept for
+    the benchmark's traced mine)."""
+    return score_all(table, (key,), (measure,))[measure][0]
+
+
 @dataclass(frozen=True, slots=True)
 class RankedEntry:
     rank: int
@@ -541,12 +404,3 @@ def rank_types(scored: Iterable[tuple[PatternKey, float]], table: TypeTable,
         ranked[pos] = RankedEntry(rank, score, key, table.count(key), table.covered(key), text)
         prev_score, prev_rank = score, rank
     return RankedList(measure, ranked)
-
-
-def rank_table(table: TypeTable, measure: str) -> RankedList:
-    scored = []
-    for key in table.ids:
-        s = score_type(key, table, measure)
-        if s is not None:
-            scored.append((key, s))
-    return rank_types(scored, table, measure)

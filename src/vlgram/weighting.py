@@ -1,13 +1,15 @@
 """Token count weighting on the unit interval.
 
-Five weighting functions turn each enumerated token into a count value in
-[0, 1]. ``count`` is the plain indicator. ``periodicity`` entrains a
-circle map to the token's performed inter-onset intervals and scores the
-phase concentration (mean resultant vector length), taking the worst
-candidate period. ``resonance`` scores how close the selected candidate
-period sits to a damped-oscillator response peaked near 2 Hz.
-``proximity`` is an exponential memory decay with a one-second half-life.
+Five weightings turn each enumerated token into a count value in [0, 1].
+``count`` is the plain indicator. ``periodicity`` entrains a circle map
+to the token's performed inter-onset intervals and scores the phase
+concentration (mean resultant vector length), taking the worst candidate
+period. ``resonance`` scores how close the selected candidate period sits
+to a damped-oscillator response peaked near 2 Hz. ``proximity`` is an
+exponential memory decay with a one-second half-life.
 ``resonant_periodicity`` is the product of periodicity and resonance.
+One function, ``weigh_all``, computes all five for a token; its scalar
+oracles, one function per weighting, live with the tests.
 
 Weighted counts accumulate as real-valued sums per type and serve as the
 frequencies consumed by the filtering and ranking stages.
@@ -30,48 +32,17 @@ PROXIMITY_HALF_LIFE_S = 1.0
 _TWO_PI = 2.0 * math.pi
 
 
-def wrap_phase(x: float) -> float:
-    """Remainder after division by 1, remapped onto [-0.5, 0.5)."""
-    return (x + 0.5) % 1.0 - 0.5
+def ordered_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values``, added left to right from 0.0. Unlike the built-in
+    sum(), compensated from Python 3.12, it rounds alike on every Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _iois(onsets: Sequence[float]) -> list[float]:
     return [b - a for a, b in zip(onsets, onsets[1:])]
-
-
-def mean_resultant_length(onsets: Sequence[float], period: float) -> float:
-    """Phase concentration of the onsets against one candidate period."""
-    phi = 0.0
-    sr, si = 1.0, 0.0
-    prev = onsets[0]
-    for onset in onsets[1:]:
-        phi = wrap_phase(phi + (onset - prev) / period)
-        a = _TWO_PI * phi
-        sr += math.cos(a)
-        si += math.sin(a)
-        prev = onset
-    return math.sqrt(sr * sr + si * si) / len(onsets)
-
-
-def _periodicity_detail(onsets: Sequence[float]) -> tuple[float, float | None]:
-    """Minimum mean resultant length over candidate periods and its argmin.
-
-    Candidate periods are the token's consecutive performed IOIs; zero
-    candidates (simultaneous onsets) are skipped. Ties go to the shorter
-    period. When every candidate is zero the token counts as perfectly
-    contiguous: weight 1, no usable period.
-    """
-    candidates = sorted({ioi for ioi in _iois(onsets) if ioi > 0.0})
-    if not candidates:
-        logger.debug("token with all-zero IOIs treated as perfectly contiguous")
-        return 1.0, None
-    best_r = math.inf
-    best_p = None
-    for p in candidates:
-        r = mean_resultant_length(onsets, p)
-        if r < best_r:
-            best_r, best_p = r, p
-    return best_r, best_p
 
 
 def resonance_amplitude(freq_hz: float) -> float:
@@ -103,59 +74,21 @@ def resonance_peak() -> tuple[float, float]:
     return _PEAK
 
 
-def _resonance_from_period(period: float | None) -> float:
-    if period is None:
-        logger.debug("degenerate candidate period; resonance clamped to 0")
-        return 0.0
-    raw = resonance_amplitude(1.0 / period)
-    return max(raw, 0.0) / resonance_peak()[1]
+def weigh_all(onsets: Sequence[float], periods: bool = True) -> tuple[float | None, ...]:
+    """A token's five weights, in WEIGHT_KINDS order, from its performed onsets.
 
-
-def w_count(onsets: Sequence[float]) -> float:
-    """Indicator weight: every enumerated token counts exactly once."""
-    return 1.0
-
-
-def w_periodicity(onsets: Sequence[float]) -> float:
-    return _periodicity_detail(onsets)[0]
-
-
-def w_resonance(onsets: Sequence[float]) -> float:
-    return _resonance_from_period(_periodicity_detail(onsets)[1])
-
-
-def w_proximity(onsets: Sequence[float],
-                half_life: float = PROXIMITY_HALF_LIFE_S) -> float:
-    """Mean exponential decay over the token's IOIs."""
-    iois = _iois(onsets)
-    return sum(2.0 ** (-ioi / half_life) for ioi in iois) / len(iois)
-
-
-def w_resonant_periodicity(onsets: Sequence[float]) -> float:
-    r, period = _periodicity_detail(onsets)
-    return r * _resonance_from_period(period)
-
-
-_WEIGHERS = {"count": w_count, "periodicity": w_periodicity, "resonance": w_resonance,
-             "proximity": w_proximity, "resonant_periodicity": w_resonant_periodicity}
-
-
-def weigh_onsets(onsets: Sequence[float], kind: str) -> float:
-    if kind not in _WEIGHERS:
-        raise ValueError(f"unknown weight kind {kind!r}")
-    return _WEIGHERS[kind](onsets)
-
-
-def weigh_all(onsets: Sequence[float]) -> tuple[float, float, float, float, float]:
-    """All five weights at once, each equal to weigh_onsets' bit for bit.
-
-    Ordered as WEIGHT_KINDS: count, periodicity, resonance, proximity,
-    resonant periodicity. The IOIs are taken once, for the candidate-period
-    search and for proximity; wrap_phase, mean_resultant_length and the
-    resonance step are inlined with the same float operations in the same
-    order.
+    The IOIs are taken once, for proximity and the candidate-period search:
+    against each distinct nonzero IOI the IOIs walk the circle map (phases
+    wrapped onto [-0.5, 0.5)), the least mean resultant length wins, ties
+    going to the shorter period, and resonance is read at that period.
+    All-zero IOIs give periodicity 1 and resonance 0. With ``periods``
+    false, for a caller that keeps count and proximity only, the search is
+    skipped and the other three are None.
     """
     iois = _iois(onsets)
+    proximity = ordered_sum(2.0 ** (-ioi / PROXIMITY_HALF_LIFE_S) for ioi in iois) / len(iois)
+    if not periods:
+        return (1.0, None, None, proximity, None)
     candidates = sorted({ioi for ioi in iois if ioi > 0.0})
     r, period, k = math.inf, None, len(onsets)
     cos, sin = math.cos, math.sin
@@ -175,14 +108,15 @@ def weigh_all(onsets: Sequence[float]) -> tuple[float, float, float, float, floa
     res = 0.0
     if period is not None:
         res = max(resonance_amplitude(1.0 / period), 0.0) / resonance_peak()[1]
-    proximity = sum(2.0 ** (-ioi / PROXIMITY_HALF_LIFE_S) for ioi in iois) / len(iois)
     return (1.0, r, res, proximity, r * res)
 
 
 def apply_weights(tokens: Iterable, kind: str) -> list:
-    """Set each token's weight in place and return the tokens as a list."""
+    """Set each token's ``kind`` weight in place and return the tokens as a list
+    (an adapter over weigh_all, kept for the benchmark's traced mine)."""
+    index = WEIGHT_KINDS.index(kind)
     out = []
     for tok in tokens:
-        tok.weight = weigh_onsets(tok.onsets_perf, kind) if kind != "count" else 1.0
+        tok.weight = weigh_all(tok.onsets_perf)[index]
         out.append(tok)
     return out

@@ -13,16 +13,17 @@ from itertools import combinations
 import pytest
 
 from harmony_fixtures import HARMONY_CASES
+from oracles import g5_split
 from vlgram.cli import main as cli_main
 from vlgram.corpus import prepare_corpus
 from vlgram.evaluation import (PlantSpec, default_grid, default_skip_configs,
                                default_vocabulary, generate_synthetic_corpus,
                                run_grid)
 from vlgram.filters import harmony_pass
-from vlgram.ranking import TableBuilder, am_chi2, am_dice, am_g2, am_pmi, g5_split
+from vlgram.ranking import TableBuilder, score_type
 from vlgram.skipgram import EncodedPiece, SkipConfig, enumerate_contiguous, enumerate_piece
 from vlgram.vlt import parse_pattern
-from vlgram.weighting import w_periodicity, w_proximity, weigh_all
+from vlgram.weighting import weigh_all
 
 MRDCC_TEXT = "<5,9*,_>[0]<4,7*,10>[5]<4,_,_>"
 MRDCC = parse_pattern(MRDCC_TEXT)
@@ -100,12 +101,12 @@ def test_criterion_3_weighting(capfd):
         for n in (2, 3, 4, 6):
             ioi = rng.uniform(0.1, 2.0)
             onsets = [ioi * i for i in range(n)]
-            assert w_periodicity(onsets) == pytest.approx(1.0, abs=1e-12)
+            assert weigh_all(onsets)[1] == pytest.approx(1.0, abs=1e-12)
         # every 2-gram scores 1
         for _ in range(200):
-            assert w_periodicity([0.0, rng.uniform(0.01, 4.0)]) == pytest.approx(
+            assert weigh_all([0.0, rng.uniform(0.01, 4.0)])[1] == pytest.approx(
                 1.0, abs=1e-12)
-        assert abs(w_proximity([0.0, 1.0]) - 0.5) <= 1e-12
+        assert abs(weigh_all([0.0, 1.0])[3] - 0.5) <= 1e-12
         # independent circle-map oracle for the (1.0, 1.5) case
         def oracle(iois, period):
             phases = [0.0]
@@ -117,7 +118,7 @@ def test_criterion_3_weighting(capfd):
             return abs(s) / len(phases)
         expected = min(oracle([1.0, 1.5], p) for p in (1.0, 1.5))
         assert abs(expected - 1 / 3) <= 1e-9
-        assert abs(w_periodicity([0.0, 1.0, 2.5]) - 1 / 3) <= 1e-9
+        assert abs(weigh_all([0.0, 1.0, 2.5])[1] - 1 / 3) <= 1e-9
         # all five weights stay within [0, 1] over ten thousand random tokens
         for _ in range(10000):
             onsets = [0.0]
@@ -137,23 +138,23 @@ def test_criterion_4_contingency_and_measures(capfd):
             return builder.tables[0], parse_pattern("<4,7,_>[5]<3,8,_>").key
 
         table, key = bigram_table(10, 10, 10, 70)
-        assert abs(am_chi2(key, table) - 14.0625) <= 1e-9
+        assert abs(score_type(key, table, "chi2") - 14.0625) <= 1e-9
         # direct log-likelihood evaluation, coded independently
         cells = ((10.0, 4.0), (10.0, 16.0), (10.0, 16.0), (70.0, 64.0))
         direct = 2.0 * sum(o * math.log(o / e) for o, e in cells if o > 0)
-        assert abs(am_g2(key, table) - direct) <= 1e-9
+        assert abs(score_type(key, table, "g2") - direct) <= 1e-9
         # for n = 2 the split average degenerates to the single table, exactly
         single = g5_split(key, 1, table)
-        assert am_chi2(key, table) == single.chi2()
-        assert am_g2(key, table) == single.g2()
+        assert score_type(key, table, "chi2") == single.chi2()
+        assert score_type(key, table, "g2") == single.g2()
         assert single.cells() == (10.0, 10.0, 10.0, 70.0)
         # independence fixture: every cell at its expected value
         indep, ikey = bigram_table(4, 16, 16, 64)
-        assert abs(am_pmi(ikey, indep)) <= 1e-12
-        assert abs(am_chi2(ikey, indep)) <= 1e-12
+        assert abs(score_type(ikey, indep, "pmi")) <= 1e-12
+        assert abs(score_type(ikey, indep, "chi2")) <= 1e-12
         # perfect association: every component occurrence lies inside the type
         perfect, pkey = bigram_table(12, 0, 0, 31)
-        assert am_dice(pkey, perfect) == pytest.approx(1.0, abs=1e-12)
+        assert score_type(pkey, perfect, "dice") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_criterion_5_harmony_filter(capfd):

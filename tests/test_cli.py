@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import vlgram
+from oracles import weigh_onsets
 from vlgram import cli, evaluation
 from vlgram.cli import GRID_COLUMNS, _load_prepared, main
 from vlgram.corpus import parse_corpus, prepare_corpus
@@ -19,7 +20,6 @@ from vlgram.evaluation import PipelineConfig, run_config
 from vlgram.filters import FilterSpec
 from vlgram.skipgram import SkipConfig, encode_corpus, enumerate_corpus
 from vlgram.vlt import format_key, parse_pattern
-from vlgram.weighting import apply_weights
 
 MRDCC_TEXT = "<5,9*,_>[0]<4,7*,10>[5]<4,_,_>"
 # plants one cadence instance, at most 13 slices wide, in one of two 20-slice pieces
@@ -231,11 +231,11 @@ class TestMine:
         mode, value = skip.split(":")
         config = SkipConfig("fixed", 3, t=int(value)) if mode == "fixed" else \
             SkipConfig("variable", 3, w=float(value))
-        tokens = apply_weights(enumerate_corpus(encode_corpus(prepared), config), "periodicity")
+        tokens = list(enumerate_corpus(encode_corpus(prepared), config))
         assert tokens
         assert dump.read_text().split("\n") == [
             f"{t.piece_id}\t{','.join(map(str, t.indices))}\t{format_key(t.type_key)}"
-            f"\t{t.weight!r}" for t in tokens] + [""]
+            f"\t{weigh_onsets(t.onsets_perf, 'periodicity')!r}" for t in tokens] + [""]
         # each ranked type's count is the left-to-right sum of its dumped
         # weights, and its coverage the number of pieces it appears in
         sums, pieces = {}, {}
@@ -591,9 +591,10 @@ class TestExitCodes:
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
     def test_null_device_output(self, fixture_corpus):
-        code, _ = run_cli(["mine", "--input", str(fixture_corpus), "--n", "2",
-                           "--output", os.devnull])
-        assert code == 0
+        argv = ["mine", "--input", str(fixture_corpus), "--n", "2", "--output", os.devnull]
+        for extra in ([], ["--dump-tokens", os.devnull]):
+            code, _ = run_cli(argv + extra)
+            assert code == 0
 
     @pytest.mark.parametrize("command, flag", [
         ("grid", "--output"), ("grid", "--summary"), ("mine", "--output"),

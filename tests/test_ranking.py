@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlgram.ranking import (MEASURES, Contingency2x2, TableBuilder,
-                            TableInvariantError, am_chi2, am_dice, am_g2,
-                            am_pmi, am_pmi_coverage, am_pmi_local, g5_split,
-                            rank_table, rank_types, score_all, score_type)
+from oracles import Contingency2x2, am_chi2, am_g2, g5_split, rank_table, score_scalar
+from vlgram.ranking import (MEASURES, TableBuilder, TableInvariantError, rank_types, score_all,
+                            score_type)
 from vlgram.vlt import parse_pattern
 
 
@@ -25,6 +24,13 @@ def table_from(rows, n, n_pieces=1):
         for _ in range(times):
             builder.add(piece_id, key_of(text), (weight,))
     return builder.tables[0]
+
+
+def score(key, table, measure):
+    """score_type's score, checked bit for bit against the scalar oracle's."""
+    value = score_type(key, table, measure)
+    assert value == score_scalar(key, table, measure)
+    return value
 
 
 def bigram_contingency_table(o11, o12, o21, o22):
@@ -238,7 +244,7 @@ class TestSpanTableProperty:
     @settings(max_examples=150, deadline=None)
     @given(grouped_tokens())
     def test_slot_scores_equal_scalar_oracles(self, drawn):
-        # score_all reads the slot tuples, score_type reads count/covered:
+        # score_all reads the slot tuples, score_scalar reads count/covered:
         # bit-equal for every measure, also for a key that is no type but
         # shares its later components with the types. A pattern's first
         # chord has no bass motion, so rank_types can format every key.
@@ -253,7 +259,7 @@ class TestSpanTableProperty:
             arrays = score_all(table, keys)
             for measure in MEASURES:
                 for idx, key in enumerate(keys):
-                    expected = score_type(key, table, measure)
+                    expected = score_scalar(key, table, measure)
                     got = arrays[measure][idx]
                     assert (got is None) == (expected is None)
                     assert got == expected
@@ -268,27 +274,27 @@ class TestPmiFamily:
     def test_independence_gives_zero(self):
         # every cell at its expected value: 20x20 margins over N=100
         table, key = bigram_contingency_table(4, 16, 16, 64)
-        assert am_pmi(key, table) == pytest.approx(0.0, abs=1e-12)
-        assert am_pmi_local(key, table) == pytest.approx(0.0, abs=1e-12)
+        assert score(key, table, "pmi") == pytest.approx(0.0, abs=1e-12)
+        assert score(key, table, "pmi-local") == pytest.approx(0.0, abs=1e-12)
 
     def test_pmi_arithmetic(self):
         table, key = bigram_contingency_table(10, 10, 10, 70)
-        assert am_pmi(key, table) == pytest.approx(math.log2(0.1 / 0.04), abs=1e-12)
-        assert am_pmi(key, table) == pytest.approx(1.3219280948873624, abs=1e-9)
+        assert score(key, table, "pmi") == pytest.approx(math.log2(0.1 / 0.04), abs=1e-12)
+        assert score(key, table, "pmi") == pytest.approx(1.3219280948873624, abs=1e-9)
 
     def test_pmi_local_scales_by_probability(self):
         table, key = bigram_contingency_table(10, 10, 10, 70)
-        assert am_pmi_local(key, table) == pytest.approx(0.13219280948873624, abs=1e-9)
+        assert score(key, table, "pmi-local") == pytest.approx(0.13219280948873624, abs=1e-9)
 
     def test_pmi_local_scale_invariance(self):
         small, key = bigram_contingency_table(10, 10, 10, 70)
         large, _ = bigram_contingency_table(20, 20, 20, 140)
-        assert am_pmi_local(key, small) == pytest.approx(am_pmi_local(key, large))
-        assert am_pmi(key, small) == pytest.approx(am_pmi(key, large))
+        assert score(key, small, "pmi-local") == pytest.approx(score(key, large, "pmi-local"))
+        assert score(key, small, "pmi") == pytest.approx(score(key, large, "pmi"))
 
     def test_rare_type_gets_large_score(self):
         table, key = bigram_contingency_table(1, 0, 0, 9999)
-        assert am_pmi(key, table) > 10
+        assert score(key, table, "pmi") > 10
 
     def test_pmi_coverage_factors(self):
         builder = TableBuilder(2, 4, ("count",))
@@ -298,7 +304,7 @@ class TestPmiFamily:
             builder.add(piece, key, (1.0,))
         builder.add("p4", other, (1.0,))
         table = builder.tables[0]
-        assert am_pmi_coverage(key, table) == pytest.approx(0.75 * am_pmi(key, table))
+        assert score(key, table, "pmi-cov") == pytest.approx(0.75 * score(key, table, "pmi"))
 
     def test_coverage_factor_arithmetic(self):
         builder = TableBuilder(2, 275, ("count",))
@@ -314,27 +320,27 @@ class TestPmiFamily:
         builder.add("p1", key, (1.0,))
         builder.add("p2", key, (1.0,))
         table = builder.tables[0]
-        assert am_pmi_coverage(key, table) == pytest.approx(am_pmi(key, table))
+        assert score(key, table, "pmi-cov") == pytest.approx(score(key, table, "pmi"))
 
     def test_identities_on_random_tables(self):
         rng = random.Random(11)
         table, key = bigram_contingency_table(rng.randint(1, 9), rng.randint(0, 9),
                                               rng.randint(0, 9), rng.randint(1, 60))
-        pmi = am_pmi(key, table)
+        pmi = score(key, table, "pmi")
         p_t = table.count(key) / table.total
-        assert am_pmi_local(key, table) == pytest.approx(p_t * pmi)
-        assert am_pmi_coverage(key, table) == pytest.approx(
+        assert score(key, table, "pmi-local") == pytest.approx(p_t * pmi)
+        assert score(key, table, "pmi-cov") == pytest.approx(
             table.covered(key) / table.n_compositions * pmi)
 
 
 class TestDice:
     def test_perfect_association(self):
         table, key = bigram_contingency_table(12, 0, 0, 50)
-        assert am_dice(key, table) == pytest.approx(1.0)
+        assert score(key, table, "dice") == pytest.approx(1.0)
 
     def test_bigram_arithmetic(self):
         table, key = bigram_contingency_table(10, 10, 10, 70)
-        assert am_dice(key, table) == pytest.approx(0.5)
+        assert score(key, table, "dice") == pytest.approx(0.5)
 
     def test_trigram_arithmetic(self):
         # f=4 with positional marginals 4, 8, 12: dice = 3*4 / 24
@@ -349,7 +355,7 @@ class TestDice:
         assert table.count(key, 0, 1) == 4
         assert table.count(key, 1, 2) == 8
         assert table.count(key, 2, 3) == 12
-        assert am_dice(key, table) == pytest.approx(0.5)
+        assert score(key, table, "dice") == pytest.approx(0.5)
 
 
 class TestContingency:
@@ -362,20 +368,20 @@ class TestContingency:
 
     def test_chi2_hand_value(self):
         table, key = bigram_contingency_table(10, 10, 10, 70)
-        assert am_chi2(key, table) == pytest.approx(14.0625, abs=1e-9)
+        assert score(key, table, "chi2") == pytest.approx(14.0625, abs=1e-9)
 
     def test_chi2_zero_on_independence(self):
         table, key = bigram_contingency_table(4, 16, 16, 64)
-        assert am_chi2(key, table) == pytest.approx(0.0, abs=1e-9)
+        assert score(key, table, "chi2") == pytest.approx(0.0, abs=1e-9)
 
     def test_g2_matches_independent_oracle(self):
         table, key = bigram_contingency_table(10, 10, 10, 70)
-        assert am_g2(key, table) == pytest.approx(
+        assert score(key, table, "g2") == pytest.approx(
             oracle_g2((10.0, 10.0, 10.0, 70.0)), abs=1e-9)
 
     def test_g2_empty_cell_term_skipped(self):
         table, key = bigram_contingency_table(10, 0, 10, 70)
-        value = am_g2(key, table)
+        value = score(key, table, "g2")
         assert math.isfinite(value)
         assert value == pytest.approx(oracle_g2((10.0, 0.0, 10.0, 70.0)), abs=1e-9)
 
@@ -383,7 +389,7 @@ class TestContingency:
         table, key = bigram_contingency_table(5, 0, 0, 0)
         cells = g5_split(key, 1, table)
         assert cells.cells() == (5.0, 0.0, 0.0, 0.0)
-        assert am_chi2(key, table) == pytest.approx(0.0)
+        assert score(key, table, "chi2") == pytest.approx(0.0)
 
     def test_trigram_splits_match_hand_tables(self):
         rows = [
@@ -400,9 +406,9 @@ class TestContingency:
         second = g5_split(t, 2, table)
         assert second.cells() == (3.0, 1.0, 2.0, 2.0)
         # mean of the two hand-computed statistics
-        assert am_chi2(t, table) == pytest.approx((8 / 15 + 8 / 15) / 2, abs=1e-9)
+        assert score(t, table, "chi2") == pytest.approx((8 / 15 + 8 / 15) / 2, abs=1e-9)
         expected_g2 = (oracle_g2(first.cells()) + oracle_g2(second.cells())) / 2
-        assert am_g2(t, table) == pytest.approx(expected_g2, abs=1e-9)
+        assert score(t, table, "g2") == pytest.approx(expected_g2, abs=1e-9)
 
     def test_trigram_is_average_of_split_statistics(self):
         rng = random.Random(19)
@@ -414,9 +420,9 @@ class TestContingency:
         table = builder.tables[0]
         t = key_of(texts[0])
         per_split = [g5_split(t, i, table) for i in (1, 2)]
-        assert am_chi2(t, table) == pytest.approx(
+        assert score(t, table, "chi2") == pytest.approx(
             sum(c.chi2() for c in per_split) / 2)
-        assert am_g2(t, table) == pytest.approx(sum(c.g2() for c in per_split) / 2)
+        assert score(t, table, "g2") == pytest.approx(sum(c.g2() for c in per_split) / 2)
 
     def test_split_bounds_checked(self):
         table, key = bigram_contingency_table(1, 1, 1, 1)
@@ -540,7 +546,7 @@ class TestRanking:
                 arrays = score_all(table, keys)
                 for measure in MEASURES:
                     for idx, key in enumerate(keys):
-                        expected = score_type(key, table, measure)
+                        expected = score_scalar(key, table, measure)
                         got = arrays[measure][idx]
                         assert (got is None) == (expected is None)
                         assert got == expected
@@ -571,9 +577,9 @@ class TestRanking:
             builder.add("p", key_of(text), (1.0,))
         table = builder.tables[0]
         keys = list(table.joint)
-        chi2s = [am_chi2(k, table) for k in keys]
-        pmis = [am_pmi(k, table) for k in keys]
-        g2s = [am_g2(k, table) for k in keys]
+        chi2s = [score(k, table, "chi2") for k in keys]
+        pmis = [score(k, table, "pmi") for k in keys]
+        g2s = [score(k, table, "g2") for k in keys]
         assert statistics.median(chi2s) < 2.0
         assert statistics.median(g2s) < 2.0
         assert abs(statistics.median(pmis)) < 0.2

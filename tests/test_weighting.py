@@ -1,14 +1,15 @@
+import ast
 import cmath
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from vlgram.weighting import (PROXIMITY_HALF_LIFE_S, WEIGHT_KINDS,
-                              mean_resultant_length, resonance_amplitude,
-                              resonance_peak, w_count, w_periodicity,
-                              w_proximity, w_resonance, w_resonant_periodicity,
-                              weigh_all, weigh_onsets, wrap_phase)
+import vlgram
+from oracles import mean_resultant_length, w_proximity, weigh_onsets, wrap_phase
+from vlgram.weighting import (PROXIMITY_HALF_LIFE_S, WEIGHT_KINDS, resonance_amplitude,
+                              resonance_peak, weigh_all)
 
 
 def onsets_from_iois(iois, start=0.0):
@@ -16,6 +17,16 @@ def onsets_from_iois(iois, start=0.0):
     for ioi in iois:
         out.append(out[-1] + ioi)
     return out
+
+
+def weight(kind, onsets):
+    """weigh_all's ``kind`` weight, checked bit for bit against the scalar oracle's
+    and, for count and proximity, against weigh_all's without the period search."""
+    index = WEIGHT_KINDS.index(kind)
+    value = weigh_all(onsets)[index]
+    assert value == weigh_onsets(onsets, kind), onsets
+    assert kind not in ("count", "proximity") or weigh_all(onsets, False)[index] == value
+    return value
 
 
 def oracle_circle_map_r(iois, period):
@@ -57,29 +68,29 @@ class TestWrap:
 
 class TestCount:
     def test_always_one(self):
-        assert w_count([0.0, 1.0]) == 1.0
-        assert w_count([0.0, 0.1, 7.3]) == 1.0
+        assert weight("count", [0.0, 1.0]) == 1.0
+        assert weight("count", [0.0, 0.1, 7.3]) == 1.0
 
     def test_irregular_tokens_still_count_once(self):
-        assert w_count([0.0, 0.01, 5.0]) == w_count([0.0, 0.5, 1.0]) == 1.0
+        assert weight("count", [0.0, 0.01, 5.0]) == weight("count", [0.0, 0.5, 1.0]) == 1.0
 
 
 class TestPeriodicity:
     def test_isochronous_is_one(self):
         for n in (2, 3, 5, 8):
             onsets = [0.7 * i for i in range(n)]
-            assert w_periodicity(onsets) == pytest.approx(1.0)
+            assert weight("periodicity", onsets) == pytest.approx(1.0)
 
     def test_any_bigram_is_one(self):
         rng = random.Random(1)
         for _ in range(100):
             onsets = [0.0, rng.uniform(0.01, 5.0)]
-            assert w_periodicity(onsets) == pytest.approx(1.0)
+            assert weight("periodicity", onsets) == pytest.approx(1.0)
 
     def test_one_and_one_half_second_case(self):
         # candidate 1.0s leaves phases {0, 0, -0.5}: R = |1 + 1 - 1| / 3
         onsets = onsets_from_iois([1.0, 1.5])
-        assert w_periodicity(onsets) == pytest.approx(1 / 3, abs=1e-9)
+        assert weight("periodicity", onsets) == pytest.approx(1 / 3, abs=1e-9)
 
     def test_matches_independent_oracle(self):
         rng = random.Random(17)
@@ -87,16 +98,17 @@ class TestPeriodicity:
             n = rng.randint(2, 6)
             iois = [rng.uniform(0.05, 2.0) for _ in range(n - 1)]
             onsets = onsets_from_iois(iois)
-            assert w_periodicity(onsets) == pytest.approx(oracle_periodicity(iois), abs=1e-9)
+            assert weight("periodicity", onsets) == pytest.approx(oracle_periodicity(iois),
+                                                                  abs=1e-9)
 
     def test_simultaneous_candidates_skipped(self):
         # the zero IOI cannot serve as a period; the 1.0s candidate remains
         onsets = [0.0, 0.0, 1.0]
-        assert w_periodicity(onsets) == pytest.approx(
+        assert weight("periodicity", onsets) == pytest.approx(
             oracle_circle_map_r([0.0, 1.0], 1.0), abs=1e-9)
 
     def test_all_simultaneous_is_one_by_convention(self):
-        assert w_periodicity([2.0, 2.0, 2.0]) == 1.0
+        assert weight("periodicity", [2.0, 2.0, 2.0]) == 1.0
 
 
 class TestResonance:
@@ -107,7 +119,7 @@ class TestResonance:
     def test_peak_is_normalization_fixed_point(self):
         p_star, a_star = resonance_peak()
         onsets = onsets_from_iois([1.0 / p_star, 1.0 / p_star])
-        assert w_resonance(onsets) == pytest.approx(1.0, abs=1e-9)
+        assert weight("resonance", onsets) == pytest.approx(1.0, abs=1e-9)
         # fine grid around the peak never exceeds it
         for p in [p_star + d for d in (-0.2, -0.05, -0.01, 0.01, 0.05, 0.2)]:
             assert resonance_amplitude(p) <= a_star + 1e-12
@@ -115,15 +127,15 @@ class TestResonance:
     def test_half_second_iois(self):
         onsets = onsets_from_iois([0.5, 0.5])
         expected = resonance_amplitude(2.0) / resonance_peak()[1]
-        assert w_resonance(onsets) == pytest.approx(expected, abs=1e-12)
+        assert weight("resonance", onsets) == pytest.approx(expected, abs=1e-12)
 
     def test_vanishing_ioi_limit(self):
         assert resonance_amplitude(100.0) == pytest.approx(0.0, abs=1e-3)
         onsets = onsets_from_iois([0.01, 0.01])
-        assert w_resonance(onsets) < 0.01
+        assert weight("resonance", onsets) < 0.01
 
     def test_degenerate_token_gets_floor(self):
-        assert w_resonance([1.0, 1.0, 1.0]) == 0.0
+        assert weight("resonance", [1.0, 1.0, 1.0]) == 0.0
 
     def test_uses_argmin_candidate_of_periodicity(self):
         # candidates 0.4s and 1.0s; the worse-synchronized one drives resonance
@@ -133,23 +145,23 @@ class TestResonance:
         r10 = oracle_circle_map_r(iois, 1.0)
         chosen = 0.4 if r04 <= r10 else 1.0
         expected = max(resonance_amplitude(1.0 / chosen), 0.0) / resonance_peak()[1]
-        assert w_resonance(onsets) == pytest.approx(expected, abs=1e-12)
+        assert weight("resonance", onsets) == pytest.approx(expected, abs=1e-12)
 
 
 class TestProximity:
     def test_half_life(self):
-        assert w_proximity([0.0, 1.0]) == pytest.approx(0.5, abs=1e-12)
+        assert weight("proximity", [0.0, 1.0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_simultaneous_members_maximal(self):
-        assert w_proximity([3.0, 3.0]) == 1.0
+        assert weight("proximity", [3.0, 3.0]) == 1.0
 
     def test_three_gram_average(self):
-        assert w_proximity([0.0, 1.0, 3.0]) == pytest.approx(0.375, abs=1e-12)
+        assert weight("proximity", [0.0, 1.0, 3.0]) == pytest.approx(0.375, abs=1e-12)
 
     def test_strictly_decreasing_in_any_ioi(self):
-        base = w_proximity([0.0, 1.0, 2.0])
-        assert w_proximity([0.0, 1.2, 2.2]) < base
-        assert w_proximity([0.0, 1.0, 2.4]) < base
+        base = weight("proximity", [0.0, 1.0, 2.0])
+        assert weight("proximity", [0.0, 1.2, 2.2]) < base
+        assert weight("proximity", [0.0, 1.0, 2.4]) < base
 
     def test_custom_half_life(self):
         assert w_proximity([0.0, 2.0], half_life=2.0) == pytest.approx(0.5)
@@ -160,23 +172,23 @@ class TestResonantPeriodicity:
     def test_product_at_joint_maximum(self):
         p_star, _ = resonance_peak()
         onsets = onsets_from_iois([1.0 / p_star] * 3)
-        assert w_resonant_periodicity(onsets) == pytest.approx(1.0, abs=1e-9)
+        assert weight("resonant_periodicity", onsets) == pytest.approx(1.0, abs=1e-9)
 
     def test_product_of_factors(self):
         rng = random.Random(23)
         for _ in range(100):
             iois = [rng.uniform(0.05, 2.0) for _ in range(rng.randint(1, 4))]
             onsets = onsets_from_iois(iois)
-            product = w_periodicity(onsets) * w_resonance(onsets)
-            assert w_resonant_periodicity(onsets) == pytest.approx(product, abs=1e-12)
+            product = weight("periodicity", onsets) * weight("resonance", onsets)
+            assert weight("resonant_periodicity", onsets) == pytest.approx(product, abs=1e-12)
 
     def test_never_exceeds_either_factor(self):
         rng = random.Random(29)
         for _ in range(100):
             onsets = onsets_from_iois([rng.uniform(0.05, 3.0) for _ in range(3)])
-            w = w_resonant_periodicity(onsets)
-            assert w <= w_periodicity(onsets) + 1e-12
-            assert w <= w_resonance(onsets) + 1e-12
+            w = weight("resonant_periodicity", onsets)
+            assert w <= weight("periodicity", onsets) + 1e-12
+            assert w <= weight("resonance", onsets) + 1e-12
 
 
 class TestUnitIntervalAndInvariance:
@@ -196,8 +208,7 @@ class TestUnitIntervalAndInvariance:
             onsets = onsets_from_iois([rng.uniform(0.05, 2.0) for _ in range(3)])
             shifted = [o + 13.7 for o in onsets]
             for kind in WEIGHT_KINDS:
-                assert weigh_onsets(onsets, kind) == pytest.approx(
-                    weigh_onsets(shifted, kind), abs=1e-9)
+                assert weight(kind, onsets) == pytest.approx(weight(kind, shifted), abs=1e-9)
 
     def test_weigh_all_matches_individual_kinds(self):
         # 2 to 5 members; some IOIs are zero, and some tokens have only zero
@@ -224,3 +235,19 @@ class TestUnitIntervalAndInvariance:
             p = rng.uniform(0.05, 2.0)
             assert mean_resultant_length(onsets_from_iois(iois), p) == pytest.approx(
                 oracle_circle_map_r(iois, p), abs=1e-9)
+
+
+def test_library_sums_no_floats_with_builtin_sum():
+    # From Python 3.12 sum() rounds float sums differently, so the library sums
+    # floats with ordered_sum; each built-in sum() left, (file, call), adds integers.
+    integer_sums = {("cli.py", "sum((len(p.notes) for p in corpus.pieces))"),
+                    ("evaluation.py", "sum(map(mask.__getitem__, above))"),
+                    ("evaluation.py", "sum(self.gaps)"), ("evaluation.py", "sum(gaps)")}
+    calls, names = set(), 0
+    for path in Path(vlgram.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names += isinstance(node, ast.Name) and node.id == "sum"
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum":
+                calls.add((path.name, ast.unparse(node)))
+    assert calls == integer_sums
+    assert names == len(integer_sums)  # sum is never passed on uncalled
