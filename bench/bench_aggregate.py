@@ -39,23 +39,22 @@ def pieces(request):
 
 @pytest.fixture(scope="module")
 def stream(pieces):
-    """The chain builder that interned the fixed:8 types, and its token records."""
-    builder = TableBuilder(SKIP.n, len(pieces), ())
-    return builder, _fill_widest(builder, pieces, (SKIP,), WEIGHT_KINDS, None)
+    """The chain builder that interned and recorded the fixed:8 tokens."""
+    builder = TableBuilder(SKIP.n, len(pieces), WEIGHT_KINDS)
+    _fill_widest(builder, pieces, (SKIP,), None)
+    return builder
 
 
 def test_aggregate(benchmark, stream):
-    builder, records = stream
-    tids, tables = benchmark(builder.level_tables, records, 0, WEIGHT_KINDS)
+    tids, tables = benchmark(stream.level_tables, 0)
     assert [t.weight_kind for t in tables] == list(WEIGHT_KINDS)
-    assert tables[0].total == sum(len(levels) for levels, _, _ in records)
-    assert tids == list(range(len(builder.keys)))
+    assert tables[0].total == sum(len(levels) for levels, _, _ in stream.records.values())
+    assert tids == list(range(len(stream.keys)))
 
 
 def test_score_all(benchmark, stream):
-    builder, records = stream
-    tids, tables = builder.level_tables(records, 0, WEIGHT_KINDS)
-    keys = builder.keys
+    tids, tables = stream.level_tables(0)
+    keys = stream.keys
     scores = benchmark(lambda: [score_all(table, keys, MEASURES, tids) for table in tables])
     assert all(len(s[m]) == len(keys) for s in scores for m in MEASURES)
 

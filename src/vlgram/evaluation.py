@@ -28,7 +28,6 @@ instance by instance in a manifest.
 from __future__ import annotations
 
 import random
-from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,9 +127,6 @@ class GridResult:
         """Reciprocal ranks of every configuration containing the level."""
         return self.groups(stage).get(level, [])
 
-    def levels(self, stage: str) -> list[str]:
-        return list(self.groups(stage))
-
     def result_for(self, skip_mode: str, skip_level: str, weight: str,
                    fkind: str, measure: str) -> ConfigResult:
         for r in self.rows:
@@ -147,32 +143,26 @@ def mrr(ranks: Iterable["int | None"]) -> float:
 
 
 def _fill_widest(builder: TableBuilder, pieces: list[EncodedPiece],
-                 chain: Sequence[SkipConfig], kinds: tuple[str, ...],
-                 dump: TextIO | None) -> list[tuple]:
-    """Enumerate and weigh the widest level of ``chain``, interning each type in ``builder``.
+                 chain: Sequence[SkipConfig], dump: TextIO | None) -> None:
+    """Enumerate and weigh the widest level of ``chain`` into ``builder``.
 
-    Returns, per piece, every token as three columns: its narrowest level,
-    its type id and its weights for ``kinds``, token by token. Each token
-    is weighed every way at once (weigh_all), and the ``kinds`` are kept.
-    A count weight is 1.0, so count alone weighs nothing, and only the
-    kinds besides count and proximity need weigh_all's period search.
+    Each token is recorded with its narrowest level and its weights for
+    the builder's kinds. It is weighed every way at once (weigh_all), and
+    those kinds are kept. A count weight is 1.0, so count alone weighs
+    nothing, and only the kinds besides count and proximity need
+    weigh_all's period search.
     """
-    add, records = builder.add_id, []
+    add, kinds = builder.add, builder.kinds
     picks = [WEIGHT_KINDS.index(kind) for kind in kinds]
     ones = (1.0,) * len(WEIGHT_KINDS) if set(kinds) == {"count"} else None
     periods = not set(kinds) <= {"count", "proximity"}
     for piece in pieces:
         pid = piece.piece_id
-        levels, tids, flat = array("i"), array("i"), array("d")
         for level, tok in enumerate_nested(piece, chain):
             ws = ones or weigh_all(tok.onsets_perf, periods)
             if dump is not None:
                 dump_token(tok, ws[picks[0]], dump)
-            levels.append(level)
-            tids.append(add(pid, tok.type_key, ()))
-            flat.extend(map(ws.__getitem__, picks))
-        records.append((levels, tids, flat))
-    return records
+            add(pid, tok.type_key, map(ws.__getitem__, picks), level)
 
 
 def _level(pieces: list[EncodedPiece], chain: Sequence[SkipConfig], weights: Sequence[str],
@@ -187,20 +177,19 @@ def _level(pieces: list[EncodedPiece], chain: Sequence[SkipConfig], weights: Seq
     for ``measures`` and keep_masks' masks for ``filter_kinds``, both
     aligned with the keys. Returns what ``consume`` returned, in chain order.
 
-    One builder gives each type of the chain an id and its slots, and
-    every level is summed onto those slots in one ordered pass over the
-    recorded tokens (TableBuilder.level_tables); a level indexes the
-    chain's harmony test by its type ids. ``dump``, when given, receives
-    each token as it is enumerated, with its first weight.
+    One builder gives each type of the chain an id and its slots and
+    records the chain's tokens, and every level is summed onto those slots
+    in one ordered pass over the records (TableBuilder.level_tables); a
+    level indexes the chain's harmony test by its type ids. ``dump``, when
+    given, receives each token as it is enumerated, with its first weight.
     """
-    kinds = tuple(weights)
-    builder = TableBuilder(chain[0].n, len(pieces), ())  # no weight kinds: it only interns
-    records = _fill_widest(builder, pieces, chain, kinds, dump)
+    builder = TableBuilder(chain[0].n, len(pieces), weights)
+    _fill_widest(builder, pieces, chain, dump)
     del pieces  # run_config's own encoding, freed before scoring
     harmony = harmony_mask(builder.keys, filter_kinds, similarity)
     results = []
     for index, skip in enumerate(chain):
-        tids, tables = builder.level_tables(records, index, kinds)
+        tids, tables = builder.level_tables(index)
         level_keys = list(map(builder.keys.__getitem__, tids))
         level_harmony = harmony and list(map(harmony.__getitem__, tids))
         weighted = ((table, score_all(table, level_keys, measures, tids),

@@ -7,7 +7,8 @@ element includes its incoming bass motion in its identity), and the
 prefix and suffix of every way of splitting the n-gram into two
 contiguous components. The suffix at a split keeps the bass motion that
 crosses the split, which guarantees the derived 2x2 contingency cells are
-never negative.
+never negative. A ``TableBuilder`` records the tokens, and one ordered
+pass per skip level (``level_tables``) sums them onto the types' slots.
 
 Measures: plain weighted counts, pointwise mutual information and its
 locally- and coverage-scaled variants, the Dice coefficient, and the
@@ -21,6 +22,7 @@ table, live with the tests.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -52,11 +54,11 @@ def _spans(n: int) -> list[tuple[int, int]]:
 class TypeTable:
     """A read-only view of one weight kind's counts on a TableBuilder's slots.
 
-    ``sums`` is that kind's list of sums; the rest is the builder's, but a
-    skip level's table has its own ``covers`` (TableBuilder.level_tables).
-    ``count(key, i, j)`` is the weighted count of ``key[i:j]``,
-    ``covered(key)`` counts the pieces containing the type, and ``total``
-    is the weighted token count N; scores are ratios of these sums.
+    ``sums`` and ``covers`` are one skip level's (TableBuilder.level_tables);
+    the rest is the builder's. ``count(key, i, j)`` is the weighted count of
+    ``key[i:j]``, ``covered(key)`` counts the pieces containing the type,
+    and ``total`` is the weighted token count N; scores are ratios of these
+    sums.
     """
 
     n: int
@@ -99,23 +101,18 @@ class TypeTable:
 
 
 class TableBuilder:
-    """Accumulate one pass of tokens into tables for several weight kinds.
+    """Record a pass of tokens, then sum it into tables for several weight kinds.
 
-    Every sum lives in one flat list per weight kind. Slot 0 is the
-    total; each type and each distinct component of every span gets a
-    slot the first time it is seen, so a type's span components are
-    sliced and looked up once, not once per token. ``add`` adds each
-    weight into the total, joint and component slots of its type. Every
-    slot starts at 0.0 and receives its weights in token order, so each
-    sum is the same left-to-right float sum a dict of running counts
-    would hold.
+    ``add`` interns a token's type and records the token in its piece's
+    three columns: narrowest skip level, type id and ``len(kinds)``
+    weights. Slot 0 is the total; each type and each distinct component of
+    every span gets a slot the first time it is seen, so a type's span
+    components are sliced and looked up once, not once per token.
 
-    Tokens must arrive grouped by piece (enumeration order), which lets
-    piece coverage be counted with a last-seen piece id instead of sets.
-
-    The chain kernel (evaluation._level) adds its tokens with no weights, to
-    intern their types, and sums each level in one pass (``level_tables``);
-    the per-token sums of ``add`` and ``tables`` are that pass's oracle.
+    ``level_tables`` is the only summer: each read of it, or of ``tables``,
+    adds the admitted tokens' weights into zeroed slots in token order
+    (pieces in first-seen order), so each sum is the left-to-right float
+    sum a dict of running counts would hold for tokens grouped by piece.
     """
 
     def __init__(self, n: int, n_compositions: int, kinds: Sequence[str]):
@@ -127,9 +124,7 @@ class TableBuilder:
         self.slots: list[tuple[int, ...]] = []  # type id -> (0, joint, *components)
         self.span_slots = {span: {} for span in _spans(n)}  # per span: component -> slot
         self._size = 1
-        self.sums = [[0.0] for _ in self.kinds]  # per weight kind: slot -> sum
-        self.covers: list[int] = []  # type id -> pieces containing the type
-        self._last_piece: list = []
+        self.records: dict = {}  # piece id -> (levels, type ids, weights) columns
 
     def _new_type(self, key: PatternKey) -> int:
         tid = len(self.slots)
@@ -145,55 +140,48 @@ class TableBuilder:
                 slot = span_slots[sub] = size
                 size += 1
             slots.append(slot)
-        fresh = [0.0] * (size - self._size)
-        for sums in self.sums:
-            sums += fresh
         self._size = size
         self.slots.append(tuple(slots))
-        self.covers.append(0)
-        self._last_piece.append(None)
         return tid
 
-    def add(self, piece_id: str, key: PatternKey, weights: Sequence[float]) -> PatternKey:
-        """Add one token's weights; returns the key object the builder stores for its type."""
-        return self.keys[self.add_id(piece_id, key, weights)]
-
-    def add_id(self, piece_id: str, key: PatternKey, weights: Sequence[float]) -> int:
-        """Add one token's weights; returns its type's id, the type's index in ``keys``."""
+    def add(self, piece_id: str, key: PatternKey, weights: Iterable[float],
+            level: int = 0) -> int:
+        """Record one token, first admitted at skip level ``level``, with its
+        weights for ``kinds``; returns its type's id, the type's index in ``keys``."""
         tid = self.ids.get(key)
         if tid is None:
             tid = self._new_type(key)
-        if self._last_piece[tid] != piece_id:
-            self._last_piece[tid] = piece_id
-            self.covers[tid] += 1
-        slots = self.slots[tid]
-        for sums, w in zip(self.sums, weights):
-            for slot in slots:
-                sums[slot] += w
+        columns = self.records.get(piece_id)
+        if columns is None:
+            columns = self.records[piece_id] = (array("i"), array("i"), array("d"))
+        levels, tids, flat = columns
+        levels.append(level)
+        tids.append(tid)
+        flat.extend(weights)
         return tid
 
     @property
     def tables(self) -> list[TypeTable]:
-        """One TypeTable view per weight kind; later adds show through."""
-        return [TypeTable(self.n, self.n_compositions, kind, sums, self.ids, self.slots,
-                          self.span_slots, self.covers)
-                for kind, sums in zip(self.kinds, self.sums)]
+        """One TypeTable per weight kind over the tokens recorded at level 0."""
+        return self.level_tables(0)[1]
 
-    def level_tables(self, records: Iterable[tuple], level: int,
-                     kinds: Sequence[str]) -> tuple[list[int], list[TypeTable]]:
+    def level_tables(self, level: int) -> tuple[list[int], list[TypeTable]]:
         """One skip level's type ids, in first-seen order, and a TypeTable per kind.
 
-        ``records`` holds, per piece, a chain's tokens as three columns: narrowest
-        level, type id (``add_id``) and weights for ``kinds``. One ordered pass adds
-        the weights of the tokens whose level is at most ``level`` into zeroed sums
-        on this builder's slots, so each slot gets the left-to-right float sum that
-        ``add`` makes fed that level alone, and counts each type's pieces. The tables
-        share ``ids``: a chain type absent from the level reads count 0.0, coverage 0.
+        One ordered pass over the records adds the weights of the tokens whose
+        narrowest level is at most ``level`` into zeroed sums on this builder's
+        slots, so each slot gets the left-to-right float sum of that level's
+        tokens, and counts each type's pieces. The tables share ``ids``: a type
+        absent from the level reads count 0.0, coverage 0.
         """
-        width, slots = len(kinds), self.slots
+        kinds, slots = self.kinds, self.slots
+        width = len(kinds)
         tids, covers = [], [0] * len(slots)
         sums = [[0.0] * self._size for _ in kinds]
-        for levels, type_ids, flat in records:
+        for piece_id, (levels, type_ids, flat) in self.records.items():
+            if len(flat) != width * len(levels):
+                raise ValueError(f"piece {piece_id!r}: {len(flat)} weights recorded for "
+                                 f"{len(levels)} tokens of {width} weight kinds")
             admitted = [narrowest <= level for narrowest in levels]
             level_ids = list(compress(type_ids, admitted))
             for tid in dict.fromkeys(level_ids):

@@ -558,11 +558,10 @@ class TestGrid:
         expected = []
         for stage in ("skip", "weight", "filter", "rank", "skip_mode"):
             groups = grid.groups(stage)
-            assert list(groups) == grid.levels(stage)
             for level, rrs in groups.items():
                 assert rrs == [r.rr for r in grid.rows if r.level(stage) == level]
             baseline = BASELINES.get(stage, "fixed")
-            for level in grid.levels(stage):
+            for level in groups:
                 if stage == "skip_mode" and level == "fixed":
                     continue
                 rrs = grid.group(stage, level)

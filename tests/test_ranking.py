@@ -1,7 +1,6 @@
 import math
 import random
 import statistics
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +104,13 @@ class TestTypeTable:
         table = table_from(rows, 2)
         assert table.count(key_of("<4,7,_>[5]<3,8,_>")) == pytest.approx(1.0)
 
+    def test_wrong_number_of_weights_is_refused(self):
+        # the level pass reads each token's weights at a stride of len(kinds)
+        builder = TableBuilder(2, 1, ("a", "b"))
+        builder.add("p", key_of("<4,7,_>[5]<3,8,_>"), (1.0,))
+        with pytest.raises(ValueError, match="'p': 1 weights recorded for 1 tokens of 2"):
+            builder.tables
+
     def test_joint_counts_sum_to_total(self):
         rng = random.Random(5)
         builder = TableBuilder(3, 4, ("count",))
@@ -136,54 +142,64 @@ def grouped_tokens(draw):
 
 class TestSpanTableProperty:
     @settings(max_examples=150, deadline=None)
-    @given(grouped_tokens())
-    def test_parts_equal_left_to_right_sums(self, drawn):
-        n, tokens = drawn
+    @given(grouped_tokens(), st.data())
+    def test_parts_equal_left_to_right_sums(self, drawn, data):
+        n, chain_tokens = drawn
+        narrowest = data.draw(st.lists(st.integers(0, 2), min_size=len(chain_tokens),
+                                       max_size=len(chain_tokens)))
         builder = TableBuilder(n, 4, ("a", "b"))
-        for piece_id, key, weights in tokens:
-            builder.add(piece_id, key, weights)
+        for (piece_id, key, weights), level in zip(chain_tokens, narrowest):
+            builder.add(piece_id, key, weights, level)
         spans = ({(i, i + 1) for i in range(n)} | {(0, i) for i in range(1, n)}
                  | {(i, n) for i in range(1, n)})
-        keys = {key for _, key, _ in tokens}
-        for w, table in enumerate(builder.tables):
-            assert set(table.span_slots) == spans and len(spans) == 3 * n - 4
-            total = 0.0
-            for _, _, weights in tokens:
-                total += weights[w]
-            assert table.total == total
-            for (i, j), part in table.span_slots.items():
-                assert set(part) == {key[i:j] for key in keys}
-                for sub, slot in part.items():
-                    expected = 0.0
-                    for _, key, weights in tokens:
-                        if key[i:j] == sub:
-                            expected += weights[w]
-                    assert table.sums[slot] == expected
+        keys = {key for _, key, _ in chain_tokens}
+        for level in range(3):
+            # each level's sums against explicit loops over the tokens it admits
+            tokens = [tok for tok, narrow in zip(chain_tokens, narrowest) if narrow <= level]
+            for w, table in enumerate(builder.level_tables(level)[1]):
+                assert set(table.span_slots) == spans and len(spans) == 3 * n - 4
+                total = 0.0
+                for _, _, weights in tokens:
+                    total += weights[w]
+                assert table.total == total
+                for (i, j), part in table.span_slots.items():
+                    assert set(part) == {key[i:j] for key in keys}
+                    for sub, slot in part.items():
+                        expected = 0.0
+                        for _, key, weights in tokens:
+                            if key[i:j] == sub:
+                                expected += weights[w]
+                        assert table.sums[slot] == expected
+                    for key in keys:
+                        assert table.count(key, i, j) == table.sums[part[key[i:j]]]
                 for key in keys:
-                    assert table.count(key, i, j) == table.sums[part[key[i:j]]]
-            for key in keys:
-                joint = 0.0
-                for _, k, weights in tokens:
-                    if k == key:
-                        joint += weights[w]
-                assert table.count(key) == table.count(key, 0, n) == joint
-                assert table.covered(key) == len({p for p, k, _ in tokens if k == key})
-                assert table.count(key, 0, 1) == table.sums[table.slots[table.ids[key]][2]]
-                assert table.count(key, n - 1) == table.count(key, n - 1, n)
+                    joint = 0.0
+                    for _, k, weights in tokens:
+                        if k == key:
+                            joint += weights[w]
+                    assert table.count(key) == table.count(key, 0, n) == joint
+                    assert table.covered(key) == len({p for p, k, _ in tokens if k == key})
+                    assert table.count(key, 0, 1) == table.sums[table.slots[table.ids[key]][2]]
+                    assert table.count(key, n - 1) == table.count(key, n - 1, n)
 
     @settings(max_examples=150, deadline=None)
     @given(grouped_tokens())
     def test_keys_in_first_seen_order_and_coverage_shared(self, drawn):
         n, tokens = drawn
-        builder, by_id = TableBuilder(n, 4, ("a", "b")), TableBuilder(n, 4, ("a", "b"))
+        builder = TableBuilder(n, 4, ("a", "b"))
         stored = {}
         for piece_id, key, weights in tokens:
-            # add returns the first-seen key object of the type; add_id, which
-            # evaluation._level calls, returns the type's index in keys
-            assert builder.add(piece_id, key, weights) is stored.setdefault(key, key)
-            assert by_id.keys[by_id.add_id(piece_id, key, weights)] is stored[key]
-        assert (by_id.sums, by_id.covers) == (builder.sums, builder.covers)
+            # add returns the type's index in keys, which holds the first-seen key object
+            assert builder.keys[builder.add(piece_id, key, weights)] is stored.setdefault(key, key)
         first_seen = list(dict.fromkeys(key for _, key, _ in tokens))
+        records = {}
+        for piece_id, key, weights in tokens:
+            levels, tids, flat = records.setdefault(piece_id, ([], [], []))
+            levels.append(0)
+            tids.append(first_seen.index(key))
+            flat.extend(weights)
+        assert {piece_id: tuple(map(list, columns))
+                for piece_id, columns in builder.records.items()} == records
         # evaluation._level takes the chain's type order from builder.keys
         assert list(builder.ids) == builder.keys == first_seen
         for table in builder.tables:
@@ -198,20 +214,16 @@ class TestSpanTableProperty:
         n, tokens = drawn
         narrowest = data.draw(st.lists(st.integers(0, 2), min_size=len(tokens),
                                        max_size=len(tokens)))
-        chain, records = TableBuilder(n, 4, ()), {}
+        chain = TableBuilder(n, 4, ("a", "b"))
         for (piece_id, key, weights), level in zip(tokens, narrowest):
-            levels, tids, flat = records.setdefault(
-                piece_id, (array("i"), array("i"), array("d")))
-            levels.append(level)
-            tids.append(chain.add_id(piece_id, key, ()))
-            flat.extend(weights)
-        assert chain.sums == [] and chain.keys == list(dict.fromkeys(k for _, k, _ in tokens))
+            chain.add(piece_id, key, weights, level)
+        assert chain.keys == list(dict.fromkeys(k for _, k, _ in tokens))
         for level in range(3):
             alone = TableBuilder(n, 4, ("a", "b"))
             for (piece_id, key, weights), narrow in zip(tokens, narrowest):
                 if narrow <= level:
                     alone.add(piece_id, key, weights)
-            tids, tables = chain.level_tables(records.values(), level, ("a", "b"))
+            tids, tables = chain.level_tables(level)
             assert [chain.keys[tid] for tid in tids] == alone.keys
             for table, want in zip(tables, alone.tables, strict=True):
                 assert table.weight_kind == want.weight_kind and table.total == want.total
@@ -239,7 +251,6 @@ class TestSpanTableProperty:
             fresh.add(piece_id, key, weights)
         assert late == fresh.tables
         assert builder.tables == late
-        assert early == late  # views read the builder's live sums
 
     @settings(max_examples=150, deadline=None)
     @given(grouped_tokens())
