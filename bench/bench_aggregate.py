@@ -13,16 +13,29 @@ stream is enumerated at ``fixed:8``, weighed and recorded once, outside
 the timed calls, as the chain kernel records it. ``test_levels`` times
 enumerating, weighing and aggregating each mode's levels through the
 chain kernel: the nine fixed levels 0-8 and the four variable windows
-0.5-2, each as one chain and as one-level passes.
+0.5-2, each as one chain and as one-level passes, and both modes' chains
+walked together. ``test_grid_chain`` times ``evaluation._grid_chain`` on
+the grid-shared benchmark workload's seed-0 input with every skip level
+in one share, as ``vlgram grid --jobs 1`` runs it.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
+from vlgram import parse_pattern
+from vlgram.cli import _load_prepared
 from vlgram.corpus import prepare_corpus
-from vlgram.evaluation import _fill_widest, _level, default_vocabulary, generate_synthetic_corpus
-from vlgram.ranking import MEASURES, TableBuilder, score_all
+from vlgram.evaluation import (_grid_chain, _level, _record, _shares, default_skip_configs,
+                               default_vocabulary, generate_synthetic_corpus)
+from vlgram.filters import DEFAULT_MIN_COUNT
+from vlgram.ranking import MEASURES, score_all
 from vlgram.skipgram import SkipConfig, encode_corpus
 from vlgram.weighting import WEIGHT_KINDS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import CADENCE, write_input  # noqa: E402
 
 SKIP = SkipConfig("fixed", 3, t=8)
 CHAINS = {"fixed": tuple(SkipConfig("fixed", 3, t=t) for t in range(9)),
@@ -40,9 +53,7 @@ def pieces(request):
 @pytest.fixture(scope="module")
 def stream(pieces):
     """The chain builder that interned and recorded the fixed:8 tokens."""
-    builder = TableBuilder(SKIP.n, len(pieces), WEIGHT_KINDS)
-    _fill_widest(builder, pieces, (SKIP,), None)
-    return builder
+    return _record(pieces, ((SKIP,),), WEIGHT_KINDS)
 
 
 def test_aggregate(benchmark, stream):
@@ -59,17 +70,41 @@ def test_score_all(benchmark, stream):
     assert all(len(s[m]) == len(keys) for s in scores for m in MEASURES)
 
 
-def type_counts(pieces, chains):
-    """Each level's number of types; nothing is scored or filtered."""
-    return [count for chain in chains
-            for count in _level(pieces, chain, WEIGHT_KINDS, (), (), 0.0, "intersect",
-                                lambda _skip, keys, _weighted: len(keys))]
+def type_counts(pieces, shares):
+    """Each level's number of types, chain by chain; nothing is scored or filtered."""
+    counts = []
+    for chains in shares:
+        builder = _record(pieces, chains, WEIGHT_KINDS)
+        counts += [len(_level(builder, None, c, index, (), 0.0)[0])
+                   for c, chain in enumerate(chains) for index in range(len(chain))]
+    return counts
 
 
 @pytest.mark.parametrize("split", ["one-chain", "per-level"])
 @pytest.mark.parametrize("mode", ["fixed", "variable"])
 def test_levels(benchmark, pieces, mode, split):
     levels = CHAINS[mode]
-    chains = [levels] if split == "one-chain" else [(skip,) for skip in levels]
-    counts = benchmark(type_counts, pieces, chains)
-    assert counts == type_counts(pieces, [(skip,) for skip in levels])
+    shares = [[levels]] if split == "one-chain" else [[(skip,)] for skip in levels]
+    counts = benchmark(type_counts, pieces, shares)
+    assert counts == type_counts(pieces, [[(skip,)] for skip in levels])
+
+
+def test_levels_both_modes_walked_together(benchmark, pieces):
+    counts = benchmark(type_counts, pieces, [[CHAINS["fixed"], CHAINS["variable"]]])
+    assert counts == type_counts(pieces, [[CHAINS["fixed"]], [CHAINS["variable"]]])
+
+
+@pytest.fixture(scope="module")
+def grid_shared(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grid") / "grid-shared-0.tsv"
+    write_input("grid-shared", 0, str(path))
+    return encode_corpus(_load_prepared(str(path)))
+
+
+def test_grid_chain(benchmark, grid_shared):
+    [share] = _shares(default_skip_configs(3), 1)
+    by_skip = benchmark(_grid_chain, share, grid_shared, parse_pattern(CADENCE).key,
+                        DEFAULT_MIN_COUNT, "intersect")
+    assert list(by_skip) == [skip for chain in share for skip in chain]
+    assert all(len(rows) == 140 for rows in by_skip.values())
+    assert any(row.query_rank is not None for rows in by_skip.values() for row in rows)

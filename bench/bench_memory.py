@@ -50,7 +50,7 @@ from pathlib import Path
 import pytest
 
 import vlgram
-from vlgram import cli, evaluation, ranking, skipgram
+from vlgram import cli, evaluation, filters, ranking, skipgram
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import RSS_SAMPLE_INTERVAL_S, _tree_rss_kb  # noqa: E402
@@ -97,28 +97,26 @@ def mine_stages(path: Path, out_path: Path) -> dict:
         marks[stage] = {"current_mb": round(current / MB, 2), "peak_mb": round(peak / MB, 2)}
         tracemalloc.reset_peak()
 
-    def rank(_skip, keys, weighted):
-        mark("aggregate")
-        table, scores, masks = next(weighted)
-        mark("score")
-        ranked = ranking.rank_types(((key, score) for key, score, keep
-                                     in zip(keys, scores[measure], masks[kind])
-                                     if keep and score is not None), table, measure)
-        mark("rank")
-        return ranked
-
     tracemalloc.start()
     try:
         corpus = cli._load_prepared(args.input)
         mark("load")
         # As in run_config: the corpus is released once encoded, and the
-        # pieces, held in a list and popped into the call, once aggregated.
+        # pieces, held in a list and popped into the call, once recorded.
         encoded = [skipgram.encode_corpus(corpus)]
         del corpus
         mark("encode")
-        [ranked] = evaluation._level(encoded.pop(), (skip,), (cli._WEIGHT_CLI[args.weight],),
-                                     (measure,), (kind,), args.min_count, args.similarity,
-                                     rank)
+        builder = evaluation._record(encoded.pop(), ((skip,),), (cli._WEIGHT_CLI[args.weight],))
+        harmony = filters.harmony_mask(builder.keys, (kind,), args.similarity)
+        keys, tids, weighted = evaluation._level(builder, harmony, 0, 0, (kind,), args.min_count)
+        mark("aggregate")
+        table, masks = next(weighted)
+        scores = ranking.score_all(table, keys, (measure,), tids)[measure]
+        mark("score")
+        ranked = ranking.rank_types(((key, score) for key, score, keep
+                                     in zip(keys, scores, masks[kind])
+                                     if keep and score is not None), table, measure)
+        mark("rank")
         with open(out_path, "w", encoding="utf-8", newline="") as out:
             writer = cli._csv_writer(out)
             writer.writerow(["rank", "score", "count", "coverage", "type"])

@@ -343,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planned-comparisons", type=_at_least(int, 1),
                    default=evaluation.DEFAULT_PLANNED_COMPARISONS)
     p.add_argument("--jobs", type=_at_least(int, 1), default=1,
-                   help="processes in all, this one included, each running at most one "
-                        "chain of each skip mode's levels")
+                   help="processes in all, this one included, each walking at most one "
+                        "chain of each skip mode's levels, both in one walk")
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")

@@ -8,17 +8,20 @@ reciprocal rank and compared against baseline levels with pooled
 two-sample t statistics, Bonferroni-adjusted p values, and Cohen's d.
 
 Every command computes its ranks through one chain kernel. The skip
-levels of one mode are nested, so a chain of ascending levels is
-enumerated, weighed and keyed once, at its widest level, and each token
-is recorded with its narrowest level. Every level, the widest included,
-is then summed in one ordered pass over the tokens it admits, with every
-weighting, so its sums are exactly those of a pass over that level alone.
-Each weighting's scores and filter keep-masks are shared by all the
-configurations that differ only in filter or measure. The grid runs each
-mode's levels as one chain, or with several jobs as interleaved chains
-shared out over the calling process and a pool of the others, and
-results are collated in a fixed configuration order regardless of worker
-scheduling.
+levels of one mode are nested, so a chain of ascending levels, or a
+fixed chain and a variable chain together, is walked once, and each
+token that some level admits is enumerated, weighed and keyed once and
+recorded with its narrowest level in each chain. Every level, the widest
+included, is then summed in one ordered pass over the tokens it admits,
+with every weighting, so its sums are exactly those of a pass over that
+level alone. Each weighting's scores and filter keep-masks are shared by
+all the configurations that differ only in filter or measure. The grid
+runs each mode's levels as one chain, or with several jobs as
+interleaved chains shared out over the calling process and a pool of the
+others, and results are collated in a fixed configuration order
+regardless of worker scheduling. The grid ranks only the query: it
+neither sums nor scores a level without it, and chi2 and g2 score only
+the types whose bounds reach the query's (ranking.split_candidates).
 
 A seeded synthetic-corpus generator provides desk-scale corpora with a
 query pattern planted at controlled skip distances and tempi, recorded
@@ -32,12 +35,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .corpus import Corpus, NoteEvent, Piece
 from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
-from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all
-from .skipgram import EncodedPiece, SkipConfig, dump_token, encode_corpus, enumerate_nested
+from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all, split_candidates
+from .skipgram import EncodedPiece, SkipConfig, dump_token, encode_corpus, enumerate_chains
 from .vlt import Chord, PatternKey, VltPattern, chord_pitches
 from .weighting import WEIGHT_KINDS, ordered_sum, weigh_all
 
@@ -142,62 +145,43 @@ def mrr(ranks: Iterable["int | None"]) -> float:
     return ordered_sum(values) / len(values) if values else 0.0
 
 
-def _fill_widest(builder: TableBuilder, pieces: list[EncodedPiece],
-                 chain: Sequence[SkipConfig], dump: TextIO | None) -> None:
-    """Enumerate and weigh the widest level of ``chain`` into ``builder``.
+def _record(pieces: list[EncodedPiece], chains: Sequence[Sequence[SkipConfig]],
+            kinds: Sequence[str], dump: TextIO | None = None) -> TableBuilder:
+    """With _level, the chain kernel behind run_grid, run_config and ``vlgram mine``:
+    walk ``chains`` (skipgram.enumerate_chains) once over ``pieces`` into a builder.
 
-    Each token is recorded with its narrowest level and its weights for
-    the builder's kinds. It is weighed every way at once (weigh_all), and
-    those kinds are kept. A count weight is 1.0, so count alone weighs
-    nothing, and only the kinds besides count and proximity need
-    weigh_all's period search.
+    Each token is recorded with its narrowest level in each chain and its
+    weights for ``kinds``, weighed every way at once (weigh_all). A count
+    weight is 1.0, so count alone weighs nothing, and only the kinds besides
+    count and proximity need weigh_all's period search. ``dump``, when
+    given, receives each token as it is enumerated, with its first weight.
     """
-    add, kinds = builder.add, builder.kinds
-    picks = [WEIGHT_KINDS.index(kind) for kind in kinds]
+    builder = TableBuilder(chains[0][0].n, len(pieces), kinds, len(chains))
+    add, picks = builder.add, [WEIGHT_KINDS.index(kind) for kind in kinds]
     ones = (1.0,) * len(WEIGHT_KINDS) if set(kinds) == {"count"} else None
     periods = not set(kinds) <= {"count", "proximity"}
     for piece in pieces:
         pid = piece.piece_id
-        for level, tok in enumerate_nested(piece, chain):
+        for levels, tok in enumerate_chains(piece, chains):
             ws = ones or weigh_all(tok.onsets_perf, periods)
             if dump is not None:
                 dump_token(tok, ws[picks[0]], dump)
-            add(pid, tok.type_key, map(ws.__getitem__, picks), level)
+            add(pid, tok.type_key, map(ws.__getitem__, picks), levels)
+    return builder
 
 
-def _level(pieces: list[EncodedPiece], chain: Sequence[SkipConfig], weights: Sequence[str],
-           measures: Sequence[str], filter_kinds: Sequence[str], min_count: float,
-           similarity: str, consume: Callable, dump: TextIO | None = None) -> list:
-    """The chain kernel behind run_grid, run_config and ``vlgram mine``.
-
-    ``chain`` holds ascending skip levels of one mode (run_config passes
-    one). For each level, ``consume(skip, keys, weighted)`` gets the
-    level's type keys in first-seen order and, one weighting at a time in
-    ``weights`` order, a (table, scores, masks) triple: score_all's scores
-    for ``measures`` and keep_masks' masks for ``filter_kinds``, both
-    aligned with the keys. Returns what ``consume`` returned, in chain order.
-
-    One builder gives each type of the chain an id and its slots and
-    records the chain's tokens, and every level is summed onto those slots
-    in one ordered pass over the records (TableBuilder.level_tables); a
-    level indexes the chain's harmony test by its type ids. ``dump``, when
-    given, receives each token as it is enumerated, with its first weight.
+def _level(builder: TableBuilder, harmony: list[bool] | None, chain: int, level: int,
+           filter_kinds: Sequence[str], min_count: float) -> tuple[list, list[int], Iterator]:
+    """One level's type keys and ids, in first-seen order, and, one weighting at a
+    time in the builder's kinds order, its TypeTable and keep_masks' masks for
+    ``filter_kinds``, aligned with the keys; ``harmony`` is harmony_mask's for
+    the builder's types. The level is summed once (TableBuilder.level_tables).
     """
-    builder = TableBuilder(chain[0].n, len(pieces), weights)
-    _fill_widest(builder, pieces, chain, dump)
-    del pieces  # run_config's own encoding, freed before scoring
-    harmony = harmony_mask(builder.keys, filter_kinds, similarity)
-    results = []
-    for index, skip in enumerate(chain):
-        tids, tables = builder.level_tables(index)
-        level_keys = list(map(builder.keys.__getitem__, tids))
-        level_harmony = harmony and list(map(harmony.__getitem__, tids))
-        weighted = ((table, score_all(table, level_keys, measures, tids),
-                     keep_masks(filter_kinds, table.counts(tids), min_count, level_harmony))
-                    for table in tables)
-        results.append(consume(skip, level_keys, weighted))
-        del tables, weighted  # freed before the next level's sums
-    return results
+    tids, tables = builder.level_tables(level, chain)
+    keys = list(map(builder.keys.__getitem__, tids))
+    level_harmony = harmony and list(map(harmony.__getitem__, tids))
+    return keys, tids, ((table, keep_masks(filter_kinds, table.counts(tids), min_count,
+                                           level_harmony)) for table in tables)
 
 
 def run_config(corpus: Corpus, config: PipelineConfig, query: VltPattern | None = None,
@@ -211,55 +195,68 @@ def run_config(corpus: Corpus, config: PipelineConfig, query: VltPattern | None 
         raise ValueError(
             f"query cardinality {len(query)} does not match n={config.skip.n}")
     kind, measure = config.filter.kind, config.measure
-
-    def rank(_skip, keys, weighted):
-        table, scores, masks = next(weighted)
-        return rank_types(((key, score) for key, score, keep
-                           in zip(keys, scores[measure], masks[kind])
-                           if keep and score is not None), table, measure)
-
-    # Popped into the call, the pieces are freed by the kernel once enumerated.
+    # Popped into the call, the pieces are freed once recorded.
     encoded = [encode_corpus(corpus)]
     del corpus
-    [ranked] = _level(encoded.pop(), (config.skip,), (config.weight,), (measure,),
-                      (kind,), config.filter.min_count, config.filter.similarity, rank, dump)
+    builder = _record(encoded.pop(), ((config.skip,),), (config.weight,), dump)
+    harmony = harmony_mask(builder.keys, (kind,), config.filter.similarity)
+    keys, tids, weighted = _level(builder, harmony, 0, 0, (kind,), config.filter.min_count)
+    table, masks = next(weighted)
+    scores = score_all(table, keys, (measure,), tids)[measure]
+    ranked = rank_types(((key, score) for key, score, keep in zip(keys, scores, masks[kind])
+                         if keep and score is not None), table, measure)
     return ranked, None if query is None else ranked.rank_of(query.key)
 
 
-def _query_ranks(scores: list, masks: dict[str, list[bool]],
-                 qpos: int | None) -> dict[str, int | None]:
-    """The query's competition rank under each filter, or None where it is absent.
-
-    The rank is one more than the number of kept types scoring strictly
-    higher, as rank_types assigns it.
+def _query_ranks(builder: TableBuilder, harmony: list[bool] | None, chain: int, level: int,
+                 qtid: int, min_count: float) -> list[dict[str, dict[str, int | None]]]:
+    """Per weighting, the query's rank under each measure and filter at a level
+    where it occurs: one more than the kept types scoring strictly higher, as
+    rank_types assigns it, or None where the query is unscored or filtered out.
+    chi2 and g2 score only split_candidates, among them every type above it.
     """
-    qscore = None if qpos is None else scores[qpos]
-    if qscore is None:
-        return dict.fromkeys(masks)
-    above = [i for i, s in enumerate(scores) if s is not None and s > qscore]
-    return {kind: sum(map(mask.__getitem__, above)) + 1 if mask[qpos] else None
-            for kind, mask in masks.items()}
+    keys, tids, weighted = _level(builder, harmony, chain, level, FILTER_KINDS, min_count)
+    qpos = tids.index(qtid)
+    cheap, split = MEASURES[:-2], MEASURES[-2:]  # chi2 and g2 come last
+    out = []
+    for table, masks in weighted:
+        query = {m: v[0] for m, v in score_all(table, (keys[qpos],), MEASURES, (qtid,)).items()}
+        cands = [] if query["chi2"] is None else split_candidates(table, tids, query["chi2"],
+                                                                   query["g2"])
+        scores = score_all(table, keys, cheap, tids)
+        scores.update(score_all(table, [keys[pos] for pos in cands], split,
+                                [tids[pos] for pos in cands]))
+        ranks = {measure: dict.fromkeys(masks) for measure in MEASURES}
+        for measure, q in query.items():
+            if q is not None:
+                above = [pos for pos, s in zip(cands if measure in split else range(len(tids)),
+                                               scores[measure]) if s is not None and s > q]
+                ranks[measure] = {kind: sum(map(mask.__getitem__, above)) + 1 if mask[qpos]
+                                  else None for kind, mask in masks.items()}
+        out.append(ranks)
+    return out
 
 
 def _grid_chain(chains: Sequence[tuple[SkipConfig, ...]], pieces: list[EncodedPiece],
                 query_key: PatternKey, min_count: float,
                 similarity: str) -> dict[SkipConfig, list[ConfigResult]]:
-    """All (weight, filter, measure) results for each level of each of ``chains``."""
-    def level_rows(skip, keys, weighted):
-        qpos = keys.index(query_key) if query_key in keys else None
-        mode, level = skip.label.split(":")
-        rows = []
-        for wkind, (_table, scores, masks) in zip(WEIGHT_KINDS, weighted):
-            ranks = {measure: _query_ranks(scores[measure], masks, qpos)
-                     for measure in MEASURES}
-            rows += [ConfigResult(mode, level, wkind, fkind, measure, ranks[measure][fkind])
-                     for fkind in FILTER_KINDS for measure in MEASURES]
-        return rows
-
+    """All (weight, filter, measure) results for each level of each of ``chains``,
+    walked together; a level without the query is neither summed nor scored."""
+    builder = _record(pieces, chains, WEIGHT_KINDS)
+    harmony = harmony_mask(builder.keys, FILTER_KINDS, similarity)
+    qtid = builder.ids.get(query_key)
+    absent = [dict.fromkeys(MEASURES, dict.fromkeys(FILTER_KINDS))] * len(WEIGHT_KINDS)
     by_skip = {}
-    for chain in chains:
-        by_skip.update(zip(chain, _level(pieces, chain, WEIGHT_KINDS, MEASURES, FILTER_KINDS,
-                                         min_count, similarity, level_rows)))
+    for c, chain in enumerate(chains):
+        reach = len(chain) if qtid is None else builder.narrowest(qtid, c)
+        for index, skip in enumerate(chain):
+            ranks = (_query_ranks(builder, harmony, c, index, qtid, min_count)
+                     if index >= reach else absent)
+            mode, level = skip.label.split(":")
+            by_skip[skip] = [ConfigResult(mode, level, wkind, fkind, measure,
+                                          by_measure[measure][fkind])
+                             for wkind, by_measure in zip(WEIGHT_KINDS, ranks)
+                             for fkind in FILTER_KINDS for measure in MEASURES]
     return by_skip
 
 

@@ -104,10 +104,10 @@ class TableBuilder:
     """Record a pass of tokens, then sum it into tables for several weight kinds.
 
     ``add`` interns a token's type and records the token in its piece's
-    three columns: narrowest skip level, type id and ``len(kinds)``
-    weights. Slot 0 is the total; each type and each distinct component of
-    every span gets a slot the first time it is seen, so a type's span
-    components are sliced and looked up once, not once per token.
+    three columns: its narrowest level in each of ``chains`` skip chains,
+    type id and ``len(kinds)`` weights. Slot 0 is the total; each type and
+    each distinct component of every span gets a slot the first time it is
+    seen, so a type's span components are sliced and looked up once.
 
     ``level_tables`` is the only summer: each read of it, or of ``tables``,
     adds the admitted tokens' weights into zeroed slots in token order
@@ -115,10 +115,11 @@ class TableBuilder:
     sum a dict of running counts would hold for tokens grouped by piece.
     """
 
-    def __init__(self, n: int, n_compositions: int, kinds: Sequence[str]):
+    def __init__(self, n: int, n_compositions: int, kinds: Sequence[str], chains: int = 1):
         self.n = n
         self.n_compositions = n_compositions
         self.kinds = tuple(kinds)
+        self.chains = chains
         self.ids: dict = {}  # type key -> type id
         self.keys: list = []  # type id -> type key, in first-seen order
         self.slots: list[tuple[int, ...]] = []  # type id -> (0, joint, *components)
@@ -145,44 +146,50 @@ class TableBuilder:
         return tid
 
     def add(self, piece_id: str, key: PatternKey, weights: Iterable[float],
-            level: int = 0) -> int:
-        """Record one token, first admitted at skip level ``level``, with its
-        weights for ``kinds``; returns its type's id, the type's index in ``keys``."""
+            levels: Sequence[int] = (0,)) -> int:
+        """Record one token, first admitted at level ``levels[c]`` of chain c, with
+        its weights for ``kinds``; returns its type's id, the type's index in ``keys``."""
         tid = self.ids.get(key)
         if tid is None:
             tid = self._new_type(key)
         columns = self.records.get(piece_id)
         if columns is None:
             columns = self.records[piece_id] = (array("i"), array("i"), array("d"))
-        levels, tids, flat = columns
-        levels.append(level)
+        narrowest, tids, flat = columns
+        narrowest.extend(levels)
         tids.append(tid)
         flat.extend(weights)
         return tid
+
+    def narrowest(self, tid: int, chain: int = 0) -> int | None:
+        """The narrowest level of ``chain`` recorded for a token of type ``tid``, or None."""
+        return min((level for levels, tids, _ in self.records.values() for level in
+                    compress(levels[chain::self.chains], map(tid.__eq__, tids))), default=None)
 
     @property
     def tables(self) -> list[TypeTable]:
         """One TypeTable per weight kind over the tokens recorded at level 0."""
         return self.level_tables(0)[1]
 
-    def level_tables(self, level: int) -> tuple[list[int], list[TypeTable]]:
+    def level_tables(self, level: int, chain: int = 0) -> tuple[list[int], list[TypeTable]]:
         """One skip level's type ids, in first-seen order, and a TypeTable per kind.
 
         One ordered pass over the records adds the weights of the tokens whose
-        narrowest level is at most ``level`` into zeroed sums on this builder's
-        slots, so each slot gets the left-to-right float sum of that level's
-        tokens, and counts each type's pieces. The tables share ``ids``: a type
-        absent from the level reads count 0.0, coverage 0.
+        narrowest level in ``chain`` is at most ``level`` into zeroed sums on
+        this builder's slots, so each slot gets the left-to-right float sum of
+        that level's tokens, and counts each type's pieces. The tables share
+        ``ids``: a type absent from the level reads count 0.0, coverage 0.
         """
-        kinds, slots = self.kinds, self.slots
+        kinds, slots, stride = self.kinds, self.slots, self.chains
         width = len(kinds)
         tids, covers = [], [0] * len(slots)
         sums = [[0.0] * self._size for _ in kinds]
         for piece_id, (levels, type_ids, flat) in self.records.items():
-            if len(flat) != width * len(levels):
+            if len(flat) != width * len(type_ids) or len(levels) != stride * len(type_ids):
                 raise ValueError(f"piece {piece_id!r}: {len(flat)} weights recorded for "
-                                 f"{len(levels)} tokens of {width} weight kinds")
-            admitted = [narrowest <= level for narrowest in levels]
+                                 f"{len(type_ids)} tokens of {width} weight kinds, and "
+                                 f"{len(levels)} levels for {stride} chains")
+            admitted = [narrowest <= level for narrowest in levels[chain::stride]]
             level_ids = list(compress(type_ids, admitted))
             for tid in dict.fromkeys(level_ids):
                 if not covers[tid]:
@@ -337,6 +344,60 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     return out
 
 
+def split_candidates(table: TypeTable, tids: Sequence[int], chi2: float,
+                     g2: float) -> list[int]:
+    """Positions in ``tids`` of the types whose score_all chi2 may reach ``chi2``
+    or whose g2 may reach ``g2``; every other type scores below both.
+
+    A split's cells a = f, b, c, d are score_all's, by the same operations (a
+    clamped cell makes a candidate). Over the reals, X = T(ad - bc)^2/(r1 r2
+    c1 c2) is their Pearson X^2, and x ln x - x + 1 <= (x - 1)^2 for x >= 0
+    gives o ln(o/e) <= (o - e)^2/e + o - e per cell: so G^2 <= 2X and, cell a
+    exact, G^2 <= 2(a ln(a/e11) + X - (a - e11)^2/e11 + e11 - a), averaged
+    over the splits as score_all does. Taking r1 = pre, c1 = suf, T = total
+    (within 5u, u = 2^-53), with 2^-100 < total < 2^100 and r1 r2 c1 c2 >
+    2^-190 total^4 (else a candidate) so nothing underflows, and as X <= T,
+    ad, bc <= sqrt(r1 r2 c1 c2), sum |o - e| <= 2T, sum |o ln(o/e)| <= T ln 4:
+    score_all's X^2 is within 43uT of X, the bound within 24uT; its G^2
+    within 33uT of G^2, the second g2 bound within 182uT; averaging adds
+    3nuT. So a bound more than ``(256 + 4n) u total`` below the query's
+    score rules the type out, and a tie is a candidate.
+    """
+    n, sums, type_slots, total = table.n, table.sums, table.slots, table.total
+    at = {span: pos for pos, span in enumerate(table.span_slots, start=2)}
+    splits = [(at[0, i], at[i, n]) for i in range(1, n)]
+    slack = (256 + 4 * n) * 2.0 ** -53 * total
+    chi_floor, g2_floor = chi2 - slack, g2 - slack
+    den_floor = 2.0 ** -190 * total ** 4 if 2.0 ** -100 < total < 2.0 ** 100 else math.inf
+    log, cands = math.log, []
+    for pos, tid in enumerate(tids):
+        slots = type_slots[tid]
+        f = sums[slots[1]]
+        if f <= 0.0:
+            continue  # score_all scores it None
+        x_sum = 0.0
+        for pre_at, suf_at in splits:
+            pre, suf = sums[slots[pre_at]], sums[slots[suf_at]]
+            o12, o21, o22 = pre - f, suf - f, total - pre - suf + f
+            den = pre * (o21 + o22) * suf * (o12 + o22)
+            if o12 < 0.0 or o21 < 0.0 or o22 < 0.0 or not den > den_floor:
+                break
+            d = f * o22 - o12 * o21
+            x_sum += total * d * d / den
+        else:
+            if x_sum / (n - 1) < chi_floor:
+                g_sum = x_sum
+                if 2.0 * x_sum / (n - 1) >= g2_floor:
+                    for pre_at, suf_at in splits:
+                        e11 = sums[slots[pre_at]] * sums[slots[suf_at]] / total
+                        dev = f - e11
+                        g_sum += f * log(f / e11) - dev * dev / e11 - dev
+                if 2.0 * g_sum / (n - 1) < g2_floor:
+                    continue
+        cands.append(pos)
+    return cands
+
+
 def score_type(key: PatternKey, table: TypeTable, measure: str) -> float | None:
     """One type's score under one measure (an adapter over score_all, kept for
     the benchmark's traced mine)."""
@@ -380,7 +441,9 @@ def rank_types(scored: Iterable[tuple[PatternKey, float]], table: TypeTable,
     ``scored`` may be any iterable, a generator included; it is read once.
     One list is sorted, and its items are replaced by the entries in place.
     """
-    ranked = [(score, format_key(key), key) for key, score in scored]
+    texts: dict = {}  # each key member's text, formatted once per call
+    ranked = [(score, "".join([texts.get(m) or texts.setdefault(m, format_key((m,)))
+                               for m in key]), key) for key, score in scored]
     # Two stable sorts order by score descending, ties by text ascending,
     # without building a sort key per type.
     ranked.sort(key=itemgetter(1))

@@ -15,9 +15,10 @@ piece order so downstream counting can merge deterministically.
 The levels of one mode are nested: a ``fixed:t`` tuple is a wider
 budget's tuple whose total skip is at most t, and a ``variable:w`` tuple
 is a wider window's tuple that passes the window test at w.
-``enumerate_nested`` is the one skip walker: it enumerates a chain of
-levels once, tagging each of the widest level's tokens with the narrowest
-level that admits it. ``enumerate_piece`` is a one-level chain.
+``enumerate_chains`` is the one skip walker: it walks a fixed chain and a
+variable chain together, once, tagging each token with the narrowest
+level of each chain that admits it. ``enumerate_nested`` is one chain,
+and ``enumerate_piece`` one level.
 ``SkipConfig`` alone validates a level and spells its label.
 """
 
@@ -157,27 +158,6 @@ class EncodedPiece:
         )
 
 
-def _fixed_index_tuples(k: int, n: int, t: int | None) -> Iterator[tuple[int, ...]]:
-    if n > k:
-        return
-    max_total = k - n if t is None else min(t, k - n)
-    picked = [0] * n
-
-    def extend(depth: int, last: int, spent: int) -> Iterator[tuple[int, ...]]:
-        remaining = n - depth
-        hi = min(last + 1 + max_total - spent, k - remaining)
-        for j in range(last + 1, hi + 1):
-            picked[depth] = j
-            if remaining == 1:
-                yield tuple(picked)
-            else:
-                yield from extend(depth + 1, j, spent + (j - last - 1))
-
-    for start in range(0, k - n + 1):
-        picked[0] = start
-        yield from extend(1, start, 0)
-
-
 def enumerate_contiguous(piece: EncodedPiece, n: int) -> Iterator[SkipToken]:
     """All windows of n consecutive slices: max(k - n + 1, 0) tokens."""
     if n < 1:
@@ -187,76 +167,96 @@ def enumerate_contiguous(piece: EncodedPiece, n: int) -> Iterator[SkipToken]:
         yield piece.token_at(range(start, start + n))
 
 
-def _nested_variable_index_tuples(onsets: Sequence[float], n: int, windows: Sequence[float]
-                                  ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The widest window's tuples, each with the narrowest window index admitting it.
-
-    With a single window ``w`` the walker extends a tuple past member
-    ``last`` through the slices before the first j with ``onsets[j] >
-    onsets[last] + w``. So a member j needs the narrowest window passing
-    that test at every slice after ``last`` up to j, and a tuple needs the
-    widest of its members' needs.
+def _index_tuples(k: int, n: int, budget: int, onsets: Sequence[float],
+                  windows: Sequence[float]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Index tuples skipping at most ``budget`` slices (none if negative) or passing
+    the widest window test, in lexicographic order, as (total skip, window level,
+    indices). The window level indexes the narrowest of ``windows`` admitting
+    the tuple, ``len(windows)`` where none does. At w, a member j after member
+    ``last`` passes when ``onsets[x] <= onsets[last] + w`` for every x up to j,
+    so a tuple needs the widest of its members' narrowest passing windows.
+    Both tests only fail more as a member moves right: its loop stops where
+    both fail.
     """
-    k = len(onsets)
     if n > k:
         return
-    top = len(windows) - 1
+    top = len(windows)
     picked = [0] * n
 
-    def extend(depth: int, last: int, level: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    def extend(depth: int, last: int, spent: int, level: int
+               ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         remaining = n - depth
-        base = onsets[last]
-        limits = [base + w for w in windows]
-        need = 0
+        need = top
+        if level < top:
+            base = onsets[last]
+            limits = [base + w for w in windows]
+            need = 0
         for j in range(last + 1, k - remaining + 1):
-            onset = onsets[j]
-            while onset > limits[need]:
-                if need == top:
-                    return
-                need += 1
+            if need < top:
+                onset = onsets[j]
+                while onset > limits[need]:
+                    need += 1
+                    if need == top:
+                        break
+            at = spent + j - last - 1
+            wide = need if need > level else level
+            if wide == top and at > budget:
+                return
             picked[depth] = j
             if remaining == 1:
-                yield max(level, need), tuple(picked)
+                yield at, wide, tuple(picked)
             else:
-                yield from extend(depth + 1, j, max(level, need))
+                yield from extend(depth + 1, j, at, wide)
 
     for start in range(0, k - n + 1):
         picked[0] = start
-        yield from extend(1, start, 0)
+        yield from extend(1, start, 0, 0)
+
+
+def enumerate_chains(piece: EncodedPiece, chains: Sequence[Sequence[SkipConfig]]
+                     ) -> Iterator[tuple[tuple[int, ...], SkipToken]]:
+    """Every token some level of ``chains`` admits, with its narrowest levels.
+
+    ``chains`` holds ascending chains of one n, at most one per mode; a fixed
+    budget of None is the widest. Tuples are walked once, in lexicographic
+    order, where the widest budget or window admits them. Each token comes
+    with one index per chain, of its narrowest level admitting it or
+    ``len(chain)``; those indexed at most L in a chain are exactly
+    ``enumerate_piece(piece, chain[L])``, in the same order.
+    """
+    for chain in chains:
+        if not chain:
+            raise ValueError("a skip chain needs at least one level")
+        if any(c.mode != chain[-1].mode or c.n != chain[-1].n for c in chain):
+            raise ValueError("a skip chain's levels must share one mode and one n")
+        if any(a.bound >= b.bound for a, b in zip(chain, chain[1:])):
+            raise ValueError("a skip chain's levels must strictly ascend")
+    modes = [chain[0].mode for chain in chains]
+    if not chains or len(set(modes)) < len(modes) or len({c[0].n for c in chains}) > 1:
+        raise ValueError("skip chains must share one n and differ in mode")
+    fixed, variable = (dict(zip(modes, chains)).get(mode, ()) for mode in ("fixed", "variable"))
+    n, k, onsets = chains[0][0].n, len(piece), piece.onsets_perf
+    if variable and any(o is None for o in onsets):
+        raise PerformanceDataError("performance times required for variable mode")
+    budget = -1 if not fixed else k if fixed[-1].t is None else fixed[-1].t
+    narrower = [c.t for c in fixed[:-1]]
+    # A tuple's total skip indexes the narrowest budget at least that large.
+    tags = [[tuple((bisect_left(narrower, spent) if spent <= budget else len(fixed))
+                   if mode == "fixed" else need for mode in modes)
+             for need in range(len(variable) + 1)] for spent in range(max(k - n, 0) + 1)]
+    for spent, need, indices in _index_tuples(k, n, budget, onsets, [c.w for c in variable]):
+        yield tags[spent][need], piece.token_at(indices)
 
 
 def enumerate_nested(piece: EncodedPiece,
                      chain: Sequence[SkipConfig]) -> Iterator[tuple[int, SkipToken]]:
     """The widest level's tokens, each with the index of the narrowest level admitting it.
 
-    ``chain`` holds ascending levels of one mode and one n; a fixed budget
-    of None is the widest. The tokens come in the widest level's order,
-    and those with an index of at most L are exactly
-    ``enumerate_piece(piece, chain[L])``, in the same order.
+    ``chain`` holds ascending levels of one mode and one n: a one-chain
+    ``enumerate_chains``.
     """
-    if not chain:
-        raise ValueError("a skip chain needs at least one level")
-    widest = chain[-1]
-    if any(c.mode != widest.mode or c.n != widest.n for c in chain):
-        raise ValueError("a skip chain's levels must share one mode and one n")
-    if any(a.bound >= b.bound for a, b in zip(chain, chain[1:])):
-        raise ValueError("a skip chain's levels must strictly ascend")
-    n = widest.n
-    if widest.mode == "fixed":
-        k = len(piece)
-        budgets = [c.t for c in chain[:-1]]
-        # A tuple's total skip, indices[-1] - indices[0] - (n - 1), indexes
-        # the narrowest budget at least that large.
-        level_of = [bisect_left(budgets, spent) for spent in range(max(k - n, 0) + 1)]
-        span = n - 1
-        for indices in _fixed_index_tuples(k, n, widest.t):
-            yield level_of[indices[-1] - indices[0] - span], piece.token_at(indices)
-        return
-    onsets = piece.onsets_perf
-    if any(o is None for o in onsets):
-        raise PerformanceDataError("performance times required for variable mode")
-    for level, indices in _nested_variable_index_tuples(onsets, n, [c.w for c in chain]):
-        yield level, piece.token_at(indices)
+    for (level,), token in enumerate_chains(piece, (chain,)):
+        yield level, token
 
 
 def enumerate_piece(piece: EncodedPiece, config: SkipConfig) -> Iterator[SkipToken]:

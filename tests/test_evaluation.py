@@ -21,8 +21,8 @@ from vlgram.evaluation import (BASELINES, FIXED_SKIPS, VARIABLE_WINDOWS,
                                default_skip_configs, default_vocabulary,
                                generate_synthetic_corpus, mrr, pooled_t_test,
                                run_config, run_grid, summarize_grid)
-from vlgram.filters import FILTER_KINDS, FilterSpec
-from vlgram.ranking import MEASURES, TableBuilder
+from vlgram.filters import FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
+from vlgram.ranking import MEASURES, TableBuilder, score_all, split_candidates
 from vlgram.skipgram import SkipConfig, EncodedPiece, encode_corpus, enumerate_piece
 from vlgram.vlt import Vlt, parse_pattern
 from vlgram.weighting import WEIGHT_KINDS, weigh_all
@@ -329,10 +329,10 @@ class TestChainLevels:
     def test_each_level_equals_a_builder_fed_that_level_alone(self, case):
         pieces, chain = case
         n = chain[0].n
-        levels = evaluation._level(
-            pieces, chain, WEIGHT_KINDS, (), (), 0.0, "intersect",
-            lambda _skip, keys, weighted: (keys, [table for table, _, _ in weighted]))
-        for skip, (keys, tables) in zip(chain, levels):
+        builder = evaluation._record(pieces, (chain,), WEIGHT_KINDS)
+        for index, skip in enumerate(chain):
+            keys, _tids, weighted = evaluation._level(builder, None, 0, index, (), 0.0)
+            tables = [table for table, _masks in weighted]
             fresh = TableBuilder(n, len(pieces), WEIGHT_KINDS)
             for piece in pieces:
                 for tok in enumerate_piece(piece, skip):
@@ -349,6 +349,103 @@ class TestChainLevels:
                     assert table.covered(key) == want.covered(key)
                     for i, j in [(0, n), *want.span_slots]:
                         assert table.count(key, i, j) == want.count(key, i, j)
+
+
+CHORDS = [((), None), ((4,), None), ((4, 7), 7), ((3, 8), None)]
+
+
+@st.composite
+def adversarial_builders(draw):
+    """A one-chain builder of one weight kind whose tables are near-degenerate.
+
+    Few types over a small alphabet of chords and motions, so scores tie;
+    weights of 0.1 and 0.3 sum inexactly, so derived cells can round below
+    zero; 1e-3 and 1e3 make some cells tiny against the total. Optionally
+    every prefix p meets every suffix s, a_p * b_s times, so that f t = pre
+    suf over the reals and every type's chi2 is rounding alone.
+    """
+    n = draw(st.integers(2, 3))
+    chord = st.sampled_from(CHORDS)
+    motion = st.sampled_from([0, 5])
+
+    def prefix():
+        return ((*draw(chord), None),
+                *[(*draw(chord), draw(motion)) for _ in range(n - 2)])
+
+    builder = TableBuilder(n, 2, ("count",))
+    weight = st.sampled_from([1.0, 0.1, 0.3, 1e-3, 1e3])
+    if draw(st.booleans()):
+        w = draw(weight)
+        prefixes = {prefix(): draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 3)))}
+        suffixes = {(*draw(chord), draw(motion)): draw(st.integers(1, 3))
+                    for _ in range(draw(st.integers(1, 3)))}
+        for pre, a in prefixes.items():
+            for suf, b in suffixes.items():
+                for _ in range(a * b):
+                    builder.add("p0", (*pre, suf), (w,))
+    for _ in range(draw(st.integers(0 if builder.keys else 1, 30))):
+        builder.add(draw(st.sampled_from(["p0", "p1"])), (*prefix(), (*draw(chord), draw(motion))),
+                    (draw(weight),))
+    return builder, draw(st.sampled_from([0.0, 1.0, 2.5]))
+
+
+def full_ranks(builder, harmony, qtid, min_count):
+    """The query's ranks from scoring every type under every measure."""
+    tids, [table] = builder.level_tables(0)
+    masks = keep_masks(FILTER_KINDS, table.counts(tids), min_count,
+                       harmony and [harmony[tid] for tid in tids])
+    scores = score_all(table, [builder.keys[tid] for tid in tids], MEASURES, tids)
+    qpos = tids.index(qtid)
+    return {measure: {kind: None if values[qpos] is None or not mask[qpos] else
+                      1 + sum(keep and s is not None and s > values[qpos]
+                              for s, keep in zip(values, mask))
+                      for kind, mask in masks.items()}
+            for measure, values in scores.items()}
+
+
+class TestQueryRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_builders())
+    def test_candidates_give_the_full_scoring_ranks(self, case):
+        builder, min_count = case
+        tids, [table] = builder.level_tables(0)
+        full = score_all(table, [builder.keys[tid] for tid in tids], ("chi2", "g2"), tids)
+        for pos, (chi2, g2) in enumerate(zip(full["chi2"], full["g2"])):
+            # each bound reaches within the derived margin of score_all's score:
+            # a type is a candidate against its own chi2, and its own g2
+            if chi2 is not None:
+                assert pos in split_candidates(table, tids, chi2, math.inf)
+                assert pos in split_candidates(table, tids, math.inf, g2)
+        harmony = harmony_mask(builder.keys, FILTER_KINDS)
+        for qtid in tids:
+            assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, min_count) == \
+                [full_ranks(builder, harmony, qtid, min_count)]
+
+    def test_a_clamped_cell_makes_a_candidate(self):
+        # the neither cell of the first type sums to 0.4 - 0.2 - 0.30000000000000004
+        # + 0.1 = -2.8e-17, which score_all clamps to zero: outside the derivation
+        a, d = ((4, 7), 7, None), ((3,), None, None)
+        b, c = ((3, 8), None, 5), ((4,), None, 0)
+        builder = TableBuilder(2, 1, ("count",))
+        for key, weight in (((a, b), 0.1), ((a, c), 0.1), ((d, b), 0.2)):
+            builder.add("p", key, (weight,))
+        tids, [table] = builder.level_tables(0)
+        assert split_candidates(table, tids, math.inf, math.inf) == [0]
+        harmony = harmony_mask(builder.keys, FILTER_KINDS)
+        for qtid in tids:
+            assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, 0.0) == \
+                [full_ranks(builder, harmony, qtid, 0.0)]
+
+    def test_candidates_are_few_where_the_query_ranks_high(self):
+        corpus, _ = planted_corpus(seed=43, n_pieces=4, length=36)
+        builder = evaluation._record(encode_corpus(corpus), ((SkipConfig("fixed", 3, t=5),),),
+                                     ("count",))
+        tids, [table] = builder.level_tables(0)
+        qtid = builder.ids[MRDCC.key]
+        query = score_all(table, (MRDCC.key,), ("chi2", "g2"), (qtid,))
+        cands = split_candidates(table, tids, query["chi2"][0], query["g2"][0])
+        assert tids.index(qtid) in cands
+        assert len(cands) < len(tids) / 10
 
 
 class TestGrid:
@@ -515,6 +612,47 @@ class TestGrid:
         for jobs in (1, 2, 3):
             grid = run_grid(corpus, MRDCC, 3, skip_configs=skips, jobs=jobs)
             assert grid.rows == single, jobs
+
+    def test_windows_outskipping_the_widest_budget_match_single_level_runs(self):
+        corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
+        skips = [SkipConfig("fixed", 3, t=0), SkipConfig("fixed", 3, t=1),
+                 SkipConfig("variable", 3, w=0.5), SkipConfig("variable", 3, w=2.0)]
+        # at jobs=2 one share walks fixed:1 with variable:2, whose window
+        # admits tuples that skip more than one slice
+        assert any(tok.indices[-1] - tok.indices[0] - 2 > 1 for piece in encode_corpus(corpus)
+                   for tok in enumerate_piece(piece, skips[3]))
+        single = [row for skip in skips
+                  for row in run_grid(corpus, MRDCC, 3, skip_configs=[skip]).rows]
+        assert any(row.query_rank is not None for row in single[3 * 140:])
+        for jobs in (1, 2):
+            grid = run_grid(corpus, MRDCC, 3, skip_configs=skips, jobs=jobs)
+            assert grid.rows == single, jobs
+
+    def test_query_absent_level_is_neither_summed_nor_scored(self, monkeypatch):
+        calls = []
+        level_tables = TableBuilder.level_tables
+
+        def spy_tables(builder, level, chain=0):
+            calls.append(("tables", chain, level))
+            return level_tables(builder, level, chain)
+
+        def spy_score(*args):
+            calls.append("score")
+            return score_all(*args)
+
+        monkeypatch.setattr(TableBuilder, "level_tables", spy_tables)
+        monkeypatch.setattr(evaluation, "score_all", spy_score)
+        # the noise shares no chord with the cadence, planted at gaps of 1-3
+        corpus, _ = planted_corpus(seed=47, n_pieces=3, length=24)
+        absent = run_grid(corpus, MRDCC, 3, skip_configs=[SkipConfig("fixed", 3, t=0)])
+        assert all(row.query_rank is None for row in absent.rows)
+        assert calls == []
+        grid = run_grid(corpus, MRDCC, 3, skip_configs=[SkipConfig("fixed", 3, t=0),
+                                                         SkipConfig("fixed", 3, t=5)])
+        assert grid.rows[:140] == absent.rows
+        assert any(row.query_rank is not None for row in grid.rows[140:])
+        # fixed:5 alone: per weighting, the cheap measures, the query, the candidates
+        assert calls == [("tables", 0, 1)] + ["score"] * 3 * len(WEIGHT_KINDS)
 
     def test_rows_spell_the_level_as_its_label(self):
         corpus = mrdcc_statement_corpus(1, 3)

@@ -149,7 +149,7 @@ class TestSpanTableProperty:
                                        max_size=len(chain_tokens)))
         builder = TableBuilder(n, 4, ("a", "b"))
         for (piece_id, key, weights), level in zip(chain_tokens, narrowest):
-            builder.add(piece_id, key, weights, level)
+            builder.add(piece_id, key, weights, (level,))
         spans = ({(i, i + 1) for i in range(n)} | {(0, i) for i in range(1, n)}
                  | {(i, n) for i in range(1, n)})
         keys = {key for _, key, _ in chain_tokens}
@@ -216,7 +216,7 @@ class TestSpanTableProperty:
                                        max_size=len(tokens)))
         chain = TableBuilder(n, 4, ("a", "b"))
         for (piece_id, key, weights), level in zip(tokens, narrowest):
-            chain.add(piece_id, key, weights, level)
+            chain.add(piece_id, key, weights, (level,))
         assert chain.keys == list(dict.fromkeys(k for _, k, _ in tokens))
         for level in range(3):
             alone = TableBuilder(n, 4, ("a", "b"))

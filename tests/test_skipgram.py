@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlgram.corpus import PerformanceDataError, Slice
-from vlgram.skipgram import (EncodedPiece, SkipConfig, enumerate_contiguous,
+from vlgram.skipgram import (EncodedPiece, SkipConfig, enumerate_chains, enumerate_contiguous,
                              enumerate_nested, enumerate_piece)
 from vlgram.vlt import VltPattern, chord_of, format_key, parse_pattern
 
@@ -190,6 +190,45 @@ def nested_cases(draw):
     return piece, chain
 
 
+@st.composite
+def two_chain_cases(draw):
+    """A piece, a fixed chain and a variable chain over it, in either order.
+
+    Onsets step by 0 to 0.7 s and windows reach 3 s, so the widest window
+    admits tuples that skip many slices, while budgets stay at 0-4, and a
+    0.05 s window leaves budget tuples that no window admits.
+    """
+    k = draw(st.integers(0, 14))
+    n = draw(st.integers(2, 4))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7]), min_size=k, max_size=k))
+    onsets = [0.0]
+    for step in steps[1:]:
+        onsets.append(onsets[-1] + step)
+    budgets = sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)))
+    windows = sorted(draw(st.sets(st.sampled_from([0.05, 0.2, 0.5, 1.0, 1.5, 3.0]),
+                                  min_size=1, max_size=3)))
+    chains = [tuple(SkipConfig("fixed", n, t=t) for t in budgets),
+              tuple(SkipConfig("variable", n, w=w) for w in windows)]
+    if draw(st.booleans()):
+        chains.reverse()
+    return piece_with_onsets(onsets[:k]), chains
+
+
+def level_oracle(piece, skip):
+    """Brute force: a level's (indices, key) pairs in lexicographic order."""
+    onsets = piece.onsets_perf
+    if skip.mode == "fixed":
+        want = [c for c in combinations(range(len(piece)), skip.n)
+                if skip.t is None or sum(b - a - 1 for a, b in zip(c, c[1:])) <= skip.t]
+    else:
+        # the walker's own float test: every slice after a member up to the
+        # next lies within the window of the member's onset
+        want = [c for c in combinations(range(len(piece)), skip.n)
+                if all(onsets[x] <= onsets[a] + skip.w
+                       for a, b in zip(c, c[1:]) for x in range(a + 1, b + 1))]
+    return [(c, piece.token_at(c).type_key) for c in want]
+
+
 class TestNested:
     @settings(max_examples=300, deadline=None)
     @given(nested_cases())
@@ -198,19 +237,48 @@ class TestNested:
         tagged = [(level, tok.indices, tok.type_key)
                   for level, tok in enumerate_nested(piece, chain)]
         assert all(0 <= level < len(chain) for level, _, _ in tagged)
-        onsets = piece.onsets_perf
         for at, skip in enumerate(chain):
-            if skip.mode == "fixed":
-                want = [c for c in combinations(range(len(piece)), skip.n)
-                        if skip.t is None or sum(b - a - 1 for a, b in zip(c, c[1:])) <= skip.t]
-            else:
-                # the walker's own float test: every slice after a member up
-                # to the next lies within the window of the member's onset
-                want = [c for c in combinations(range(len(piece)), skip.n)
-                        if all(onsets[x] <= onsets[a] + skip.w
-                               for a, b in zip(c, c[1:]) for x in range(a + 1, b + 1))]
-            want = [(c, piece.token_at(c).type_key) for c in want]
-            assert [(indices, key) for level, indices, key in tagged if level <= at] == want
+            assert [(indices, key) for level, indices, key in tagged
+                    if level <= at] == level_oracle(piece, skip)
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_chain_cases())
+    def test_two_chains_walked_together_reproduce_each_level(self, case):
+        piece, chains = case
+        tagged = [(levels, tok.indices, tok.type_key)
+                  for levels, tok in enumerate_chains(piece, chains)]
+        # one lexicographic walk of the union: every token is admitted by
+        # some level, and no tuple comes twice
+        assert all(any(level < len(chain) for level, chain in zip(levels, chains))
+                   for levels, _, _ in tagged)
+        walked = [indices for _, indices, _ in tagged]
+        assert walked == sorted(set(walked))
+        for c, chain in enumerate(chains):
+            assert all(0 <= levels[c] <= len(chain) for levels, _, _ in tagged)
+            for at, skip in enumerate(chain):
+                assert [(indices, key) for levels, indices, key in tagged
+                        if levels[c] <= at] == level_oracle(piece, skip)
+
+    def test_two_chains_outreach_each_other(self):
+        # window tuples that skip past the widest budget, and budget tuples
+        # that no window admits, are both walked
+        piece = piece_with_onsets([0.0, 0.1, 0.2, 0.3, 5.0, 5.1])
+        fixed = (SkipConfig("fixed", 2, t=0), SkipConfig("fixed", 2, t=1))
+        variable = (SkipConfig("variable", 2, w=0.05), SkipConfig("variable", 2, w=0.3))
+        tagged = {tok.indices: levels for levels, tok in enumerate_chains(piece, (fixed, variable))}
+        assert tagged[0, 3] == (2, 1)
+        assert tagged[3, 4] == (0, 2)
+        assert tagged[2, 4] == (1, 2)
+        assert (0, 4) not in tagged
+
+    @pytest.mark.parametrize("chains", [
+        [],
+        [(SkipConfig("fixed", 3, t=2),), (SkipConfig("fixed", 3, t=4),)],
+        [(SkipConfig("fixed", 3, t=2),), (SkipConfig("variable", 2, w=1.0),)],
+    ], ids=["none", "two-fixed", "mixed-n"])
+    def test_bad_chains_rejected(self, chains):
+        with pytest.raises(ValueError, match="chains"):
+            list(enumerate_chains(piece_of(6), chains))
 
     def test_window_test_is_the_enumerators_float_sum(self):
         # 0.1 + 0.2 == 0.30000000000000004 is slice 2's onset, so at w=0.2
