@@ -16,7 +16,9 @@ chain kernel: the nine fixed levels 0-8 and the four variable windows
 0.5-2, each as one chain and as one-level passes, and both modes' chains
 walked together. ``test_grid_chain`` times ``evaluation._grid_chain`` on
 the grid-shared benchmark workload's seed-0 input with every skip level
-in one share, as ``vlgram grid --jobs 1`` runs it.
+in one share, as ``vlgram grid --jobs 1`` runs it. ``test_query_ranks``
+times ``evaluation._query_ranks`` at ``fixed:8``, all five weightings, with
+the first recorded type as the query.
 """
 
 import sys
@@ -27,9 +29,10 @@ import pytest
 from vlgram import parse_pattern
 from vlgram.cli import _load_prepared
 from vlgram.corpus import prepare_corpus
-from vlgram.evaluation import (_grid_chain, _level, _record, _shares, default_skip_configs,
-                               default_vocabulary, generate_synthetic_corpus)
-from vlgram.filters import DEFAULT_MIN_COUNT
+from vlgram.evaluation import (_grid_chain, _level, _query_ranks, _record, _shares,
+                               default_skip_configs, default_vocabulary,
+                               generate_synthetic_corpus)
+from vlgram.filters import DEFAULT_MIN_COUNT, FILTER_KINDS, harmony_mask
 from vlgram.ranking import MEASURES, score_all
 from vlgram.skipgram import SkipConfig, encode_corpus
 from vlgram.weighting import WEIGHT_KINDS
@@ -68,6 +71,14 @@ def test_score_all(benchmark, stream):
     keys = stream.keys
     scores = benchmark(lambda: [score_all(table, keys, MEASURES, tids) for table in tables])
     assert all(len(s[m]) == len(keys) for s in scores for m in MEASURES)
+
+
+def test_query_ranks(benchmark, stream):
+    harmony = harmony_mask(stream.keys, FILTER_KINDS)
+    ranks = benchmark(_query_ranks, stream, harmony, 0, 0, 0, DEFAULT_MIN_COUNT)
+    assert len(ranks) == len(WEIGHT_KINDS)
+    assert all(by_kind["none"] is not None for by_measure in ranks
+               for by_kind in by_measure.values())
 
 
 def type_counts(pieces, shares):

@@ -294,7 +294,7 @@ def _cmd_report(args) -> int:
         for stage in ("skip", "weight", "filter", "rank"):
             for level, rrs in grid.groups(stage).items():
                 mean, var = evaluation.mean_var(rrs)
-                se = (var / len(rrs)) ** 0.5
+                se = math.sqrt(var / len(rrs))
                 writer.writerow([stage, level, len(rrs), _fmt(mean), _fmt(se)])
     return 0
 

@@ -21,7 +21,7 @@ interleaved chains shared out over the calling process and a pool of the
 others, and results are collated in a fixed configuration order
 regardless of worker scheduling. The grid ranks only the query: it
 neither sums nor scores a level without it, and chi2 and g2 score only
-the types whose bounds reach the query's (ranking.split_candidates).
+the types whose bounds reach the query's (score_all's floor).
 
 A seeded synthetic-corpus generator provides desk-scale corpora with a
 query pattern planted at controlled skip distances and tempi, recorded
@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .corpus import Corpus, NoteEvent, Piece
 from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
-from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all, split_candidates
+from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all
 from .skipgram import EncodedPiece, SkipConfig, dump_token, encode_corpus, enumerate_chains
 from .vlt import Chord, PatternKey, VltPattern, chord_pitches
 from .weighting import WEIGHT_KINDS, ordered_sum, weigh_all
@@ -213,26 +213,22 @@ def _query_ranks(builder: TableBuilder, harmony: list[bool] | None, chain: int, 
     """Per weighting, the query's rank under each measure and filter at a level
     where it occurs: one more than the kept types scoring strictly higher, as
     rank_types assigns it, or None where the query is unscored or filtered out.
-    chi2 and g2 score only split_candidates, among them every type above it.
+    Every type is scored once, under the query's own scores as score_all's floor,
+    so chi2 and g2 are exact for every type that may outrank the query.
     """
     keys, tids, weighted = _level(builder, harmony, chain, level, FILTER_KINDS, min_count)
     qpos = tids.index(qtid)
-    cheap, split = MEASURES[:-2], MEASURES[-2:]  # chi2 and g2 come last
     out = []
     for table, masks in weighted:
         query = {m: v[0] for m, v in score_all(table, (keys[qpos],), MEASURES, (qtid,)).items()}
-        cands = [] if query["chi2"] is None else split_candidates(table, tids, query["chi2"],
-                                                                   query["g2"])
-        scores = score_all(table, keys, cheap, tids)
-        scores.update(score_all(table, [keys[pos] for pos in cands], split,
-                                [tids[pos] for pos in cands]))
+        scored = [measure for measure, q in query.items() if q is not None]
+        scores = score_all(table, keys, scored, tids, floor=query)
         ranks = {measure: dict.fromkeys(masks) for measure in MEASURES}
-        for measure, q in query.items():
-            if q is not None:
-                above = [pos for pos, s in zip(cands if measure in split else range(len(tids)),
-                                               scores[measure]) if s is not None and s > q]
-                ranks[measure] = {kind: sum(map(mask.__getitem__, above)) + 1 if mask[qpos]
-                                  else None for kind, mask in masks.items()}
+        for measure, values in scores.items():
+            q = query[measure]
+            above = [pos for pos, s in enumerate(values) if s is not None and s > q]
+            ranks[measure] = {kind: sum(map(mask.__getitem__, above)) + 1 if mask[qpos]
+                              else None for kind, mask in masks.items()}
         out.append(ranks)
     return out
 
@@ -341,7 +337,7 @@ def mean_var(xs: Sequence[float]) -> tuple[float, float]:
     m = ordered_sum(xs) / n
     if n < 2:
         return m, 0.0
-    return m, ordered_sum((x - m) ** 2 for x in xs) / (n - 1)
+    return m, ordered_sum((x - m) * (x - m) for x in xs) / (n - 1)
 
 
 def pooled_t_test(xs: Sequence[float], ys: Sequence[float],

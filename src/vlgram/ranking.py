@@ -223,13 +223,33 @@ def _checked_cell(value: float, scale: float, what: str) -> float:
 
 
 def score_all(table: TypeTable, keys: Sequence[PatternKey],
-              measures: Sequence[str] = MEASURES,
-              tids: Iterable[int] | None = None) -> dict[str, list]:
+              measures: Sequence[str] = MEASURES, tids: Iterable[int] | None = None,
+              floor: dict[str, float] | None = None) -> dict[str, list]:
     """Scores for ``measures`` aligned to ``keys``, sharing the shared work.
 
     A measure other than counts gives None for a type with no weight or a
     zero marginal. Only the parts the requested measures need are computed. ``tids``, when given,
     holds the keys' type ids in the table, so that no key is looked up.
+
+    ``floor``, when given, holds a chi2 and a g2 score (``floor["chi2"]``,
+    ``floor["g2"]``), and the lists then serve only to count the types that
+    score above it: a type whose chi2 and g2 bounds both fall below the floor
+    is left None under both, and every other type is scored exactly. The
+    bounds read a split's cells a = f, b, c, d from the loop that scores them,
+    and a clamped cell scores the type exactly. Over the reals,
+    X = T(ad - bc)^2/(r1 r2 c1 c2) is their Pearson X^2, and
+    x ln x - x + 1 <= (x - 1)^2 for x >= 0 gives
+    o ln(o/e) <= (o - e)^2/e + o - e per cell: so G^2 <= 2X and, cell a
+    exact, G^2 <= 2(a ln(a/e11) + X - (a - e11)^2/e11 + e11 - a), averaged
+    over the splits as scored. Taking r1 = pre, c1 = suf, T = total (within
+    5u, u = 2^-53), with 2^-100 < total < 2^100 and
+    r1 r2 c1 c2 > 2^-190 total^4 (else scored exactly) so nothing underflows,
+    and as X <= T, ad, bc <= sqrt(r1 r2 c1 c2), sum |o - e| <= 2T,
+    sum |o ln(o/e)| <= T ln 4: the scored X^2 is within 43uT of X, the bound
+    within 24uT; the scored G^2 within 33uT of G^2, the second g2 bound
+    within 182uT; averaging adds 3nuT. So a bound more than
+    ``(256 + 4n) u total`` below the floor rules the type out, and a tie is
+    scored.
     """
     for measure in measures:
         if measure not in MEASURES:
@@ -258,6 +278,12 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     only_counts = out.keys() <= {"counts"}
     need_pmi = pmis is not None or locals_ is not None or covs is not None
     need_splits = chis is not None or g2s is not None
+    passes = (False,)  # the exact pass alone
+    if floor is not None and need_splits:
+        passes = (True, False)
+        slack = (256 + 4 * n) * 2.0 ** -53 * total
+        chi_floor, g2_floor = floor["chi2"] - slack, floor["g2"] - slack
+        den_floor = 2.0 ** -190 * total ** 4 if 2.0 ** -100 < total < 2.0 ** 100 else math.inf
     for idx, tid in enumerate(map(table.ids.get, keys) if tids is None else tids):
         f = 0.0 if tid is None else sums[type_slots[tid][1]]
         if counts is not None:
@@ -289,113 +315,81 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
         if dices is not None:
             dices[idx] = n * f / msum
         if need_splits:
-            # Each split's 2x2 cells, margins and expectations, summed cell
-            # by cell in a fixed order: the scalar oracles' operation order.
-            chi_sum = g2_sum = 0.0
-            for pre_at, suf_at in splits:
-                pre = sums[slots[pre_at]]
-                suf = sums[slots[suf_at]]
-                o12 = pre - f
-                o21 = suf - f
-                o22 = total - pre - suf + f
-                if o12 < 0.0 or o21 < 0.0 or o22 < 0.0:
-                    o12 = _checked_cell(o12, scale, "prefix-only")
-                    o21 = _checked_cell(o21, scale, "suffix-only")
-                    o22 = _checked_cell(o22, scale, "neither")
-                r1 = f + o12
-                r2 = o21 + o22
-                c1 = f + o21
-                c2 = o12 + o22
-                t = f + o12 + o21 + o22
-                e11 = r1 * c1 / t
-                e12 = r1 * c2 / t
-                e21 = r2 * c1 / t
-                e22 = r2 * c2 / t
+            # Each split's 2x2 cells. Under a floor, a first pass sums the
+            # closed-form X^2 of the cells no clamp or underflow touched, and
+            # breaks off where both bounds fall below the floor. The exact pass
+            # sums each split's cells in a fixed order: the scalar oracles'.
+            for bounding in passes:
+                x_sum = chi_sum = g2_sum = 0.0
+                for pre_at, suf_at in splits:
+                    pre = sums[slots[pre_at]]
+                    suf = sums[slots[suf_at]]
+                    o12 = pre - f
+                    o21 = suf - f
+                    o22 = total - pre - suf + f
+                    if o12 < 0.0 or o21 < 0.0 or o22 < 0.0:
+                        o12 = _checked_cell(o12, scale, "prefix-only")
+                        o21 = _checked_cell(o21, scale, "suffix-only")
+                        o22 = _checked_cell(o22, scale, "neither")
+                        x_sum = math.inf
+                    if bounding:
+                        den = pre * (o21 + o22) * suf * (o12 + o22)
+                        if den > den_floor:
+                            d = f * o22 - o12 * o21
+                            x_sum += total * d * d / den
+                        else:
+                            x_sum = math.inf
+                        continue
+                    r1 = f + o12
+                    r2 = o21 + o22
+                    c1 = f + o21
+                    c2 = o12 + o22
+                    t = f + o12 + o21 + o22
+                    e11 = r1 * c1 / t
+                    e12 = r1 * c2 / t
+                    e21 = r2 * c1 / t
+                    e22 = r2 * c2 / t
+                    if chis is not None:
+                        chi = 0.0
+                        if e11 > 0.0:
+                            d = f - e11
+                            chi += d * d / e11
+                        if e12 > 0.0:
+                            d = o12 - e12
+                            chi += d * d / e12
+                        if e21 > 0.0:
+                            d = o21 - e21
+                            chi += d * d / e21
+                        if e22 > 0.0:
+                            d = o22 - e22
+                            chi += d * d / e22
+                        chi_sum += chi
+                    if g2s is not None:
+                        g2 = 0.0
+                        if f > 0.0:
+                            g2 += f * log(f / e11)
+                        if o12 > 0.0:
+                            g2 += o12 * log(o12 / e12)
+                        if o21 > 0.0:
+                            g2 += o21 * log(o21 / e21)
+                        if o22 > 0.0:
+                            g2 += o22 * log(o22 / e22)
+                        g2_sum += 2.0 * g2
+                if bounding and x_sum / (n - 1) < chi_floor:
+                    g_sum = x_sum
+                    if 2.0 * x_sum / (n - 1) >= g2_floor:
+                        for pre_at, suf_at in splits:
+                            e11 = sums[slots[pre_at]] * sums[slots[suf_at]] / total
+                            dev = f - e11
+                            g_sum += f * log(f / e11) - dev * dev / e11 - dev
+                    if 2.0 * g_sum / (n - 1) < g2_floor:
+                        break
+            else:
                 if chis is not None:
-                    chi = 0.0
-                    if e11 > 0.0:
-                        d = f - e11
-                        chi += d * d / e11
-                    if e12 > 0.0:
-                        d = o12 - e12
-                        chi += d * d / e12
-                    if e21 > 0.0:
-                        d = o21 - e21
-                        chi += d * d / e21
-                    if e22 > 0.0:
-                        d = o22 - e22
-                        chi += d * d / e22
-                    chi_sum += chi
+                    chis[idx] = chi_sum / (n - 1)
                 if g2s is not None:
-                    g2 = 0.0
-                    if f > 0.0:
-                        g2 += f * log(f / e11)
-                    if o12 > 0.0:
-                        g2 += o12 * log(o12 / e12)
-                    if o21 > 0.0:
-                        g2 += o21 * log(o21 / e21)
-                    if o22 > 0.0:
-                        g2 += o22 * log(o22 / e22)
-                    g2_sum += 2.0 * g2
-            if chis is not None:
-                chis[idx] = chi_sum / (n - 1)
-            if g2s is not None:
-                g2s[idx] = g2_sum / (n - 1)
+                    g2s[idx] = g2_sum / (n - 1)
     return out
-
-
-def split_candidates(table: TypeTable, tids: Sequence[int], chi2: float,
-                     g2: float) -> list[int]:
-    """Positions in ``tids`` of the types whose score_all chi2 may reach ``chi2``
-    or whose g2 may reach ``g2``; every other type scores below both.
-
-    A split's cells a = f, b, c, d are score_all's, by the same operations (a
-    clamped cell makes a candidate). Over the reals, X = T(ad - bc)^2/(r1 r2
-    c1 c2) is their Pearson X^2, and x ln x - x + 1 <= (x - 1)^2 for x >= 0
-    gives o ln(o/e) <= (o - e)^2/e + o - e per cell: so G^2 <= 2X and, cell a
-    exact, G^2 <= 2(a ln(a/e11) + X - (a - e11)^2/e11 + e11 - a), averaged
-    over the splits as score_all does. Taking r1 = pre, c1 = suf, T = total
-    (within 5u, u = 2^-53), with 2^-100 < total < 2^100 and r1 r2 c1 c2 >
-    2^-190 total^4 (else a candidate) so nothing underflows, and as X <= T,
-    ad, bc <= sqrt(r1 r2 c1 c2), sum |o - e| <= 2T, sum |o ln(o/e)| <= T ln 4:
-    score_all's X^2 is within 43uT of X, the bound within 24uT; its G^2
-    within 33uT of G^2, the second g2 bound within 182uT; averaging adds
-    3nuT. So a bound more than ``(256 + 4n) u total`` below the query's
-    score rules the type out, and a tie is a candidate.
-    """
-    n, sums, type_slots, total = table.n, table.sums, table.slots, table.total
-    at = {span: pos for pos, span in enumerate(table.span_slots, start=2)}
-    splits = [(at[0, i], at[i, n]) for i in range(1, n)]
-    slack = (256 + 4 * n) * 2.0 ** -53 * total
-    chi_floor, g2_floor = chi2 - slack, g2 - slack
-    den_floor = 2.0 ** -190 * total ** 4 if 2.0 ** -100 < total < 2.0 ** 100 else math.inf
-    log, cands = math.log, []
-    for pos, tid in enumerate(tids):
-        slots = type_slots[tid]
-        f = sums[slots[1]]
-        if f <= 0.0:
-            continue  # score_all scores it None
-        x_sum = 0.0
-        for pre_at, suf_at in splits:
-            pre, suf = sums[slots[pre_at]], sums[slots[suf_at]]
-            o12, o21, o22 = pre - f, suf - f, total - pre - suf + f
-            den = pre * (o21 + o22) * suf * (o12 + o22)
-            if o12 < 0.0 or o21 < 0.0 or o22 < 0.0 or not den > den_floor:
-                break
-            d = f * o22 - o12 * o21
-            x_sum += total * d * d / den
-        else:
-            if x_sum / (n - 1) < chi_floor:
-                g_sum = x_sum
-                if 2.0 * x_sum / (n - 1) >= g2_floor:
-                    for pre_at, suf_at in splits:
-                        e11 = sums[slots[pre_at]] * sums[slots[suf_at]] / total
-                        dev = f - e11
-                        g_sum += f * log(f / e11) - dev * dev / e11 - dev
-                if 2.0 * g_sum / (n - 1) < g2_floor:
-                    continue
-        cands.append(pos)
-    return cands
 
 
 def score_type(key: PatternKey, table: TypeTable, measure: str) -> float | None:

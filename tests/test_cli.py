@@ -278,9 +278,9 @@ class TestMine:
             refs.extend(weakref.ref(piece) for piece in pieces)
             return pieces
 
-        def scoring(*args):
+        def scoring(*args, **kwargs):
             alive.append([ref() is not None for ref in refs])
-            return score(*args)
+            return score(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_load_prepared", loading)
         monkeypatch.setattr(evaluation, "encode_corpus", encoding)
@@ -305,9 +305,9 @@ class TestGridCommand:
             return corpus
 
         def watching(stage, call):
-            def watched(*args):
+            def watched(*args, **kwargs):
                 alive.add((stage, refs[0]() is not None))
-                return call(*args)
+                return call(*args, **kwargs)
             return watched
 
         monkeypatch.setattr(cli, "_load_prepared", loading)
@@ -378,6 +378,17 @@ class TestGridCommand:
         assert stages == {"skip": 13, "weight": 5, "filter": 4, "rank": 7}
         assert all(0.0 <= float(r["mrr"]) <= 1.0 for r in rows)
         assert sum(int(r["n_configs"]) for r in rows if r["stage"] == "skip") == 1820
+
+    def test_report_se_is_a_correctly_rounded_square_root(self, tmp_path, capsys):
+        # one level holding ranks 2, 5, 3, 3, 10: math.sqrt rounds the standard
+        # error correctly, where ** 0.5 comes out one ulp low on some libms
+        grid = tmp_path / "grid.csv"
+        grid.write_text("\n".join([GRID_HEADER] + [
+            f"fixed,0,count,none,{measure},{rank},{1 / rank!r}" for measure, rank in
+            zip(["counts", "pmi", "pmi-local", "pmi-cov", "dice"], [2, 5, 3, 3, 10])]) + "\n")
+        assert main(["report", "--grid", str(grid)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["se_rr"] for r in rows if r["stage"] != "rank"] == ["0.06782329983125268"] * 3
 
 
 class TestSynth:

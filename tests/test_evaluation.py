@@ -19,10 +19,10 @@ from vlgram.evaluation import (BASELINES, FIXED_SKIPS, VARIABLE_WINDOWS,
                                ConfigResult, GenerationError, PipelineConfig,
                                PlantSpec, compare_levels, default_grid,
                                default_skip_configs, default_vocabulary,
-                               generate_synthetic_corpus, mrr, pooled_t_test,
+                               generate_synthetic_corpus, mean_var, mrr, pooled_t_test,
                                run_config, run_grid, summarize_grid)
 from vlgram.filters import FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
-from vlgram.ranking import MEASURES, TableBuilder, score_all, split_candidates
+from vlgram.ranking import MEASURES, TableBuilder, score_all
 from vlgram.skipgram import SkipConfig, EncodedPiece, encode_corpus, enumerate_piece
 from vlgram.vlt import Vlt, parse_pattern
 from vlgram.weighting import WEIGHT_KINDS, weigh_all
@@ -163,6 +163,11 @@ class TestComparisons:
         assert df == 10
         from scipy.stats import t as t_dist
         assert 2.0 * float(t_dist.sf(2.228, 10)) == pytest.approx(0.05, abs=2e-4)
+
+    def test_variance_squares_by_multiplication(self):
+        # (x - m) ** 2 rounds differently on some libms; (x - m) * (x - m) is
+        # one correctly rounded product everywhere
+        assert mean_var([0.1, 1.0, 1.0, 0.2])[1] == 0.24250000000000002
 
     def test_bonferroni_caps_at_one(self):
         xs = [0.0, 1.0, 0.5, 0.7]
@@ -409,13 +414,25 @@ class TestQueryRanks:
     def test_candidates_give_the_full_scoring_ranks(self, case):
         builder, min_count = case
         tids, [table] = builder.level_tables(0)
-        full = score_all(table, [builder.keys[tid] for tid in tids], ("chi2", "g2"), tids)
-        for pos, (chi2, g2) in enumerate(zip(full["chi2"], full["g2"])):
-            # each bound reaches within the derived margin of score_all's score:
-            # a type is a candidate against its own chi2, and its own g2
+        keys = [builder.keys[tid] for tid in tids]
+        full = score_all(table, keys, MEASURES, tids)
+        for tid, key, chi2, g2 in zip(tids, keys, full["chi2"], full["g2"]):
+            # each bound reaches within the derived margin of the exact score:
+            # a type keeps its exact chi2 against its own chi2, and its g2 likewise
             if chi2 is not None:
-                assert pos in split_candidates(table, tids, chi2, math.inf)
-                assert pos in split_candidates(table, tids, math.inf, g2)
+                assert score_all(table, (key,), ("chi2",), (tid,),
+                                 floor={"chi2": chi2, "g2": math.inf}) == {"chi2": [chi2]}
+                assert score_all(table, (key,), ("g2",), (tid,),
+                                 floor={"chi2": math.inf, "g2": g2}) == {"g2": [g2]}
+        for qpos in range(len(tids)):
+            floor = {measure: scores[qpos] for measure, scores in full.items()}
+            if floor["chi2"] is None:
+                continue
+            # under a floor, a score is the exact one, or None where the exact is below it
+            for measure, scores in score_all(table, keys, MEASURES, tids, floor=floor).items():
+                for s, exact in zip(scores, full[measure]):
+                    assert s == exact or s is None and measure in ("chi2", "g2") and (
+                        exact is None or exact < floor[measure]), (measure, s, exact)
         harmony = harmony_mask(builder.keys, FILTER_KINDS)
         for qtid in tids:
             assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, min_count) == \
@@ -430,7 +447,13 @@ class TestQueryRanks:
         for key, weight in (((a, b), 0.1), ((a, c), 0.1), ((d, b), 0.2)):
             builder.add("p", key, (weight,))
         tids, [table] = builder.level_tables(0)
-        assert split_candidates(table, tids, math.inf, math.inf) == [0]
+        keys = [builder.keys[tid] for tid in tids]
+        full = score_all(table, keys, ("chi2", "g2"), tids)
+        floored = score_all(table, keys, ("chi2", "g2"), tids,
+                            floor={"chi2": math.inf, "g2": math.inf})
+        # the clamped type alone is scored exactly, whatever the floor
+        assert floored == {m: [scores[0], None, None] for m, scores in full.items()}
+        assert full["chi2"][0] is not None and full["g2"][0] is not None
         harmony = harmony_mask(builder.keys, FILTER_KINDS)
         for qtid in tids:
             assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, 0.0) == \
@@ -443,9 +466,10 @@ class TestQueryRanks:
         tids, [table] = builder.level_tables(0)
         qtid = builder.ids[MRDCC.key]
         query = score_all(table, (MRDCC.key,), ("chi2", "g2"), (qtid,))
-        cands = split_candidates(table, tids, query["chi2"][0], query["g2"][0])
-        assert tids.index(qtid) in cands
-        assert len(cands) < len(tids) / 10
+        floored = score_all(table, [builder.keys[tid] for tid in tids], ("chi2", "g2"), tids,
+                            floor={measure: scores[0] for measure, scores in query.items()})
+        assert floored["chi2"][tids.index(qtid)] == query["chi2"][0]
+        assert sum(s is not None for s in floored["chi2"]) < len(tids) / 10
 
 
 class TestGrid:
@@ -636,9 +660,9 @@ class TestGrid:
             calls.append(("tables", chain, level))
             return level_tables(builder, level, chain)
 
-        def spy_score(*args):
+        def spy_score(*args, **kwargs):
             calls.append("score")
-            return score_all(*args)
+            return score_all(*args, **kwargs)
 
         monkeypatch.setattr(TableBuilder, "level_tables", spy_tables)
         monkeypatch.setattr(evaluation, "score_all", spy_score)
@@ -651,8 +675,8 @@ class TestGrid:
                                                          SkipConfig("fixed", 3, t=5)])
         assert grid.rows[:140] == absent.rows
         assert any(row.query_rank is not None for row in grid.rows[140:])
-        # fixed:5 alone: per weighting, the cheap measures, the query, the candidates
-        assert calls == [("tables", 0, 1)] + ["score"] * 3 * len(WEIGHT_KINDS)
+        # fixed:5 alone: per weighting, the query, then every type against its floor
+        assert calls == [("tables", 0, 1)] + ["score"] * 2 * len(WEIGHT_KINDS)
 
     def test_rows_spell_the_level_as_its_label(self):
         corpus = mrdcc_statement_corpus(1, 3)
