@@ -18,7 +18,9 @@ walked together. ``test_grid_chain`` times ``evaluation._grid_chain`` on
 the grid-shared benchmark workload's seed-0 input with every skip level
 in one share, as ``vlgram grid --jobs 1`` runs it. ``test_query_ranks``
 times ``evaluation._query_ranks`` at ``fixed:8``, all five weightings, with
-the first recorded type as the query.
+the first recorded type as the query; ``test_query_ranks_planted`` does the
+same with the cadence planted in the grid-diverse workload's seed-0 input
+as the query, which ranks deep there as it does in that workload's grid.
 """
 
 import sys
@@ -73,12 +75,34 @@ def test_score_all(benchmark, stream):
     assert all(len(s[m]) == len(keys) for s in scores for m in MEASURES)
 
 
+def workload_pieces(tmp_path_factory, name):
+    """A grid workload's seed-0 input, prepared and encoded."""
+    path = tmp_path_factory.mktemp("grid") / f"{name}-0.tsv"
+    write_input(name, 0, str(path))
+    return encode_corpus(_load_prepared(str(path)))
+
+
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    """The grid-diverse input's fixed:8 tokens, recorded, and the cadence's type id."""
+    builder = _record(workload_pieces(tmp_path_factory, "grid-diverse"), ((SKIP,),), WEIGHT_KINDS)
+    return builder, builder.ids[parse_pattern(CADENCE).key]
+
+
 def test_query_ranks(benchmark, stream):
     harmony = harmony_mask(stream.keys, FILTER_KINDS)
     ranks = benchmark(_query_ranks, stream, harmony, 0, 0, 0, DEFAULT_MIN_COUNT)
     assert len(ranks) == len(WEIGHT_KINDS)
     assert all(by_kind["none"] is not None for by_measure in ranks
                for by_kind in by_measure.values())
+
+
+def test_query_ranks_planted(benchmark, planted):
+    builder, qtid = planted
+    harmony = harmony_mask(builder.keys, FILTER_KINDS)
+    ranks = benchmark(_query_ranks, builder, harmony, 0, 0, qtid, DEFAULT_MIN_COUNT)
+    # the cadence ranks deep under some measure, as in the grid-diverse workload's grid
+    assert max(by_measure[measure]["none"] for by_measure in ranks for measure in MEASURES) > 1000
 
 
 def type_counts(pieces, shares):
@@ -107,9 +131,7 @@ def test_levels_both_modes_walked_together(benchmark, pieces):
 
 @pytest.fixture(scope="module")
 def grid_shared(tmp_path_factory):
-    path = tmp_path_factory.mktemp("grid") / "grid-shared-0.tsv"
-    write_input("grid-shared", 0, str(path))
-    return encode_corpus(_load_prepared(str(path)))
+    return workload_pieces(tmp_path_factory, "grid-shared")
 
 
 def test_grid_chain(benchmark, grid_shared):

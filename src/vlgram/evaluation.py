@@ -20,8 +20,9 @@ runs each mode's levels as one chain, or with several jobs as
 interleaved chains shared out over the calling process and a pool of the
 others, and results are collated in a fixed configuration order
 regardless of worker scheduling. The grid ranks only the query: it
-neither sums nor scores a level without it, and chi2 and g2 score only
-the types whose bounds reach the query's (score_all's floor).
+neither sums nor scores a level without it, and elsewhere it lists only
+the types above the query's scores, scoring chi2 and g2 exactly only
+where their bounds leave that open (score_all's ``above``).
 
 A seeded synthetic-corpus generator provides desk-scale corpora with a
 query pattern planted at controlled skip distances and tempi, recorded
@@ -213,20 +214,18 @@ def _query_ranks(builder: TableBuilder, harmony: list[bool] | None, chain: int, 
     """Per weighting, the query's rank under each measure and filter at a level
     where it occurs: one more than the kept types scoring strictly higher, as
     rank_types assigns it, or None where the query is unscored or filtered out.
-    Every type is scored once, under the query's own scores as score_all's floor,
-    so chi2 and g2 are exact for every type that may outrank the query.
+    score_all scores the query, then returns the positions of the types that
+    score above it; chi2 and g2 are scored exactly only where their bounds
+    leave that open.
     """
     keys, tids, weighted = _level(builder, harmony, chain, level, FILTER_KINDS, min_count)
     qpos = tids.index(qtid)
     out = []
     for table, masks in weighted:
-        query = {m: v[0] for m, v in score_all(table, (keys[qpos],), MEASURES, (qtid,)).items()}
-        scored = [measure for measure, q in query.items() if q is not None]
-        scores = score_all(table, keys, scored, tids, floor=query)
+        query = {m: v[0] for m, v in score_all(table, (keys[qpos],), MEASURES, (qtid,)).items()
+                 if v[0] is not None}
         ranks = {measure: dict.fromkeys(masks) for measure in MEASURES}
-        for measure, values in scores.items():
-            q = query[measure]
-            above = [pos for pos, s in enumerate(values) if s is not None and s > q]
+        for measure, above in score_all(table, keys, tuple(query), tids, above=query).items():
             ranks[measure] = {kind: sum(map(mask.__getitem__, above)) + 1 if mask[qpos]
                               else None for kind, mask in masks.items()}
         out.append(ranks)

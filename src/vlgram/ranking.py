@@ -224,19 +224,19 @@ def _checked_cell(value: float, scale: float, what: str) -> float:
 
 def score_all(table: TypeTable, keys: Sequence[PatternKey],
               measures: Sequence[str] = MEASURES, tids: Iterable[int] | None = None,
-              floor: dict[str, float] | None = None) -> dict[str, list]:
+              above: dict[str, float] | None = None) -> dict[str, list]:
     """Scores for ``measures`` aligned to ``keys``, sharing the shared work.
 
     A measure other than counts gives None for a type with no weight or a
     zero marginal. Only the parts the requested measures need are computed. ``tids``, when given,
     holds the keys' type ids in the table, so that no key is looked up.
 
-    ``floor``, when given, holds a chi2 and a g2 score (``floor["chi2"]``,
-    ``floor["g2"]``), and the lists then serve only to count the types that
-    score above it: a type whose chi2 and g2 bounds both fall below the floor
-    is left None under both, and every other type is scored exactly. The
-    bounds read a split's cells a = f, b, c, d from the loop that scores them,
-    and a clamped cell scores the type exactly. Over the reals,
+    ``above``, when given, holds the query's score under each of ``measures``,
+    and each list then holds the positions, in order, of the types scoring
+    strictly above it. Each score is compared where it is computed; chi2 and
+    g2 are first bounded from each split's cells a = f, b, c, d, and scored
+    exactly only where the bounds leave the comparison open, or a cell is
+    clamped. Over the reals,
     X = T(ad - bc)^2/(r1 r2 c1 c2) is their Pearson X^2, and
     x ln x - x + 1 <= (x - 1)^2 for x >= 0 gives
     o ln(o/e) <= (o - e)^2/e + o - e per cell: so G^2 <= 2X and, cell a
@@ -247,8 +247,10 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     and as X <= T, ad, bc <= sqrt(r1 r2 c1 c2), sum |o - e| <= 2T,
     sum |o ln(o/e)| <= T ln 4: the scored X^2 is within 43uT of X, the bound
     within 24uT; the scored G^2 within 33uT of G^2, the second g2 bound
-    within 182uT; averaging adds 3nuT. So a bound more than
-    ``(256 + 4n) u total`` below the floor rules the type out, and a tie is
+    within 182uT; averaging adds 3nuT. So the X^2 bound and the scored chi2
+    differ by at most (67 + 3n)uT: a bound more than ``(256 + 4n) u total``
+    above the query's chi2 puts the type above it, and one that far below
+    does not, nor does a g2 bound that far below the query's g2. A tie is
     scored.
     """
     for measure in measures:
@@ -266,8 +268,14 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     marginals = range(2, 2 + n)
     splits = [(at[0, i], at[i, n]) for i in range(1, n)]
     scale = max(total, 1.0)
-    log = math.log
-    out = {m: [None] * len(keys) for m in measures}
+    log, log2, isnan = math.log, math.log2, math.isnan
+    # Each measure keeps the scores above a bar: every score, in a list aligned
+    # to keys, or under ``above`` those above the query's, in a dict by position.
+    ranking = above is not None
+    bar = dict.fromkeys(MEASURES, -math.inf) | (above or {})
+    q_count, q_pmi, q_local = bar["counts"], bar["pmi"], bar["pmi-local"]
+    q_cov, q_dice, q_chi, q_g2 = bar["pmi-cov"], bar["dice"], bar["chi2"], bar["g2"]
+    out = {m: {} if ranking else [None] * len(keys) for m in measures}
     counts = out.get("counts")
     pmis = out.get("pmi")
     locals_ = out.get("pmi-local")
@@ -277,16 +285,14 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
     g2s = out.get("g2")
     only_counts = out.keys() <= {"counts"}
     need_pmi = pmis is not None or locals_ is not None or covs is not None
-    need_splits = chis is not None or g2s is not None
-    passes = (False,)  # the exact pass alone
-    if floor is not None and need_splits:
-        passes = (True, False)
+    want_chi, want_g2 = chis is not None, g2s is not None
+    if ranking and (want_chi or want_g2):
         slack = (256 + 4 * n) * 2.0 ** -53 * total
-        chi_floor, g2_floor = floor["chi2"] - slack, floor["g2"] - slack
+        chi_lo, chi_hi, g2_lo = q_chi - slack, q_chi + slack, q_g2 - slack
         den_floor = 2.0 ** -190 * total ** 4 if 2.0 ** -100 < total < 2.0 ** 100 else math.inf
     for idx, tid in enumerate(map(table.ids.get, keys) if tids is None else tids):
         f = 0.0 if tid is None else sums[type_slots[tid][1]]
-        if counts is not None:
+        if counts is not None and f > q_count:
             counts[idx] = f
         if f <= 0.0 or only_counts:
             continue
@@ -305,91 +311,105 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
         if not ok:
             continue
         if need_pmi:
-            pmi = math.log2(p_t / denom)
-            if pmis is not None:
+            pmi = log2(p_t / denom)
+            if pmis is not None and pmi > q_pmi:
                 pmis[idx] = pmi
             if locals_ is not None:
-                locals_[idx] = p_t * pmi
+                local = p_t * pmi
+                if local > q_local:
+                    locals_[idx] = local
             if covs is not None:
-                covs[idx] = (covers[tid] / comps) * pmi
+                cov = (covers[tid] / comps) * pmi
+                if cov > q_cov:
+                    covs[idx] = cov
         if dices is not None:
-            dices[idx] = n * f / msum
-        if need_splits:
-            # Each split's 2x2 cells. Under a floor, a first pass sums the
-            # closed-form X^2 of the cells no clamp or underflow touched, and
-            # breaks off where both bounds fall below the floor. The exact pass
-            # sums each split's cells in a fixed order: the scalar oracles'.
-            for bounding in passes:
-                x_sum = chi_sum = g2_sum = 0.0
+            dice = n * f / msum
+            if dice > q_dice:
+                dices[idx] = dice
+        chi_open, g2_open = want_chi, want_g2
+        if ranking and (chi_open or g2_open):
+            # Sum the closed-form X^2 of each split's cells, NaN where a cell
+            # is clamped or their product underflows, and settle what it can.
+            x_sum = 0.0
+            for pre_at, suf_at in splits:
+                pre = sums[slots[pre_at]]
+                suf = sums[slots[suf_at]]
+                o12 = pre - f
+                o21 = suf - f
+                o22 = total - pre - suf + f
+                den = pre * (o21 + o22) * suf * (o12 + o22)
+                if o12 < 0.0 or o21 < 0.0 or o22 < 0.0 or not den > den_floor:
+                    x_sum = math.nan
+                    break
+                d = f * o22 - o12 * o21
+                x_sum += total * d * d / den
+            x = x_sum / (n - 1)  # NaN compares false: both stay open
+            if chi_open and x > chi_hi:
+                chis[idx] = x
+            chi_open = chi_open and not (x > chi_hi or x < chi_lo)
+            if g2_open and 2.0 * x >= g2_lo:
+                g_sum = x_sum
                 for pre_at, suf_at in splits:
-                    pre = sums[slots[pre_at]]
-                    suf = sums[slots[suf_at]]
-                    o12 = pre - f
-                    o21 = suf - f
-                    o22 = total - pre - suf + f
-                    if o12 < 0.0 or o21 < 0.0 or o22 < 0.0:
-                        o12 = _checked_cell(o12, scale, "prefix-only")
-                        o21 = _checked_cell(o21, scale, "suffix-only")
-                        o22 = _checked_cell(o22, scale, "neither")
-                        x_sum = math.inf
-                    if bounding:
-                        den = pre * (o21 + o22) * suf * (o12 + o22)
-                        if den > den_floor:
-                            d = f * o22 - o12 * o21
-                            x_sum += total * d * d / den
-                        else:
-                            x_sum = math.inf
-                        continue
-                    r1 = f + o12
-                    r2 = o21 + o22
-                    c1 = f + o21
-                    c2 = o12 + o22
-                    t = f + o12 + o21 + o22
-                    e11 = r1 * c1 / t
-                    e12 = r1 * c2 / t
-                    e21 = r2 * c1 / t
-                    e22 = r2 * c2 / t
-                    if chis is not None:
-                        chi = 0.0
-                        if e11 > 0.0:
-                            d = f - e11
-                            chi += d * d / e11
-                        if e12 > 0.0:
-                            d = o12 - e12
-                            chi += d * d / e12
-                        if e21 > 0.0:
-                            d = o21 - e21
-                            chi += d * d / e21
-                        if e22 > 0.0:
-                            d = o22 - e22
-                            chi += d * d / e22
-                        chi_sum += chi
-                    if g2s is not None:
-                        g2 = 0.0
-                        if f > 0.0:
-                            g2 += f * log(f / e11)
-                        if o12 > 0.0:
-                            g2 += o12 * log(o12 / e12)
-                        if o21 > 0.0:
-                            g2 += o21 * log(o21 / e21)
-                        if o22 > 0.0:
-                            g2 += o22 * log(o22 / e22)
-                        g2_sum += 2.0 * g2
-                if bounding and x_sum / (n - 1) < chi_floor:
-                    g_sum = x_sum
-                    if 2.0 * x_sum / (n - 1) >= g2_floor:
-                        for pre_at, suf_at in splits:
-                            e11 = sums[slots[pre_at]] * sums[slots[suf_at]] / total
-                            dev = f - e11
-                            g_sum += f * log(f / e11) - dev * dev / e11 - dev
-                    if 2.0 * g_sum / (n - 1) < g2_floor:
-                        break
+                    e11 = sums[slots[pre_at]] * sums[slots[suf_at]] / total
+                    dev = f - e11
+                    g_sum += f * log(f / e11) - dev * dev / e11 - dev
+                g2_open = not 2.0 * g_sum / (n - 1) < g2_lo
             else:
-                if chis is not None:
-                    chis[idx] = chi_sum / (n - 1)
-                if g2s is not None:
-                    g2s[idx] = g2_sum / (n - 1)
-    return out
+                g2_open = g2_open and isnan(x)
+        if chi_open or g2_open:
+            # The exact pass: each split's cells summed in the scalar oracles' order.
+            chi_sum = g2_sum = 0.0
+            for pre_at, suf_at in splits:
+                pre = sums[slots[pre_at]]
+                suf = sums[slots[suf_at]]
+                o12 = pre - f
+                o21 = suf - f
+                o22 = total - pre - suf + f
+                if o12 < 0.0 or o21 < 0.0 or o22 < 0.0:
+                    o12 = _checked_cell(o12, scale, "prefix-only")
+                    o21 = _checked_cell(o21, scale, "suffix-only")
+                    o22 = _checked_cell(o22, scale, "neither")
+                r1 = f + o12
+                r2 = o21 + o22
+                c1 = f + o21
+                c2 = o12 + o22
+                t = f + o12 + o21 + o22
+                e11 = r1 * c1 / t
+                e12 = r1 * c2 / t
+                e21 = r2 * c1 / t
+                e22 = r2 * c2 / t
+                if chi_open:
+                    chi = 0.0
+                    if e11 > 0.0:
+                        d = f - e11
+                        chi += d * d / e11
+                    if e12 > 0.0:
+                        d = o12 - e12
+                        chi += d * d / e12
+                    if e21 > 0.0:
+                        d = o21 - e21
+                        chi += d * d / e21
+                    if e22 > 0.0:
+                        d = o22 - e22
+                        chi += d * d / e22
+                    chi_sum += chi
+                if g2_open:
+                    g2 = 0.0
+                    if f > 0.0:
+                        g2 += f * log(f / e11)
+                    if o12 > 0.0:
+                        g2 += o12 * log(o12 / e12)
+                    if o21 > 0.0:
+                        g2 += o21 * log(o21 / e21)
+                    if o22 > 0.0:
+                        g2 += o22 * log(o22 / e22)
+                    g2_sum += 2.0 * g2
+            chi, g2 = chi_sum / (n - 1), g2_sum / (n - 1)
+            if chi_open and chi > q_chi:
+                chis[idx] = chi
+            if g2_open and g2 > q_g2:
+                g2s[idx] = g2
+    return {m: list(scores) for m, scores in out.items()} if ranking else out
 
 
 def score_type(key: PatternKey, table: TypeTable, measure: str) -> float | None:

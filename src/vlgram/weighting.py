@@ -49,7 +49,8 @@ def resonance_amplitude(freq_hz: float) -> float:
     """Raw damped-oscillator response at ``freq_hz``, before normalization."""
     f2 = RESONANCE_F0_HZ * RESONANCE_F0_HZ
     p2 = freq_hz * freq_hz
-    return (1.0 / math.sqrt((f2 - p2) ** 2 + RESONANCE_BETA * p2)
+    gap = f2 - p2  # squared by product: ``** 2`` goes through libm's pow
+    return (1.0 / math.sqrt(gap * gap + RESONANCE_BETA * p2)
             - 1.0 / math.sqrt(f2 * f2 + p2 * p2))
 
 

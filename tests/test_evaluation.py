@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import pairwise
 from types import SimpleNamespace
 
 import pytest
@@ -417,59 +418,114 @@ class TestQueryRanks:
         keys = [builder.keys[tid] for tid in tids]
         full = score_all(table, keys, MEASURES, tids)
         for tid, key, chi2, g2 in zip(tids, keys, full["chi2"], full["g2"]):
-            # each bound reaches within the derived margin of the exact score:
-            # a type keeps its exact chi2 against its own chi2, and its g2 likewise
-            if chi2 is not None:
-                assert score_all(table, (key,), ("chi2",), (tid,),
-                                 floor={"chi2": chi2, "g2": math.inf}) == {"chi2": [chi2]}
-                assert score_all(table, (key,), ("g2",), (tid,),
-                                 floor={"chi2": math.inf, "g2": g2}) == {"g2": [g2]}
+            # each bound reaches within the derived band of the exact score, from
+            # either side: a type is not above its own chi2, and is above the next
+            # float below it; and its g2 likewise
+            for measure, exact in (("chi2", chi2), ("g2", g2)):
+                if exact is not None:
+                    for q, positions in ((exact, []), (math.nextafter(exact, -math.inf), [0])):
+                        assert score_all(table, (key,), (measure,), (tid,),
+                                         above={measure: q}) == {measure: positions}
         for qpos in range(len(tids)):
-            floor = {measure: scores[qpos] for measure, scores in full.items()}
-            if floor["chi2"] is None:
-                continue
-            # under a floor, a score is the exact one, or None where the exact is below it
-            for measure, scores in score_all(table, keys, MEASURES, tids, floor=floor).items():
-                for s, exact in zip(scores, full[measure]):
-                    assert s == exact or s is None and measure in ("chi2", "g2") and (
-                        exact is None or exact < floor[measure]), (measure, s, exact)
+            # every type as the query: the positions above it are those of the full scores
+            query = {measure: scores[qpos] for measure, scores in full.items()
+                     if scores[qpos] is not None}
+            assert score_all(table, keys, tuple(query), tids, above=query) == {
+                measure: [pos for pos, s in enumerate(full[measure]) if s is not None and s > q]
+                for measure, q in query.items()}
         harmony = harmony_mask(builder.keys, FILTER_KINDS)
         for qtid in tids:
             assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, min_count) == \
                 [full_ranks(builder, harmony, qtid, min_count)]
 
     def test_a_clamped_cell_makes_a_candidate(self):
-        # the neither cell of the first type sums to 0.4 - 0.2 - 0.30000000000000004
-        # + 0.1 = -2.8e-17, which score_all clamps to zero: outside the derivation
+        # in the first table, the neither cell of (a, b) sums to 0.4 - 0.2 -
+        # 0.30000000000000004 + 0.1 = -2.8e-17, which score_all clamps to zero:
+        # outside the derivation. In the second, each 0.5 added to the total after
+        # 2^53 is lost, so that cell is -996: an X^2 bound over those cells, raw or
+        # clamped, is off by far more than the band. The queries are every score,
+        # the midpoints between them, and points a few bands below each score
+        a, d = ((4, 7), 7, None), ((3,), None, None)
+        b, c = ((3, 8), None, 5), ((4,), None, 0)
+        for tokens in ([((a, b), 0.1), ((a, c), 0.1), ((d, b), 0.2)],
+                       [((d, c), 4.0), ((a, c), 2.0 ** 53), ((a, b), 2.0)]
+                       + [((d, b), 0.5)] * 2000):
+            builder = TableBuilder(2, 1, ("count",))
+            for key, weight in tokens:
+                builder.add("p", key, (weight,))
+            tids, [table] = builder.level_tables(0)
+            keys = [builder.keys[tid] for tid in tids]
+            full = score_all(table, keys, ("chi2", "g2"), tids)
+            clamped = keys.index((a, b))
+            assert full["chi2"][clamped] is not None and full["g2"][clamped] is not None
+            values = sorted({s for s in full["chi2"] + full["g2"] if s is not None})
+            for q in (-math.inf, *values, *[(x + y) / 2 for x, y in pairwise(values)],
+                      *[s - table.total * 2.0 ** -k for s in values for k in range(40, 54, 2)],
+                      math.inf):
+                assert score_all(table, keys, ("chi2", "g2"), tids,
+                                 above={"chi2": q, "g2": q}) == {
+                    m: [pos for pos, s in enumerate(scores) if s is not None and s > q]
+                    for m, scores in full.items()}
+            harmony = harmony_mask(builder.keys, FILTER_KINDS)
+            for qtid in tids:
+                assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, 0.0) == \
+                    [full_ranks(builder, harmony, qtid, 0.0)]
+
+    def test_an_underflowing_cell_product_makes_a_candidate(self):
+        # the total is about 3, but a, b and c's counts are about 1e-160, so the
+        # product of (a, b)'s marginals falls below 2^-1022 and keeps only a few
+        # bits, and the X^2 bound over it is off by far more than the band. The
+        # queries are every score and points a relative 2^-4...2^-52 either side
         a, d = ((4, 7), 7, None), ((3,), None, None)
         b, c = ((3, 8), None, 5), ((4,), None, 0)
         builder = TableBuilder(2, 1, ("count",))
-        for key, weight in (((a, b), 0.1), ((a, c), 0.1), ((d, b), 0.2)):
+        for key, weight in (((a, b), 2e-161), ((a, c), 8e-161), ((d, b), 7e-161), ((d, c), 3.0)):
             builder.add("p", key, (weight,))
         tids, [table] = builder.level_tables(0)
         keys = [builder.keys[tid] for tid in tids]
         full = score_all(table, keys, ("chi2", "g2"), tids)
-        floored = score_all(table, keys, ("chi2", "g2"), tids,
-                            floor={"chi2": math.inf, "g2": math.inf})
-        # the clamped type alone is scored exactly, whatever the floor
-        assert floored == {m: [scores[0], None, None] for m, scores in full.items()}
-        assert full["chi2"][0] is not None and full["g2"][0] is not None
-        harmony = harmony_mask(builder.keys, FILTER_KINDS)
-        for qtid in tids:
-            assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, 0.0) == \
-                [full_ranks(builder, harmony, qtid, 0.0)]
+        values = {s for s in full["chi2"] + full["g2"] if s is not None}
+        for q in (*values, *[s * (1 + sign * 2.0 ** -k) for s in values
+                             for k in range(4, 53, 4) for sign in (1, -1)]):
+            assert score_all(table, keys, ("chi2", "g2"), tids,
+                             above={"chi2": q, "g2": q}) == {
+                m: [pos for pos, s in enumerate(scores) if s is not None and s > q]
+                for m, scores in full.items()}
 
-    def test_candidates_are_few_where_the_query_ranks_high(self):
+    def test_candidates_are_few_where_the_query_ranks_high(self, monkeypatch):
         corpus, _ = planted_corpus(seed=43, n_pieces=4, length=36)
         builder = evaluation._record(encode_corpus(corpus), ((SkipConfig("fixed", 3, t=5),),),
                                      ("count",))
         tids, [table] = builder.level_tables(0)
-        qtid = builder.ids[MRDCC.key]
-        query = score_all(table, (MRDCC.key,), ("chi2", "g2"), (qtid,))
-        floored = score_all(table, [builder.keys[tid] for tid in tids], ("chi2", "g2"), tids,
-                            floor={measure: scores[0] for measure, scores in query.items()})
-        assert floored["chi2"][tids.index(qtid)] == query["chi2"][0]
-        assert sum(s is not None for s in floored["chi2"]) < len(tids) / 10
+        keys = [builder.keys[tid] for tid in tids]
+        reads = []
+
+        class Sums(list):
+            def __getitem__(self, slot):
+                reads.append(slot)
+                return super().__getitem__(slot)
+
+        counted = dataclasses.replace(table, sums=Sums(table.sums))
+        logs, log = [], math.log
+        monkeypatch.setattr(math, "log", lambda x: logs.append(x) or log(x))
+        full = score_all(counted, keys, ("chi2", "g2"), tids)
+        full_logs = len(logs)
+        query = {measure: scores[tids.index(builder.ids[MRDCC.key])]
+                 for measure, scores in full.items()}
+        above = score_all(table, keys, ("chi2", "g2"), tids, above=query)
+        assert above == {measure: [pos for pos, s in enumerate(scores) if s > query[measure]]
+                         for measure, scores in full.items()}
+        assert len(above["chi2"]) < len(tids) / 10
+        # g2 is scored exactly, and its second bound taken, for few of the types
+        assert len(logs) - full_logs < full_logs / 5
+        # chi2 is settled by its bound for most: full scoring reads a type's joint,
+        # its n marginals and 2(n - 1) split counts, and each exact pass 2(n - 1) more
+        reads.clear()
+        score_all(counted, keys, ("chi2",), tids)
+        full_reads, split_reads = len(reads), 2 * (table.n - 1)
+        reads.clear()
+        assert score_all(counted, keys, ("chi2",), tids, above=query)["chi2"] == above["chi2"]
+        assert len(reads) < full_reads + split_reads * len(tids) / 10
 
 
 class TestGrid:

@@ -116,6 +116,12 @@ class TestResonance:
         # 1/sqrt(1.12 * 4) - 1/sqrt(32)
         assert resonance_amplitude(2.0) == pytest.approx(0.2956788959648971, abs=1e-12)
 
+    def test_squares_by_multiplication(self):
+        # at 4.374 Hz, (f0^2 - f^2) ** 2 goes through a pow that rounds it unlike
+        # the product on some libms (glibc 2.36 among them); the product is one
+        # correctly rounded operation everywhere
+        assert resonance_amplitude(4.374) == 0.012032313725815189
+
     def test_peak_is_normalization_fixed_point(self):
         p_star, a_star = resonance_peak()
         onsets = onsets_from_iois([1.0 / p_star, 1.0 / p_star])
