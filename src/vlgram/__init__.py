@@ -10,13 +10,13 @@ configuration grid.
 from .corpus import (Corpus, CorpusError, CorpusParseError, EmptyCorpusError,
                      NoteEvent, PerformanceDataError, Piece, Slice, expand,
                      parse_corpus, prepare_corpus)
-from .evaluation import (GridResult, PipelineConfig, PlantSpec, compare_levels,
-                         default_grid, generate_synthetic_corpus, mrr,
-                         run_config, run_grid, summarize_grid)
+from .evaluation import (GridResult, PipelineConfig, PlantSpec, default_grid,
+                         generate_synthetic_corpus, run_config, run_grid,
+                         summarize_grid)
 from .filters import FilterSpec, harmony_mask, harmony_pass, keep_masks
 from .ranking import MEASURES, RankedList, TypeTable, build_type_table
 from .skipgram import (EncodedPiece, SkipConfig, SkipToken, enumerate_contiguous,
-                       enumerate_corpus, enumerate_nested, enumerate_piece)
+                       enumerate_corpus, enumerate_piece)
 from .vlt import (PatternSyntaxError, Vlt, VltPattern, chord_of, chord_pitches,
                   format_key, format_pattern, parse_pattern)
 from .weighting import WEIGHT_KINDS

@@ -72,10 +72,6 @@ class NoteEvent:
     onset_perf: float | None = None
     duration_perf: float | None = None
 
-    @property
-    def offset_score(self) -> Fraction:
-        return self.onset_score + self.duration_score
-
 
 @dataclass(slots=True)
 class Slice:
@@ -365,8 +361,20 @@ def _ranked(population: Counter) -> list[frozenset[int]]:
 
 def _reduce(s: Slice, chord: Chord, rankings: Iterable[list[frozenset[int]]]
             ) -> tuple[Slice, Chord, bool]:
-    """reduce_oversized over populations already ranked by _ranked, given the
-    slice's chord; also returns the chord the result is voiced from."""
+    """Reduce slice ``s``, of chord ``chord``, to at most three interval classes
+    above the bass; returns the slice, the chord it is voiced from, and
+    whether it was reduced.
+
+    ``rankings`` holds the populations of the surrounding slices, the whole
+    piece and the whole corpus, each ranked by _ranked. The replacement is
+    the best maximal-cardinality subset of the slice's interval classes
+    found in the first of them that offers one. A slice already within the
+    limit is returned unchanged. If no population offers any subset, the
+    three lowest interval classes are kept and a warning is logged. The
+    kept chord is voiced over the same bass by chord_pitches. Its top class
+    is the slice's when that survives, else the kept class nearest it
+    (circular distance, smaller class on ties).
+    """
     ics, top = chord
     if len(ics) <= SLOT_COUNT:
         return s, chord, False
@@ -386,33 +394,11 @@ def _reduce(s: Slice, chord: Chord, rankings: Iterable[list[frozenset[int]]]
     return Slice(s.piece_id, s.index, s.onset_score, pitches, s.onset_perf), chord, True
 
 
-def reduce_oversized(s: Slice, neighbors: Counter, piece_pop: Counter,
-                     corpus_pop: Counter) -> tuple[Slice, bool]:
-    """Reduce a slice to at most three interval classes above the bass.
-
-    The replacement is the best maximal-cardinality subset of the slice's
-    interval classes found in the surrounding slices, then the whole piece,
-    then the whole corpus. A slice already within the limit is returned
-    unchanged. If no population offers any subset, the three lowest interval
-    classes are kept and a warning is logged. The kept chord is voiced over
-    the same bass by chord_pitches. Its top class is the slice's when that
-    survives, else the kept class nearest it (circular distance, smaller
-    class on ties).
-    """
-    reduced, _chord, replaced = _reduce(s, chord_of(s.pitches),
-                                        map(_ranked, (neighbors, piece_pop, corpus_pop)))
-    return reduced, replaced
-
-
 @dataclass
 class PrepareStats:
     n_slices: int = 0
     n_reduced: int = 0
     fallback_pieces: list[str] = field(default_factory=list)
-
-    @property
-    def reduced_fraction(self) -> float:
-        return self.n_reduced / self.n_slices if self.n_slices else 0.0
 
 
 def reduce_corpus(corpus: Corpus) -> PrepareStats:

@@ -127,10 +127,6 @@ class GridResult:
             groups.setdefault(r.level(stage), []).append(r.rr)
         return groups
 
-    def group(self, stage: str, level: str) -> list[float]:
-        """Reciprocal ranks of every configuration containing the level."""
-        return self.groups(stage).get(level, [])
-
     def result_for(self, skip_mode: str, skip_level: str, weight: str,
                    fkind: str, measure: str) -> ConfigResult:
         for r in self.rows:
@@ -138,12 +134,6 @@ class GridResult:
                     and r.weight == weight and r.filter == fkind and r.measure == measure):
                 return r
         raise KeyError((skip_mode, skip_level, weight, fkind, measure))
-
-
-def mrr(ranks: Iterable["int | None"]) -> float:
-    """Mean reciprocal rank; an absent query contributes zero."""
-    values = [0.0 if r is None else 1.0 / r for r in ranks]
-    return ordered_sum(values) / len(values) if values else 0.0
 
 
 def _record(pieces: list[EncodedPiece], chains: Sequence[Sequence[SkipConfig]],
@@ -324,12 +314,6 @@ class LevelComparison:
     p: float | None
     d: float
 
-    def flipped(self) -> "LevelComparison":
-        return LevelComparison(self.level_b, self.level_a, self.n_b, self.n_a,
-                               self.mrr_b, self.mrr_a, -self.delta,
-                               None if self.t is None else -self.t, self.df,
-                               self.p, -self.d)
-
 
 def mean_var(xs: Sequence[float]) -> tuple[float, float]:
     n = len(xs)
@@ -362,18 +346,6 @@ def pooled_t_test(xs: Sequence[float], ys: Sequence[float],
     p = min(1.0, 2.0 * float(stdtr(df, -abs(t))) * planned_comparisons)
     d = (m1 - m2) / sp
     return t, df, p, d
-
-
-def compare_levels(grid: GridResult, level_a: tuple[str, str], level_b: tuple[str, str],
-                   planned_comparisons: int = 1) -> LevelComparison:
-    """Compare the reciprocal ranks of two pipeline levels.
-
-    Levels are (stage, label) pairs, e.g. ("skip", "fixed:4") or
-    ("skip_mode", "variable"). Swapping the arguments flips the signs of
-    the difference, t, and d.
-    """
-    return _compare(level_a[1], grid.group(*level_a), level_b[1], grid.group(*level_b),
-                    planned_comparisons)
 
 
 def _compare(label_a: str, xs: Sequence[float], label_b: str, ys: Sequence[float],

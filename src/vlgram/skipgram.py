@@ -17,8 +17,8 @@ budget's tuple whose total skip is at most t, and a ``variable:w`` tuple
 is a wider window's tuple that passes the window test at w.
 ``enumerate_chains`` is the one skip walker: it walks a fixed chain and a
 variable chain together, once, tagging each token with the narrowest
-level of each chain that admits it. ``enumerate_nested`` is one chain,
-and ``enumerate_piece`` one level.
+level of each chain that admits it. ``enumerate_piece`` is a one-level
+chain over it.
 ``SkipConfig`` alone validates a level and spells its label.
 """
 
@@ -248,20 +248,9 @@ def enumerate_chains(piece: EncodedPiece, chains: Sequence[Sequence[SkipConfig]]
         yield tags[spent][need], piece.token_at(indices)
 
 
-def enumerate_nested(piece: EncodedPiece,
-                     chain: Sequence[SkipConfig]) -> Iterator[tuple[int, SkipToken]]:
-    """The widest level's tokens, each with the index of the narrowest level admitting it.
-
-    ``chain`` holds ascending levels of one mode and one n: a one-chain
-    ``enumerate_chains``.
-    """
-    for (level,), token in enumerate_chains(piece, (chain,)):
-        yield level, token
-
-
 def enumerate_piece(piece: EncodedPiece, config: SkipConfig) -> Iterator[SkipToken]:
     """One skip level's tokens in lexicographic order: a one-level chain."""
-    for _level, token in enumerate_nested(piece, (config,)):
+    for _levels, token in enumerate_chains(piece, ((config,),)):
         yield token
 
 

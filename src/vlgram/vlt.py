@@ -71,11 +71,6 @@ class Vlt:
     def key(self) -> VltKey:
         return (self.intervals, self.top, self.bass_motion)
 
-    @property
-    def pitch_class_count(self) -> int:
-        """Distinct pitch classes in the chord: the bass plus one per interval."""
-        return 1 + len(self.intervals)
-
     def __str__(self) -> str:
         return format_chord((self.intervals, self.top))
 
@@ -101,10 +96,6 @@ class VltPattern:
     @property
     def key(self) -> PatternKey:
         return tuple(c.key for c in self.chords)
-
-    @classmethod
-    def from_key(cls, key: PatternKey) -> "VltPattern":
-        return cls(tuple(Vlt(*k) for k in key))
 
     def __str__(self) -> str:
         return format_pattern(self)

@@ -1,16 +1,19 @@
 """Scalar oracles, one function per weighting (``w_*``) and per measure (``am_*``),
 that the library's one weigher (``weigh_all``) and one scorer (``score_all``) must
-match bit for bit. Not named ``test_*``, so pytest collects nothing here."""
+match bit for bit, and the per-slice chord reduction (``reduce_oversized``) that
+``reduce_corpus`` must match. Not named ``test_*``, so pytest collects nothing here."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from vlgram.corpus import Slice, _ranked, _reduce
 from vlgram.ranking import (RankedList, TableInvariantError, TypeTable, _checked_cell,
                             rank_types)
-from vlgram.vlt import PatternKey
+from vlgram.vlt import PatternKey, chord_of
 from vlgram.weighting import (PROXIMITY_HALF_LIFE_S, _TWO_PI, _iois,
                               resonance_amplitude, resonance_peak)
 
@@ -250,3 +253,12 @@ def rank_table(table: TypeTable, measure: str) -> RankedList:
         if s is not None:
             scored.append((key, s))
     return rank_types(scored, table, measure)
+
+
+def reduce_oversized(s: Slice, neighbors: Counter, piece_pop: Counter,
+                     corpus_pop: Counter) -> tuple[Slice, bool]:
+    """One slice reduced against its three raw populations (corpus._reduce),
+    each ranked afresh; returns the slice and whether it was reduced."""
+    reduced, _chord, replaced = _reduce(s, chord_of(s.pitches),
+                                        map(_ranked, (neighbors, piece_pop, corpus_pop)))
+    return reduced, replaced

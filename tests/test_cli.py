@@ -46,6 +46,21 @@ def run_cli(args):
     return code, out.getvalue()
 
 
+def modules_after(commands, modules):
+    """Run ``commands`` in turn in one fresh process; after each, its exit code
+    and whether each of ``modules`` is loaded."""
+    child = ("import json, sys\n"
+             "from vlgram.cli import main\n"
+             "commands, modules = json.loads(sys.argv[1])\n"
+             "print(json.dumps([[main(argv)] + [m in sys.modules for m in modules]\n"
+             "                  for argv in commands]))\n")
+    src = os.path.dirname(os.path.dirname(vlgram.__file__))
+    done = subprocess.run([sys.executable, "-c", child, json.dumps([commands, modules])],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 @pytest.fixture()
 def fixture_corpus(tmp_path):
     path = tmp_path / "four.tsv"
@@ -328,15 +343,18 @@ class TestGridCommand:
                     ["grid", "--input", str(path), "--query", MRDCC_TEXT, "--jobs", "1",
                      "--output", str(tmp_path / "grid.csv"),
                      "--summary", str(tmp_path / "summary.csv")]]
-        child = ("import json, sys\n"
-                 "from vlgram.cli import main\n"
-                 "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-                 "print(json.dumps([codes, 'multiprocessing' in sys.modules]))\n")
-        src = os.path.dirname(os.path.dirname(vlgram.__file__))
-        done = subprocess.run([sys.executable, "-c", child, json.dumps(commands)],
-                              capture_output=True, text=True, check=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
+        assert modules_after(commands, ["multiprocessing"]) == [[0, False], [0, False]]
+
+    def test_only_grid_summary_loads_scipy(self, synth_corpus, tmp_path):
+        """scipy, and the numpy under it, load only for grid --summary's t tail."""
+        path, _ = synth_corpus
+        grid = ["grid", "--input", str(path), "--query", MRDCC_TEXT, "--jobs", "1",
+                "--output", str(tmp_path / "grid.csv")]
+        commands = [["mine", "--input", str(path), "--query", MRDCC_TEXT,
+                     "--output", str(tmp_path / "ranked.csv")],
+                    grid, grid + ["--summary", str(tmp_path / "summary.csv")]]
+        assert modules_after(commands, ["scipy", "numpy"]) == [
+            [0, False, False], [0, False, False], [0, True, True]]
 
     def test_grid_row_count_and_determinism(self, synth_corpus, tmp_path):
         corpus, _ = synth_corpus

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from vlgram.corpus import (CorpusParseError, EmptyCorpusError, NoteEvent,
                            PerformanceDataError, Slice, assign_performed_onsets,
                            expand, parse_corpus, prepare_corpus,
-                           reduce_oversized, render_fixed_tempo)
+                           render_fixed_tempo)
 from vlgram.vlt import chord_of
+
+from oracles import reduce_oversized
 
 
 def note(piece, onset, dur, pitch, op=None, dp=None):
@@ -192,7 +194,7 @@ class TestExpand:
             assert len(slices) == len({n.onset_score for n in notes})
             for s in slices:
                 sounding = {n.pitch for n in notes
-                            if n.onset_score <= s.onset_score < n.offset_score}
+                            if n.onset_score <= s.onset_score < n.onset_score + n.duration_score}
                 assert set(s.pitches) == sounding
             onsets = [s.onset_score for s in slices]
             assert onsets == sorted(onsets)
@@ -293,7 +295,8 @@ def oracle_expand(notes):
     slices, active, pos = [], [], 0
     for index, onset in enumerate(sorted({n.onset_score for n in notes})):
         while pos < len(by_onset) and by_onset[pos].onset_score <= onset:
-            heappush(active, (by_onset[pos].offset_score, pos, by_onset[pos].pitch))
+            n = by_onset[pos]
+            heappush(active, (n.onset_score + n.duration_score, pos, n.pitch))
             pos += 1
         while active and active[0][0] <= onset:
             heappop(active)
@@ -522,12 +525,12 @@ class TestPrepare:
         corpus = parse_text("\n".join(rows) + "\n")
         stats = prepare_corpus(corpus)
         assert stats.n_reduced == 1
-        assert stats.reduced_fraction == pytest.approx(1 / 8)
+        assert stats.n_reduced / stats.n_slices == pytest.approx(1 / 8)
         assert classes(corpus.pieces[0].slices[7]) == (4, 7)
 
     def test_reduce_corpus_equals_per_slice_reduce_oversized(self):
         # each oversized slice, reduced against Counters of its original
-        # window, piece and corpus, as reduce_oversized documents
+        # window, piece and corpus, as _reduce documents
         rng = random.Random(17)
         for _ in range(4):
             rows = [f"{piece}\t{i}\t1\t{p}" for piece in ("p1", "p2", "p3")

@@ -18,9 +18,9 @@ from vlgram import evaluation
 from vlgram.corpus import Corpus, NoteEvent, PerformanceDataError, Piece, Slice, prepare_corpus
 from vlgram.evaluation import (BASELINES, FIXED_SKIPS, VARIABLE_WINDOWS,
                                ConfigResult, GenerationError, PipelineConfig,
-                               PlantSpec, compare_levels, default_grid,
+                               GridResult, PlantSpec, default_grid,
                                default_skip_configs, default_vocabulary,
-                               generate_synthetic_corpus, mean_var, mrr, pooled_t_test,
+                               generate_synthetic_corpus, mean_var, pooled_t_test,
                                run_config, run_grid, summarize_grid)
 from vlgram.filters import FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
 from vlgram.ranking import MEASURES, TableBuilder, score_all
@@ -101,15 +101,14 @@ class TestGridShape:
                              str(c.skip.t) if c.skip.mode == "fixed" else f"{c.skip.w:g}",
                              c.weight, c.filter.kind, c.measure, None)
                 for c in grid]
-        result = __import__("vlgram.evaluation", fromlist=["GridResult"]).GridResult(
-            "q", 3, rows)
-        assert len(result.group("skip", "fixed:0")) == 140
-        assert len(result.group("skip", "variable:2")) == 140
-        assert len(result.group("weight", "count")) == 364
-        assert len(result.group("filter", "harmony")) == 455
-        assert len(result.group("rank", "pmi-cov")) == 260
-        assert len(result.group("skip_mode", "fixed")) == 1260
-        assert len(result.group("skip_mode", "variable")) == 560
+        result = GridResult("q", 3, rows)
+        assert len(result.groups("skip")["fixed:0"]) == 140
+        assert len(result.groups("skip")["variable:2"]) == 140
+        assert len(result.groups("weight")["count"]) == 364
+        assert len(result.groups("filter")["harmony"]) == 455
+        assert len(result.groups("rank")["pmi-cov"]) == 260
+        assert len(result.groups("skip_mode")["fixed"]) == 1260
+        assert len(result.groups("skip_mode")["variable"]) == 560
         # two-sample dfs: 278, 726, 908, 518, 1818
         assert 140 + 140 - 2 == 278
         assert 364 + 364 - 2 == 726
@@ -118,18 +117,25 @@ class TestGridShape:
         assert 1260 + 560 - 2 == 1818
 
 
+def level_row(ranks):
+    """summarize_grid's row for the one level of a grid whose query ranked ``ranks``."""
+    rows = [ConfigResult("fixed", "0", "count", "none", "counts", r) for r in ranks]
+    return summarize_grid(GridResult("q", 3, rows))[0]
+
+
 class TestMrr:
     def test_perfect_ranks(self):
-        assert mrr([1, 1, 1]) == 1.0
+        assert level_row([1, 1, 1]).mrr == 1.0
 
     def test_arithmetic(self):
-        assert mrr([1, 2, 4]) == pytest.approx(0.5833333333333334)
+        assert level_row([1, 2, 4]).mrr == pytest.approx(0.5833333333333334)
 
     def test_all_absent(self):
-        assert mrr([None, None]) == 0.0
+        row = level_row([None, None])
+        assert row.mrr == 0.0 and row.all_absent
 
     def test_absent_contributes_zero(self):
-        assert mrr([1, None]) == 0.5
+        assert level_row([1, None]).mrr == 0.5
 
 
 class TestComparisons:
@@ -182,16 +188,17 @@ class TestComparisons:
             for j in range(4):
                 rows.append(ConfigResult("fixed", level, "count", "none", "counts",
                                          1 + (i + j) % 3))
-        from vlgram.evaluation import GridResult
-        grid = GridResult("q", 3, rows)
-        ab = compare_levels(grid, ("skip", "fixed:0"), ("skip", "fixed:1"))
-        ba = compare_levels(grid, ("skip", "fixed:1"), ("skip", "fixed:0"))
+        groups = GridResult("q", 3, rows).groups("skip")
+        ab = evaluation._compare("fixed:0", groups["fixed:0"], "fixed:1", groups["fixed:1"], 1)
+        ba = evaluation._compare("fixed:1", groups["fixed:1"], "fixed:0", groups["fixed:0"], 1)
         assert ab.delta == pytest.approx(-ba.delta)
         assert ab.t == pytest.approx(-ba.t)
         assert ab.d == pytest.approx(-ba.d)
         assert ab.df == ba.df
         assert ab.p == ba.p
-        assert ab.flipped() == ba
+        assert ((ba.level_a, ba.level_b, ba.n_a, ba.n_b, ba.mrr_a, ba.mrr_b)
+                == (ab.level_b, ab.level_a, ab.n_b, ab.n_a, ab.mrr_b, ab.mrr_a))
+        assert (ba.delta, ba.t, ba.d) == (-ab.delta, -ab.t, -ab.d)
 
 
 class TestRunConfig:
@@ -782,10 +789,10 @@ class TestGrid:
             for level in groups:
                 if stage == "skip_mode" and level == "fixed":
                     continue
-                rrs = grid.group(stage, level)
+                rrs = groups[level]
                 comp = (None if level == baseline else
-                        compare_levels(grid, (stage, level), (stage, baseline), 50))
+                        evaluation._compare(level, groups[level], baseline, groups[baseline], 50))
                 expected.append((stage, level, len(rrs), sum(rrs) / len(rrs), comp))
         assert [(r.stage, r.level, r.n_configs, r.mrr, r.comparison)
                 for r in summarize_grid(grid, 50)] == expected
-        assert grid.group("skip", "fixed:9") == []
+        assert "fixed:9" not in grid.groups("skip")

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from vlgram.corpus import PerformanceDataError, Slice
 from vlgram.skipgram import (EncodedPiece, SkipConfig, enumerate_chains, enumerate_contiguous,
-                             enumerate_nested, enumerate_piece)
-from vlgram.vlt import VltPattern, chord_of, format_key, parse_pattern
+                             enumerate_piece)
+from vlgram.vlt import chord_of, format_key, parse_pattern
 
 
 def piece_of(k, seed=0, iois=None):
@@ -235,7 +235,7 @@ class TestNested:
     def test_levels_reproduce_each_level_enumeration(self, case):
         piece, chain = case
         tagged = [(level, tok.indices, tok.type_key)
-                  for level, tok in enumerate_nested(piece, chain)]
+                  for (level,), tok in enumerate_chains(piece, (chain,))]
         assert all(0 <= level < len(chain) for level, _, _ in tagged)
         for at, skip in enumerate(chain):
             assert [(indices, key) for level, indices, key in tagged
@@ -286,7 +286,7 @@ class TestNested:
         # the recomputed IOI, 0.20000000000000004, would exceed the window
         piece = piece_with_onsets([0.0, 0.1, 0.1 + 0.2])
         chain = [SkipConfig("variable", 2, w=0.1), SkipConfig("variable", 2, w=0.2)]
-        tagged = {tok.indices: level for level, tok in enumerate_nested(piece, chain)}
+        tagged = {tok.indices: level for (level,), tok in enumerate_chains(piece, (chain,))}
         assert tagged == {(0, 1): 0, (1, 2): 1}
         assert index_set(enumerate_piece(piece, SkipConfig("variable", 2, w=0.2))) == \
             [(0, 1), (1, 2)]
@@ -301,7 +301,7 @@ class TestNested:
     ], ids=["empty", "repeated", "descending", "none-first", "mixed-mode", "mixed-n"])
     def test_bad_chain_rejected(self, chain):
         with pytest.raises(ValueError, match="chain"):
-            list(enumerate_nested(piece_of(6), chain))
+            list(enumerate_chains(piece_of(6), (chain,)))
 
 
 class TestTokenContent:
@@ -335,7 +335,6 @@ class TestTokenContent:
     def test_pattern_property_roundtrips(self):
         piece = piece_of(6, seed=12)
         for token in enumerate_piece(piece, SkipConfig("fixed", 3, t=2)):
-            assert VltPattern.from_key(token.type_key).key == token.type_key
             assert parse_pattern(format_key(token.type_key)).key == token.type_key
 
 

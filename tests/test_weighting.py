@@ -257,3 +257,31 @@ def test_library_sums_no_floats_with_builtin_sum():
                 calls.add((path.name, ast.unparse(node)))
     assert calls == integer_sums
     assert names == len(integer_sums)  # sum is never passed on uncalled
+
+
+def test_every_library_name_has_a_caller():
+    # Each function, method, property and class of the library is used, as a
+    # name, an attribute or an import, by the library, a benchmark, an oracle
+    # or the acceptance suite; a name only other tests reach is dead code.
+    # __init__.py only re-exports, so its imports keep nothing.
+    lib, root = Path(vlgram.__file__).parent, Path(__file__).parents[1]
+    defined = {}
+    for path in lib.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defined[node.name] = f"{path.name}:{node.name}"
+    callers = [path for path in lib.glob("*.py") if path.name != "__init__.py"]
+    callers += [*root.glob("perfbench/*.py"), *root.glob("bench/*.py"),
+                root / "tests" / "oracles.py", root / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    uncalled = sorted(where for name, where in defined.items() if name not in used)
+    assert not uncalled, f"uncalled: {', '.join(uncalled)}"
