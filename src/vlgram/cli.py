@@ -207,11 +207,10 @@ def _cmd_grid(args) -> int:
             writer.writerow(["stage", "level", "n_configs", "mrr", "delta", "t", "df",
                              "p", "d", "na"])
             for row in evaluation.summarize_grid(grid, args.planned_comparisons):
-                comp = row.comparison
-                stats = [""] * 5 if comp is None else [
-                    _fmt(comp.delta), _fmt(comp.t), str(comp.df), _fmt(comp.p), _fmt(comp.d)]
+                stats = [""] * 5 if row.comparison is None else map(_fmt, row.comparison)
+                # each rr is 0 or at least 1/#types: mrr is 0 only where all are absent
                 writer.writerow([row.stage, row.level, row.n_configs, _fmt(row.mrr),
-                                 *stats, "NA" if row.all_absent else ""])
+                                 *stats, "NA" if row.mrr == 0.0 else ""])
     _status(f"wrote {len(grid.rows)} configuration rows to {args.output}",
             args.output, args.summary)
     return 0
@@ -277,16 +276,20 @@ def _grid_rank(text: str | None, line_no: int, source: str) -> int | None:
 
 def _cmd_report(args) -> int:
     reader = csv.DictReader(io.StringIO(corpus_mod.read_text(args.grid), newline=""))
-    missing = [c for c in GRID_COLUMNS[:-1] if c not in (reader.fieldnames or ())]
-    if missing:  # rr is not read: it follows from query_rank
-        raise corpus_mod.CorpusParseError(
-            f"grid CSV lacks column(s) {', '.join(missing)}", 1, args.grid)
     rows = []
-    for row in reader:
-        rank = _grid_rank(row["query_rank"], reader.line_num, args.grid)
-        rows.append(evaluation.ConfigResult(
-            row["skip_mode"], row["skip_level"], row["weight"], row["filter"],
-            row["rank_measure"], rank))
+    try:
+        missing = [c for c in GRID_COLUMNS[:-1] if c not in (reader.fieldnames or ())]
+        if missing:  # rr is not read: it follows from query_rank
+            raise corpus_mod.CorpusParseError(
+                f"grid CSV lacks column(s) {', '.join(missing)}", 1, args.grid)
+        for row in reader:
+            rank = _grid_rank(row["query_rank"], reader.line_num, args.grid)
+            rows.append(evaluation.ConfigResult(
+                row["skip_mode"], row["skip_level"], row["weight"], row["filter"],
+                row["rank_measure"], rank))
+    except csv.Error as exc:  # a field past csv.field_size_limit(), say
+        # at the line read: the DictReader's line_num counts only the rows it returned
+        raise corpus_mod.CorpusParseError(str(exc), reader.reader.line_num, args.grid) from None
     grid = evaluation.GridResult("", 0, rows)
     with _open_out(args.output) as out:
         writer = _csv_writer(out)

@@ -1,13 +1,13 @@
 """Note-event corpora: parsing, vertical expansion, and chord reduction.
 
-The interchange format is line-oriented UTF-8 (a leading byte-order mark
-is ignored), one note per line with tab-separated fields::
+The interchange format is UTF-8 (a leading byte-order mark is ignored),
+one note per line (ended by LF, CR LF or CR) with tab-separated fields::
 
     piece_id  onset_score  duration_score  pitch  [onset_perf  duration_perf]
 
-Score times are rational beats written as ``p/q`` or decimals, performed
-times are seconds, pitch is a MIDI number 0..127. Lines starting with
-``#`` are comments. A corpus is a single file or a directory of files.
+Score times are rational beats in float range, written as ``p/q`` or
+decimals; performed times are seconds, pitch is a MIDI number 0..127. Lines
+starting with ``#`` are comments. A corpus is a file or a directory of files.
 
 Expansion slices a piece at every distinct note onset; a slice contains
 every note whose half-open sounding interval [onset, onset + duration)
@@ -122,6 +122,7 @@ def _time(text: str, times: dict[str, tuple[Fraction, int, int]]) -> tuple[Fract
     parsed = times.get(text)
     if parsed is None:
         value = Fraction(text)
+        float(value)  # OverflowError past float range: no performed time could be rendered
         parsed = times[text] = (value, value.numerator, value.denominator)
     return parsed
 
@@ -140,7 +141,7 @@ def _parse_line(line: str, line_no: int, source: str,
         onset, onset_num, onset_den = _time(fields[1].strip(), times)
         duration, duration_num, _ = _time(fields[2].strip(), times)
         pitch = int(fields[3].strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CorpusParseError(f"bad numeric field: {exc}", line_no, source) from None
     if onset_num < 0:
         raise CorpusParseError(f"negative onset {onset}", line_no, source)
@@ -167,13 +168,20 @@ def _parse_line(line: str, line_no: int, source: str,
     return note, onset_num, onset_den
 
 
+def _lines(text: str) -> list[str]:
+    r"""``text`` split at \n, \r\n and \r only, unlike str.splitlines (at \f, U+2028...)."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _decode(data: bytes, source: str) -> str:
     """UTF-8 ``data`` as text less a leading BOM; a bad byte raises CorpusParseError."""
     data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line_no = len(_lines(data[:exc.start].decode("utf-8")))
         raise CorpusParseError(f"cannot decode byte {data[exc.start]:#04x} as UTF-8 "
                                f"({exc.reason})", line_no, source) from None
 
@@ -189,7 +197,7 @@ def _iter_sources(source) -> Iterable[tuple[str, Iterable[str]]]:
         data = source.read()
         if isinstance(data, bytes):
             data = _decode(data, name)
-        yield name, data.splitlines()
+        yield name, _lines(data)
         return
     path = Path(source)
     if path.is_dir():
@@ -197,9 +205,9 @@ def _iter_sources(source) -> Iterable[tuple[str, Iterable[str]]]:
         if not files:
             raise EmptyCorpusError(f"no corpus files in {path}")
         for p in files:
-            yield str(p), read_text(p).splitlines()
+            yield str(p), _lines(read_text(p))
     else:
-        yield str(path), read_text(path).splitlines()
+        yield str(path), _lines(read_text(path))
 
 
 def parse_corpus(source: "str | Path | IO") -> Corpus:
@@ -218,8 +226,7 @@ def parse_corpus(source: "str | Path | IO") -> Corpus:
     times: dict[str, tuple[Fraction, int, int]] = {}
     warnings: list[str] = []
     for name, lines in _iter_sources(source):
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n")
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             note, onset_num, onset_den = _parse_line(line, line_no, name, times)
@@ -398,7 +405,6 @@ def _reduce(s: Slice, chord: Chord, rankings: Iterable[list[frozenset[int]]]
 class PrepareStats:
     n_slices: int = 0
     n_reduced: int = 0
-    fallback_pieces: list[str] = field(default_factory=list)
 
 
 def reduce_corpus(corpus: Corpus) -> PrepareStats:
@@ -457,6 +463,4 @@ def prepare_corpus(corpus: Corpus) -> PrepareStats:
         else:
             piece.slices = render_fixed_tempo(slices)
             piece.synthetic_tempo = True
-    stats = reduce_corpus(corpus)
-    stats.fallback_pieces = [p.piece_id for p in corpus.pieces if p.synthetic_tempo]
-    return stats
+    return reduce_corpus(corpus)

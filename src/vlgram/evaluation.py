@@ -300,25 +300,11 @@ def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
     return GridResult(str(query), n, rows)
 
 
-@dataclass(frozen=True)
-class LevelComparison:
-    level_a: str
-    level_b: str
-    n_a: int
-    n_b: int
-    mrr_a: float
-    mrr_b: float
-    delta: float
-    t: float | None
-    df: int
-    p: float | None
-    d: float
-
-
 def mean_var(xs: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample variance; the variance of equal values is exactly 0.0."""
     n = len(xs)
     m = ordered_sum(xs) / n
-    if n < 2:
+    if n < 2 or min(xs) == max(xs):
         return m, 0.0
     return m, ordered_sum((x - m) * (x - m) for x in xs) / (n - 1)
 
@@ -348,51 +334,38 @@ def pooled_t_test(xs: Sequence[float], ys: Sequence[float],
     return t, df, p, d
 
 
-def _compare(label_a: str, xs: Sequence[float], label_b: str, ys: Sequence[float],
-             planned_comparisons: int) -> LevelComparison:
-    t, df, p, d = pooled_t_test(xs, ys, planned_comparisons)
-    m1 = ordered_sum(xs) / len(xs)
-    m2 = ordered_sum(ys) / len(ys)
-    return LevelComparison(label_a, label_b, len(xs), len(ys),
-                           m1, m2, m1 - m2, t, df, p, d)
-
-
 @dataclass(frozen=True)
 class SummaryRow:
+    """A level's MRR and, unless the level is its stage's baseline, its
+    ``comparison`` with the baseline: (delta, t, df, p, d), the level's MRR
+    minus the baseline's followed by pooled_t_test's tuple."""
+
     stage: str
     level: str
     n_configs: int
     mrr: float
-    is_baseline: bool
-    comparison: LevelComparison | None
-    all_absent: bool
+    comparison: tuple[float, float | None, int, float | None, float] | None
 
 
 def summarize_grid(grid: GridResult,
                    planned_comparisons: int = DEFAULT_PLANNED_COMPARISONS) -> list[SummaryRow]:
     """Per-level MRR plus the comparison of every level against its baseline.
 
-    Also emits the variable-versus-fixed comparison under the stage name
-    ``skip_mode``. Levels whose configurations never retrieve the query
-    are flagged as absent.
+    Under the stage name ``skip_mode``, only the variable level is listed,
+    against the fixed baseline, and only when the grid holds both modes.
     """
     rows = []
-    for stage in ("skip", "weight", "filter", "rank"):
-        baseline = BASELINES[stage]
+    for stage, baseline in (*BASELINES.items(), ("skip_mode", "fixed")):
         groups = grid.groups(stage)
+        base = groups.get(baseline, [])
+        if stage == "skip_mode":
+            groups = {"variable": groups["variable"]} if base and "variable" in groups else {}
         for level, rrs in groups.items():
-            is_base = level == baseline
-            comp = None if is_base else _compare(level, rrs, baseline, groups.get(baseline, []),
-                                                 planned_comparisons)
-            rows.append(SummaryRow(stage, level, len(rrs), ordered_sum(rrs) / len(rrs),
-                                   is_base, comp, all(rr == 0.0 for rr in rrs)))
-    modes = grid.groups("skip_mode")
-    fixed = modes.get("fixed", [])
-    var = modes.get("variable", [])
-    if fixed and var:
-        comp = _compare("variable", var, "fixed", fixed, planned_comparisons)
-        rows.append(SummaryRow("skip_mode", "variable", len(var), ordered_sum(var) / len(var),
-                               False, comp, all(rr == 0.0 for rr in var)))
+            mrr, comparison = ordered_sum(rrs) / len(rrs), None
+            if level != baseline:  # the t test first: it rejects a missing baseline
+                t_test = pooled_t_test(rrs, base, planned_comparisons)
+                comparison = (mrr - ordered_sum(base) / len(base), *t_test)
+            rows.append(SummaryRow(stage, level, len(rrs), mrr, comparison))
     return rows
 
 

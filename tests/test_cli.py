@@ -408,6 +408,15 @@ class TestGridCommand:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["se_rr"] for r in rows if r["stage"] != "rank"] == ["0.06782329983125268"] * 3
 
+    def test_report_se_of_a_constant_group_is_zero(self, tmp_path, capsys):
+        # the mean of 140 thirds rounds off 1/3, but the ranks do not vary
+        grid = tmp_path / "grid.csv"
+        grid.write_text("\n".join([GRID_HEADER] + [
+            f"fixed,0,count,none,counts,3,{1 / 3!r}"] * 140) + "\n")
+        assert main(["report", "--grid", str(grid)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["se_rr"] for r in rows] == ["0.0"] * 4
+
 
 class TestSynth:
     def test_manifest_rows_equal_planted_instances(self, synth_corpus):
@@ -653,6 +662,23 @@ class TestExitCodes:
             code, _ = run_cli(argv)
             assert code == 3
             assert f"{path}:3: cannot decode byte 0xff" in capsys.readouterr().err
+
+    def test_report_oversized_field_is_3(self, tmp_path, capsys):
+        # past csv.field_size_limit() (131,072 characters by default)
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"{GRID_HEADER}\nfixed,{'0' * 200_000},count,none,counts,2,0.5\n")
+        code, _ = run_cli(["report", "--grid", str(grid)])
+        assert code == 3
+        assert f"{grid}:2: field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["expand", "mine"])
+    def test_score_time_beyond_float_range_is_3(self, tmp_path, capsys, command):
+        corpus = tmp_path / "huge.tsv"
+        corpus.write_text("a\t0\t1\t60\na\t1e400\t1\t62\n")
+        code, _ = run_cli([command, "--input", str(corpus)]
+                          + ["--n", "2"] * (command == "mine"))
+        assert code == 3
+        assert f"{corpus}:2: bad numeric field" in capsys.readouterr().err
 
     def test_internal_value_error_is_4(self, fixture_corpus, monkeypatch, capsys):
         def broken(*args, **kwargs):

@@ -108,6 +108,30 @@ class TestParse:
             assert err.value.line_no == 2
             assert str(err.value) == f"<stream>:2: bad numeric field: {reason}"
 
+    def test_score_time_beyond_float_range_names_its_line(self):
+        for bad in ("1e400", "-1e400", "2" * 400 + "/3"):
+            with pytest.raises(CorpusParseError, match="bad numeric field") as err:
+                parse_text(f"p\t0\t1\t60\np\t{bad}\t1\t62\n")
+            assert err.value.line_no == 2
+        with pytest.raises(CorpusParseError) as err:
+            parse_text("p\t0\t1\t60\np\t1\t1e400\t62\n")
+        assert err.value.line_no == 2
+        assert parse_text("p\t1e300\t1e-400\t60\n").pieces[0].notes[0].onset_score == 10 ** 300
+
+    @pytest.mark.parametrize("mark", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_lines_end_only_at_line_feeds_and_carriage_returns(self, mark):
+        # str.splitlines would also break at each mark, adding lines
+        corpus = parse_text(f"# a{mark}b\na\t0\t1\t60{mark}\r\na\t1\t1\t62\ra\t2\t1\t64")
+        assert [n.pitch for n in corpus.pieces[0].notes] == [60, 62, 64]
+        with pytest.raises(CorpusParseError) as err:
+            parse_text(f"a\t0\t1\t60{mark}\n# a{mark}b\r\na\t1\t1\t200\n")
+        assert err.value.line_no == 3
+        data = f"a\t0\t1\t60{mark}\n# a{mark}b\r\n".encode() + b"a\t1\t1\t6\xff2\n"
+        with pytest.raises(CorpusParseError, match="cannot decode") as err:
+            parse_corpus(io.BytesIO(data))
+        assert err.value.line_no == 3
+
     def test_negative_onset_names_its_fraction(self):
         with pytest.raises(CorpusParseError) as err:
             parse_text("p\t0\t1\t60\np\t-1/2\t1\t62\n")
@@ -510,8 +534,8 @@ class TestPrepare:
 
     def test_prepare_flags_fixed_tempo_fallback(self):
         corpus = self.make_corpus(with_perf=False)
-        stats = prepare_corpus(corpus)
-        assert stats.fallback_pieces == ["a"]
+        prepare_corpus(corpus)
+        assert corpus.pieces[0].synthetic_tempo
         assert corpus.pieces[0].slices[1].onset_perf == pytest.approx(0.6)
 
     def test_reduction_fraction_reported(self):

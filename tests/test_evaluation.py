@@ -26,7 +26,7 @@ from vlgram.filters import FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
 from vlgram.ranking import MEASURES, TableBuilder, score_all
 from vlgram.skipgram import SkipConfig, EncodedPiece, encode_corpus, enumerate_piece
 from vlgram.vlt import Vlt, parse_pattern
-from vlgram.weighting import WEIGHT_KINDS, weigh_all
+from vlgram.weighting import WEIGHT_KINDS, ordered_sum, weigh_all
 
 MRDCC = parse_pattern("<5,9*,_>[0]<4,7*,10>[5]<4,_,_>")
 
@@ -131,11 +131,22 @@ class TestMrr:
         assert level_row([1, 2, 4]).mrr == pytest.approx(0.5833333333333334)
 
     def test_all_absent(self):
-        row = level_row([None, None])
-        assert row.mrr == 0.0 and row.all_absent
+        # summary.csv's na column marks the levels whose MRR is 0.0
+        assert level_row([None, None]).mrr == 0.0
+        assert level_row([None, 1000]).mrr > 0.0
 
     def test_absent_contributes_zero(self):
         assert level_row([1, None]).mrr == 0.5
+
+    def test_a_level_without_its_baseline_is_not_compared(self):
+        rows = [ConfigResult("fixed", "1", "count", "none", "counts", r) for r in (1, 2)]
+        with pytest.raises(ValueError, match="at least two observations"):
+            summarize_grid(GridResult("q", 3, rows))
+
+    def test_a_grid_of_one_skip_mode_has_no_skip_mode_row(self):
+        rows = [ConfigResult("fixed", "0", "count", "none", "counts", r) for r in (1, 2)]
+        assert ([row.stage for row in summarize_grid(GridResult("q", 3, rows))]
+                == ["skip", "weight", "filter", "rank"])
 
 
 class TestComparisons:
@@ -189,16 +200,17 @@ class TestComparisons:
                 rows.append(ConfigResult("fixed", level, "count", "none", "counts",
                                          1 + (i + j) % 3))
         groups = GridResult("q", 3, rows).groups("skip")
-        ab = evaluation._compare("fixed:0", groups["fixed:0"], "fixed:1", groups["fixed:1"], 1)
-        ba = evaluation._compare("fixed:1", groups["fixed:1"], "fixed:0", groups["fixed:0"], 1)
-        assert ab.delta == pytest.approx(-ba.delta)
-        assert ab.t == pytest.approx(-ba.t)
-        assert ab.d == pytest.approx(-ba.d)
-        assert ab.df == ba.df
-        assert ab.p == ba.p
-        assert ((ba.level_a, ba.level_b, ba.n_a, ba.n_b, ba.mrr_a, ba.mrr_b)
-                == (ab.level_b, ab.level_a, ab.n_b, ab.n_a, ab.mrr_b, ab.mrr_a))
-        assert (ba.delta, ba.t, ba.d) == (-ab.delta, -ab.t, -ab.d)
+        ab = pooled_t_test(groups["fixed:0"], groups["fixed:1"])
+        ba = pooled_t_test(groups["fixed:1"], groups["fixed:0"])
+        (mean_a, _), (mean_b, _) = mean_var(groups["fixed:0"]), mean_var(groups["fixed:1"])
+        assert mean_a - mean_b == -(mean_b - mean_a) != 0.0
+        t, df, p, d = ab
+        assert ba == (-t, df, p, -d)
+
+    def test_a_constant_group_has_no_variance(self):
+        # each mean of 140 thirds rounds off 1/3; the spread is still none
+        assert mean_var([1 / 3] * 140) == (ordered_sum([1 / 3] * 140) / 140, 0.0)
+        assert pooled_t_test([1 / 3] * 140, [1.0] * 140) == (None, 278, None, 0.0)
 
 
 class TestRunConfig:
@@ -769,11 +781,10 @@ class TestGrid:
         assert len(by_stage["rank"]) == 7
         assert len(by_stage["skip_mode"]) == 1
         for stage, baseline in BASELINES.items():
-            rows = [r for r in by_stage[stage] if r.level == baseline]
-            assert len(rows) == 1 and rows[0].is_baseline
-            assert rows[0].comparison is None
+            rows = [r for r in by_stage[stage] if r.comparison is None]
+            assert len(rows) == 1 and rows[0].level == baseline
         mode_row = by_stage["skip_mode"][0]
-        assert mode_row.comparison.df == 1818
+        assert mode_row.level == "variable" and mode_row.comparison[2] == 1818
 
     def test_summary_rows_equal_per_level_comparisons(self):
         corpus, _ = planted_corpus(seed=53, n_pieces=3, length=24)
@@ -789,9 +800,10 @@ class TestGrid:
             for level in groups:
                 if stage == "skip_mode" and level == "fixed":
                     continue
-                rrs = groups[level]
+                rrs, base = groups[level], groups[baseline]
                 comp = (None if level == baseline else
-                        evaluation._compare(level, groups[level], baseline, groups[baseline], 50))
+                        (sum(rrs) / len(rrs) - sum(base) / len(base),
+                         *pooled_t_test(rrs, base, 50)))
                 expected.append((stage, level, len(rrs), sum(rrs) / len(rrs), comp))
         assert [(r.stage, r.level, r.n_configs, r.mrr, r.comparison)
                 for r in summarize_grid(grid, 50)] == expected

@@ -259,24 +259,31 @@ def test_library_sums_no_floats_with_builtin_sum():
     assert names == len(integer_sums)  # sum is never passed on uncalled
 
 
+def library_and_callers():
+    """The library's modules, and the parsed files whose uses keep a library
+    name alive: the library, a benchmark, an oracle or the acceptance suite.
+    __init__.py only re-exports, so its imports keep nothing."""
+    lib, root = Path(vlgram.__file__).parent, Path(__file__).parents[1]
+    callers = [path for path in lib.glob("*.py") if path.name != "__init__.py"]
+    callers += [*root.glob("perfbench/*.py"), *root.glob("bench/*.py"),
+                root / "tests" / "oracles.py", root / "tests" / "test_acceptance.py"]
+    return lib, [ast.parse(path.read_text(encoding="utf-8")) for path in callers]
+
+
 def test_every_library_name_has_a_caller():
     # Each function, method, property and class of the library is used, as a
     # name, an attribute or an import, by the library, a benchmark, an oracle
     # or the acceptance suite; a name only other tests reach is dead code.
-    # __init__.py only re-exports, so its imports keep nothing.
-    lib, root = Path(vlgram.__file__).parent, Path(__file__).parents[1]
+    lib, callers = library_and_callers()
     defined = {}
     for path in lib.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))):
                 defined[node.name] = f"{path.name}:{node.name}"
-    callers = [path for path in lib.glob("*.py") if path.name != "__init__.py"]
-    callers += [*root.glob("perfbench/*.py"), *root.glob("bench/*.py"),
-                root / "tests" / "oracles.py", root / "tests" / "test_acceptance.py"]
     used = set()
-    for path in callers:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in callers:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -285,3 +292,27 @@ def test_every_library_name_has_a_caller():
                 used.add(node.name)
     uncalled = sorted(where for name, where in defined.items() if name not in used)
     assert not uncalled, f"uncalled: {', '.join(uncalled)}"
+
+
+def test_every_library_field_is_read():
+    # Each field declared in a class body of the library is read, as an
+    # attribute load or as a string constant (getattr through _STAGE_FIELDS),
+    # by the library, a benchmark, an oracle or the acceptance suite; a field
+    # that only other tests read is dead data.
+    lib, callers = library_and_callers()
+    declared = []
+    for path in lib.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef):
+                declared += [(node.target.id, f"{path.name}:{cls.name}.{node.target.id}")
+                             for node in cls.body if isinstance(node, ast.AnnAssign)
+                             and isinstance(node.target, ast.Name)]
+    read = set()
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = sorted(where for name, where in declared if name not in read)
+    assert not unread, f"unread: {', '.join(unread)}"
