@@ -31,10 +31,10 @@ import pytest
 from vlgram import parse_pattern
 from vlgram.cli import _load_prepared
 from vlgram.corpus import prepare_corpus
-from vlgram.evaluation import (_grid_chain, _level, _query_ranks, _record, _shares,
+from vlgram.evaluation import (_grid_chain, _query_ranks, _record, _shares,
                                default_skip_configs, default_vocabulary,
                                generate_synthetic_corpus)
-from vlgram.filters import DEFAULT_MIN_COUNT, FILTER_KINDS, harmony_mask
+from vlgram.filters import DEFAULT_MIN_COUNT, FILTER_KINDS, harmony_bits
 from vlgram.ranking import MEASURES, score_all
 from vlgram.skipgram import SkipConfig, encode_corpus
 from vlgram.weighting import WEIGHT_KINDS
@@ -90,7 +90,7 @@ def planted(tmp_path_factory):
 
 
 def test_query_ranks(benchmark, stream):
-    harmony = harmony_mask(stream.keys, FILTER_KINDS)
+    harmony = harmony_bits(stream.keys, FILTER_KINDS)
     ranks = benchmark(_query_ranks, stream, harmony, 0, 0, 0, DEFAULT_MIN_COUNT)
     assert len(ranks) == len(WEIGHT_KINDS)
     assert all(by_kind["none"] is not None for by_measure in ranks
@@ -99,7 +99,7 @@ def test_query_ranks(benchmark, stream):
 
 def test_query_ranks_planted(benchmark, planted):
     builder, qtid = planted
-    harmony = harmony_mask(builder.keys, FILTER_KINDS)
+    harmony = harmony_bits(builder.keys, FILTER_KINDS)
     ranks = benchmark(_query_ranks, builder, harmony, 0, 0, qtid, DEFAULT_MIN_COUNT)
     # the cadence ranks deep under some measure, as in the grid-diverse workload's grid
     assert max(by_measure[measure]["none"] for by_measure in ranks for measure in MEASURES) > 1000
@@ -110,7 +110,7 @@ def type_counts(pieces, shares):
     counts = []
     for chains in shares:
         builder = _record(pieces, chains, WEIGHT_KINDS)
-        counts += [len(_level(builder, None, c, index, (), 0.0)[0])
+        counts += [len(builder.level_tables(index, c)[0])
                    for c, chain in enumerate(chains) for index in range(len(chain))]
     return counts
 

@@ -107,15 +107,17 @@ def mine_stages(path: Path, out_path: Path) -> dict:
         del corpus
         mark("encode")
         builder = evaluation._record(encoded.pop(), ((skip,),), (cli._WEIGHT_CLI[args.weight],))
-        harmony = filters.harmony_mask(builder.keys, (kind,), args.similarity)
-        keys, tids, weighted = evaluation._level(builder, harmony, 0, 0, (kind,), args.min_count)
+        tids, [table] = builder.level_tables(0)
+        keys = list(map(builder.keys.__getitem__, tids))
+        classes = filters.filter_classes(table.counts(tids), args.min_count,
+                                         filters.harmony_bits(keys, (kind,), args.similarity))
         mark("aggregate")
-        table, masks = next(weighted)
         scores = ranking.score_all(table, keys, (measure,), tids)[measure]
         mark("score")
-        ranked = ranking.rank_types(((key, score) for key, score, keep
-                                     in zip(keys, scores, masks[kind])
-                                     if keep and score is not None), table, measure)
+        ranked = ranking.rank_types(((key, score) for key, score, cls
+                                     in zip(keys, scores, classes)
+                                     if cls in filters.KEPT[kind] and score is not None),
+                                    table, measure)
         mark("rank")
         with open(out_path, "w", encoding="utf-8", newline="") as out:
             writer = cli._csv_writer(out)

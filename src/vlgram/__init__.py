@@ -13,7 +13,7 @@ from .corpus import (Corpus, CorpusError, CorpusParseError, EmptyCorpusError,
 from .evaluation import (GridResult, PipelineConfig, PlantSpec, default_grid,
                          generate_synthetic_corpus, run_config, run_grid,
                          summarize_grid)
-from .filters import FilterSpec, harmony_mask, harmony_pass, keep_masks
+from .filters import FilterSpec, harmony_pass
 from .ranking import MEASURES, RankedList, TypeTable, build_type_table
 from .skipgram import (EncodedPiece, SkipConfig, SkipToken, enumerate_contiguous,
                        enumerate_corpus, enumerate_piece)

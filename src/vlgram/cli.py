@@ -40,6 +40,8 @@ def _parse_skip(text: str, n: int) -> skipgram.SkipConfig:
     if not sep:
         raise argparse.ArgumentTypeError(
             f"skip must look like fixed:5 or variable:1.0, got {text!r}")
+    if "_" in value or not value.isascii():  # int and float also take "1_0" and "٣"
+        raise argparse.ArgumentTypeError(f"skip value must be ASCII, without '_', got {value!r}")
     if mode == "fixed":
         try:
             t = int(value)

@@ -6,8 +6,9 @@ one note per line (ended by LF, CR LF or CR) with tab-separated fields::
     piece_id  onset_score  duration_score  pitch  [onset_perf  duration_perf]
 
 Score times are rational beats in float range, written as ``p/q`` or
-decimals; performed times are seconds, pitch is a MIDI number 0..127. Lines
-starting with ``#`` are comments. A corpus is a file or a directory of files.
+decimals; performed times are seconds, pitch is a MIDI number 0..127, and
+every number is ASCII without ``_``. Lines starting with ``#`` are comments.
+A corpus is a file or a directory of files.
 
 Expansion slices a piece at every distinct note onset; a slice contains
 every note whose half-open sounding interval [onset, onset + duration)
@@ -137,6 +138,10 @@ def _parse_line(line: str, line_no: int, source: str,
     piece_id = fields[0].strip()
     if not piece_id:
         raise CorpusParseError("empty piece id", line_no, source)
+    if "_" in line or not line.isascii():  # int(), Fraction() and float() read "1_0", "٣"
+        numbers = "".join(line[len(fields[0]):].split())  # as their strip(), drop Unicode spaces
+        if "_" in numbers or not numbers.isascii():
+            raise CorpusParseError("numbers must be ASCII, without '_'", line_no, source)
     try:
         onset, onset_num, onset_den = _time(fields[1].strip(), times)
         duration, duration_num, _ = _time(fields[2].strip(), times)

@@ -14,8 +14,9 @@ token that some level admits is enumerated, weighed and keyed once and
 recorded with its narrowest level in each chain. Every level, the widest
 included, is then summed in one ordered pass over the tokens it admits,
 with every weighting, so its sums are exactly those of a pass over that
-level alone. Each weighting's scores and filter keep-masks are shared by
-all the configurations that differ only in filter or measure. The grid
+level alone. Each weighting's scores, and each type's filter class (its
+frequency and harmony tests, filters.filter_classes), are shared by all
+the configurations that differ only in filter or measure. The grid
 runs each mode's levels as one chain, or with several jobs as
 interleaved chains shared out over the calling process and a pool of the
 others, and results are collated in a fixed configuration order
@@ -32,14 +33,15 @@ instance by instance in a manifest.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .corpus import Corpus, NoteEvent, Piece
-from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
+from .filters import DEFAULT_MIN_COUNT, FILTER_KINDS, KEPT, FilterSpec, filter_classes, harmony_bits
 from .ranking import MEASURES, RankedList, TableBuilder, rank_types, score_all
 from .skipgram import EncodedPiece, SkipConfig, dump_token, encode_corpus, enumerate_chains
 from .vlt import Chord, PatternKey, VltPattern, chord_pitches
@@ -138,7 +140,7 @@ class GridResult:
 
 def _record(pieces: list[EncodedPiece], chains: Sequence[Sequence[SkipConfig]],
             kinds: Sequence[str], dump: TextIO | None = None) -> TableBuilder:
-    """With _level, the chain kernel behind run_grid, run_config and ``vlgram mine``:
+    """The walk of the chain kernel behind run_grid, run_config and ``vlgram mine``:
     walk ``chains`` (skipgram.enumerate_chains) once over ``pieces`` into a builder.
 
     Each token is recorded with its narrowest level in each chain and its
@@ -161,20 +163,6 @@ def _record(pieces: list[EncodedPiece], chains: Sequence[Sequence[SkipConfig]],
     return builder
 
 
-def _level(builder: TableBuilder, harmony: list[bool] | None, chain: int, level: int,
-           filter_kinds: Sequence[str], min_count: float) -> tuple[list, list[int], Iterator]:
-    """One level's type keys and ids, in first-seen order, and, one weighting at a
-    time in the builder's kinds order, its TypeTable and keep_masks' masks for
-    ``filter_kinds``, aligned with the keys; ``harmony`` is harmony_mask's for
-    the builder's types. The level is summed once (TableBuilder.level_tables).
-    """
-    tids, tables = builder.level_tables(level, chain)
-    keys = list(map(builder.keys.__getitem__, tids))
-    level_harmony = harmony and list(map(harmony.__getitem__, tids))
-    return keys, tids, ((table, keep_masks(filter_kinds, table.counts(tids), min_count,
-                                           level_harmony)) for table in tables)
-
-
 def run_config(corpus: Corpus, config: PipelineConfig, query: VltPattern | None = None,
                dump: TextIO | None = None) -> tuple[RankedList, int | None]:
     """Execute one full pipeline configuration and locate the query, if any.
@@ -190,34 +178,38 @@ def run_config(corpus: Corpus, config: PipelineConfig, query: VltPattern | None 
     encoded = [encode_corpus(corpus)]
     del corpus
     builder = _record(encoded.pop(), ((config.skip,),), (config.weight,), dump)
-    harmony = harmony_mask(builder.keys, (kind,), config.filter.similarity)
-    keys, tids, weighted = _level(builder, harmony, 0, 0, (kind,), config.filter.min_count)
-    table, masks = next(weighted)
+    tids, [table] = builder.level_tables(0)
+    keys, kept = list(map(builder.keys.__getitem__, tids)), KEPT[kind]
+    classes = filter_classes(table.counts(tids), config.filter.min_count,
+                             harmony_bits(keys, (kind,), config.filter.similarity))
     scores = score_all(table, keys, (measure,), tids)[measure]
-    ranked = rank_types(((key, score) for key, score, keep in zip(keys, scores, masks[kind])
-                         if keep and score is not None), table, measure)
+    ranked = rank_types(((key, score) for key, score, cls in zip(keys, scores, classes)
+                         if cls in kept and score is not None), table, measure)
     return ranked, None if query is None else ranked.rank_of(query.key)
 
 
-def _query_ranks(builder: TableBuilder, harmony: list[bool] | None, chain: int, level: int,
+def _query_ranks(builder: TableBuilder, harmony: list[int], chain: int, level: int,
                  qtid: int, min_count: float) -> list[dict[str, dict[str, int | None]]]:
     """Per weighting, the query's rank under each measure and filter at a level
     where it occurs: one more than the kept types scoring strictly higher, as
     rank_types assigns it, or None where the query is unscored or filtered out.
     score_all scores the query, then returns the positions of the types that
-    score above it; chi2 and g2 are scored exactly only where their bounds
-    leave that open.
+    score above it, whose filter classes are counted once per measure;
+    ``harmony`` is harmony_bits' for the builder's types.
     """
-    keys, tids, weighted = _level(builder, harmony, chain, level, FILTER_KINDS, min_count)
+    tids, tables = builder.level_tables(level, chain)
+    keys, level_harmony = (list(map(seq.__getitem__, tids)) for seq in (builder.keys, harmony))
     qpos = tids.index(qtid)
     out = []
-    for table, masks in weighted:
+    for table in tables:
+        classes = filter_classes(table.counts(tids), min_count, level_harmony)
         query = {m: v[0] for m, v in score_all(table, (keys[qpos],), MEASURES, (qtid,)).items()
                  if v[0] is not None}
-        ranks = {measure: dict.fromkeys(masks) for measure in MEASURES}
+        ranks = {measure: dict.fromkeys(FILTER_KINDS) for measure in MEASURES}
         for measure, above in score_all(table, keys, tuple(query), tids, above=query).items():
-            ranks[measure] = {kind: sum(map(mask.__getitem__, above)) + 1 if mask[qpos]
-                              else None for kind, mask in masks.items()}
+            tally = Counter(map(classes.__getitem__, above))
+            ranks[measure] = {kind: 1 + sum(map(tally.__getitem__, kept))
+                              if classes[qpos] in kept else None for kind, kept in KEPT.items()}
         out.append(ranks)
     return out
 
@@ -228,7 +220,7 @@ def _grid_chain(chains: Sequence[tuple[SkipConfig, ...]], pieces: list[EncodedPi
     """All (weight, filter, measure) results for each level of each of ``chains``,
     walked together; a level without the query is neither summed nor scored."""
     builder = _record(pieces, chains, WEIGHT_KINDS)
-    harmony = harmony_mask(builder.keys, FILTER_KINDS, similarity)
+    harmony = harmony_bits(builder.keys, FILTER_KINDS, similarity)
     qtid = builder.ids.get(query_key)
     absent = [dict.fromkeys(MEASURES, dict.fromkeys(FILTER_KINDS))] * len(WEIGHT_KINDS)
     by_skip = {}

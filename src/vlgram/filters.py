@@ -8,20 +8,26 @@ class while sharing interval classes above it. The first two keep only
 types touching tertian sonorities, the latter two demand genuine pitch
 change between adjacent members.
 
-Filters act on aggregated types, never on individual tokens, and are
-written once, as keep-masks over a level's types (keep_masks). The
-harmony criteria read nothing but the type key, and the chain kernel
-tests each of a chain's types once, so the predicate keeps no cache.
+Filters act on aggregated types, never on individual tokens: each kind
+keeps the filter classes in KEPT (filter_classes). The harmony criteria
+read nothing but the type key, and the chain kernel tests each of a
+chain's types once, so the predicate keeps no cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .vlt import PatternKey
 
 FILTER_KINDS = ("none", "frequency", "harmony", "both")
+# A type's filter class has bit FREQUENT when its weighted count reaches the
+# threshold, and bit HARMONIC when it passes harmony_pass. A kind's index in
+# FILTER_KINDS is the set of bits it tests, and it keeps the classes holding them.
+FREQUENT, HARMONIC = 1, 2
+KEPT = {kind: {cls for cls in range(4) if cls & tests == tests}
+        for tests, kind in enumerate(FILTER_KINDS)}
 DEFAULT_MIN_COUNT = 10.0
 SIMILARITY_MODES = ("intersect", "identical")
 
@@ -62,23 +68,17 @@ def harmony_pass(key: PatternKey, similarity: str = "intersect") -> bool:
     return True
 
 
-def harmony_mask(keys: Sequence[PatternKey], kinds: Sequence[str],
-                 similarity: str = "intersect") -> list[bool] | None:
-    """harmony_pass of each key, or None when no filter in ``kinds`` reads it."""
-    if not {"harmony", "both"} & set(kinds):
-        return None
-    return [harmony_pass(k, similarity) for k in keys]
+def harmony_bits(keys: Sequence[PatternKey], kinds: Sequence[str],
+                 similarity: str = "intersect") -> list[int]:
+    """Each key's HARMONIC bit, or 0 for every key (harmony_pass does not run)
+    when no kind in ``kinds`` tests harmony."""
+    if not any(FILTER_KINDS.index(kind) & HARMONIC for kind in kinds):
+        return [0] * len(keys)
+    return [HARMONIC * harmony_pass(key, similarity) for key in keys]
 
 
-def keep_masks(kinds: Sequence[str], counts: Sequence[float], min_count: float,
-               harmony: Sequence[bool] | None) -> dict[str, list[bool]]:
-    """Which types each filter kind keeps, aligned with ``counts``.
-
-    ``frequency`` keeps a weighted count of at least ``min_count``,
-    ``harmony`` keeps a type passing harmony_pass (``harmony``, from
-    harmony_mask), and ``both`` keeps a type both of them keep.
-    """
-    freq = [c >= min_count for c in counts]
-    masks = {"none": [True] * len(counts), "frequency": freq, "harmony": harmony,
-             "both": harmony and [f and h for f, h in zip(freq, harmony)]}
-    return {kind: masks[kind] for kind in kinds}
+def filter_classes(counts: Iterable[float], min_count: float,
+                   harmony: Iterable[int]) -> list[int]:
+    """Each type's filter class from its weighted count and harmony_bits' bit."""
+    return [bit | FREQUENT if count >= min_count else bit
+            for count, bit in zip(counts, harmony)]

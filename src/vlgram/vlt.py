@@ -156,7 +156,7 @@ def _skip_ws(text: str, i: int) -> int:
 
 def _parse_int(text: str, i: int) -> tuple[int, int]:
     start = i
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and "0" <= text[i] <= "9":  # not isdigit: "²" and "٣" are digits
         i += 1
     if i == start:
         raise PatternSyntaxError("expected an interval class", start)

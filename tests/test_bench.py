@@ -13,6 +13,6 @@ def test_micro_benchmarks_run_once_each():
     # change that breaks a benchmark's calls goes unseen
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "bench/bench_aggregate.py", "bench/bench_setup.py",
-         "--benchmark-disable"],
+         "bench/bench_memory.py::test_stages", "--benchmark-disable"],
         cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True)
     assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

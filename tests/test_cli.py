@@ -479,6 +479,9 @@ class TestExitCodes:
         ["mine", "--skip", "variable:inf"],
         ["grid", "--query", MRDCC_TEXT, "--summary", "{tmp}/out.csv"],
         ["mine", "--n", "2", "--dump-tokens", "{tmp}/./sub/../out.csv"],
+        ["mine", "--skip", "fixed:1_0"],
+        ["mine", "--skip", "fixed:٣"],
+        ["mine", "--skip", "variable:1_0"],
     ])
     def test_invalid_flag_value_is_2(self, fixture_corpus, tmp_path, flags):
         (tmp_path / "sub").mkdir()
@@ -679,6 +682,21 @@ class TestExitCodes:
                           + ["--n", "2"] * (command == "mine"))
         assert code == 3
         assert f"{corpus}:2: bad numeric field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["a\t1\t1\t6_0", "a\t1\t1\t٦٠", "a\t1_0\t1\t62"])
+    def test_number_not_in_ascii_is_3(self, tmp_path, capsys, row):
+        corpus = tmp_path / "digits.tsv"
+        corpus.write_text(f"a\t0\t1\t60\n{row}\n", encoding="utf-8")
+        code, _ = run_cli(["expand", "--input", str(corpus)])
+        assert code == 3
+        assert f"{corpus}:2: numbers must be ASCII" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query", ["<²,_,_>[0]<4,_,_>[0]<4,_,_>",
+                                       "<٣,_,_>[0]<4,_,_>[0]<4,_,_>"])
+    def test_pattern_digit_not_in_ascii_is_3(self, fixture_corpus, tmp_path, query):
+        code, _ = run_cli(["grid", "--input", str(fixture_corpus), "--query", query,
+                           "--output", str(tmp_path / "grid.csv")])
+        assert code == 3
 
     def test_internal_value_error_is_4(self, fixture_corpus, monkeypatch, capsys):
         def broken(*args, **kwargs):

@@ -118,6 +118,16 @@ class TestParse:
         assert err.value.line_no == 2
         assert parse_text("p\t1e300\t1e-400\t60\n").pieces[0].notes[0].onset_score == 10 ** 300
 
+    @pytest.mark.parametrize("row", ["p\t0\t1\t6_0", "p\t0\t1\t٦٠", "p\t1_0\t1\t60",
+                                     "p\t0\t1/٢\t60", "p\t0\t1\t60\t1_0.5\t0.5",
+                                     "p\t0\t1\t60\t0.0\t٠.5"])
+    def test_numbers_are_ascii_without_underscores(self, row):
+        # int(), Fraction() and float() read each of these as a number
+        with pytest.raises(CorpusParseError, match="numbers must be ASCII") as err:
+            parse_text(f"# a note\n{row}\n")
+        assert err.value.line_no == 2
+        assert parse_text("π\t0\t1\t60\n").pieces[0].piece_id == "π"
+
     @pytest.mark.parametrize("mark", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                                       "\u2028", "\u2029"])
     def test_lines_end_only_at_line_feeds_and_carriage_returns(self, mark):

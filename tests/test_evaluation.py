@@ -22,7 +22,7 @@ from vlgram.evaluation import (BASELINES, FIXED_SKIPS, VARIABLE_WINDOWS,
                                default_skip_configs, default_vocabulary,
                                generate_synthetic_corpus, mean_var, pooled_t_test,
                                run_config, run_grid, summarize_grid)
-from vlgram.filters import FILTER_KINDS, FilterSpec, harmony_mask, keep_masks
+from vlgram.filters import FILTER_KINDS, FilterSpec, harmony_bits, harmony_pass
 from vlgram.ranking import MEASURES, TableBuilder, score_all
 from vlgram.skipgram import SkipConfig, EncodedPiece, encode_corpus, enumerate_piece
 from vlgram.vlt import Vlt, parse_pattern
@@ -356,8 +356,8 @@ class TestChainLevels:
         n = chain[0].n
         builder = evaluation._record(pieces, (chain,), WEIGHT_KINDS)
         for index, skip in enumerate(chain):
-            keys, _tids, weighted = evaluation._level(builder, None, 0, index, (), 0.0)
-            tables = [table for table, _masks in weighted]
+            tids, tables = builder.level_tables(index)
+            keys = [builder.keys[tid] for tid in tids]
             fresh = TableBuilder(n, len(pieces), WEIGHT_KINDS)
             for piece in pieces:
                 for tok in enumerate_piece(piece, skip):
@@ -414,12 +414,17 @@ def adversarial_builders(draw):
     return builder, draw(st.sampled_from([0.0, 1.0, 2.5]))
 
 
-def full_ranks(builder, harmony, qtid, min_count):
-    """The query's ranks from scoring every type under every measure."""
+def full_ranks(builder, qtid, min_count):
+    """The query's ranks from scoring every type under every measure, each filter
+    keeping by its definition: frequency a weighted count of at least min_count,
+    harmony a type passing harmony_pass, both a type passing the two."""
     tids, [table] = builder.level_tables(0)
-    masks = keep_masks(FILTER_KINDS, table.counts(tids), min_count,
-                       harmony and [harmony[tid] for tid in tids])
-    scores = score_all(table, [builder.keys[tid] for tid in tids], MEASURES, tids)
+    keys = [builder.keys[tid] for tid in tids]
+    frequent = [table.count(key) >= min_count for key in keys]
+    harmonic = [harmony_pass(key) for key in keys]
+    masks = {"none": [True] * len(keys), "frequency": frequent, "harmony": harmonic,
+             "both": [f and h for f, h in zip(frequent, harmonic)]}
+    scores = score_all(table, keys, MEASURES, tids)
     qpos = tids.index(qtid)
     return {measure: {kind: None if values[qpos] is None or not mask[qpos] else
                       1 + sum(keep and s is not None and s > values[qpos]
@@ -452,10 +457,10 @@ class TestQueryRanks:
             assert score_all(table, keys, tuple(query), tids, above=query) == {
                 measure: [pos for pos, s in enumerate(full[measure]) if s is not None and s > q]
                 for measure, q in query.items()}
-        harmony = harmony_mask(builder.keys, FILTER_KINDS)
+        harmony = harmony_bits(builder.keys, FILTER_KINDS)
         for qtid in tids:
             assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, min_count) == \
-                [full_ranks(builder, harmony, qtid, min_count)]
+                [full_ranks(builder, qtid, min_count)]
 
     def test_a_clamped_cell_makes_a_candidate(self):
         # in the first table, the neither cell of (a, b) sums to 0.4 - 0.2 -
@@ -485,10 +490,10 @@ class TestQueryRanks:
                                  above={"chi2": q, "g2": q}) == {
                     m: [pos for pos, s in enumerate(scores) if s is not None and s > q]
                     for m, scores in full.items()}
-            harmony = harmony_mask(builder.keys, FILTER_KINDS)
+            harmony = harmony_bits(builder.keys, FILTER_KINDS)
             for qtid in tids:
                 assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, 0.0) == \
-                    [full_ranks(builder, harmony, qtid, 0.0)]
+                    [full_ranks(builder, qtid, 0.0)]
 
     def test_an_underflowing_cell_product_makes_a_candidate(self):
         # the total is about 3, but a, b and c's counts are about 1e-160, so the

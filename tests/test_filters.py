@@ -3,7 +3,9 @@ import pytest
 from harmony_fixtures import HARMONY_CASES
 from test_evaluation import tied_corpus
 from vlgram.evaluation import PipelineConfig, run_config
-from vlgram.filters import FilterSpec, harmony_mask, harmony_pass, keep_masks
+from vlgram import filters
+from vlgram.filters import (FILTER_KINDS, KEPT, FilterSpec, filter_classes, harmony_bits,
+                            harmony_pass)
 from vlgram.ranking import MEASURES, TableBuilder
 from vlgram.skipgram import SkipConfig
 from vlgram.vlt import parse_pattern
@@ -24,11 +26,11 @@ def table_with_counts(counts, n=3, n_pieces=1):
 
 
 def kept(table, kind, min_count=10.0, similarity="intersect"):
-    """The types of ``table`` that filter ``kind`` keeps, by harmony_mask and keep_masks."""
+    """The types of ``table`` that filter ``kind`` keeps, by their filter classes."""
     keys = list(table.joint)
-    harmony = harmony_mask(keys, (kind,), similarity)
-    mask = keep_masks((kind,), [table.joint[k] for k in keys], min_count, harmony)[kind]
-    return {k for k, keep in zip(keys, mask) if keep}
+    classes = filter_classes(table.joint.values(), min_count,
+                             harmony_bits(keys, (kind,), similarity))
+    return {k for k, cls in zip(keys, classes) if cls in KEPT[kind]}
 
 
 TEXT_A = "<4,7,_>[2]<3,8,_>[5]<5,9,_>"
@@ -120,34 +122,54 @@ class TestBoth:
         assert both_kept == freq_kept & harm_kept == {key_of(MRDCC)}
 
     def test_order_independent(self):
-        # the masks do not depend on the order the filter kinds are asked in
+        # a type's filter class does not depend on which kinds ask for it, or their order
         counts = {TEXT_A: 12.0, MRDCC: 5.0, TEXT_B: 20.0, "<4,7,_>[0]<4,7,_>[0]<4,7,_>": 50.0}
         table = table_with_counts(counts)
         keys = list(table.joint)
-        weights = list(table.joint.values())
-        harmony = harmony_mask(keys, ("both",))
-        one_way = keep_masks(("frequency", "harmony", "both"), weights, 10.0, harmony)
-        other = keep_masks(("both", "harmony", "frequency"), weights, 10.0, harmony)
-        assert one_way == other
-        assert one_way["both"] == [f and h for f, h in zip(one_way["frequency"],
-                                                          one_way["harmony"])]
-        assert {k for k, keep in zip(keys, one_way["both"]) if keep} == \
+        classes = [filter_classes(table.joint.values(), 10.0, harmony_bits(keys, kinds))
+                   for kinds in (("frequency", "harmony", "both"), ("both", "harmony", "frequency"),
+                                 ("harmony",), ("both",))]
+        assert all(other == classes[0] for other in classes)
+        assert {k for k, cls in zip(keys, classes[0]) if cls in KEPT["both"]} == \
             {key_of(TEXT_A), key_of(TEXT_B)}
 
     def test_empty_input(self):
         table = table_with_counts({})
         assert kept(table, "both", 10.0) == set()
-        assert keep_masks(("both",), [], 10.0, harmony_mask([], ("both",))) == {"both": []}
+        assert filter_classes([], 10.0, harmony_bits([], ("both",))) == []
+
+
+# One type for each (frequent, harmonic) outcome at a threshold of 10, and the
+# outcomes each kind keeps: frequency a weighted count of at least the
+# threshold, harmony a type passing the harmony criteria, both the two.
+OUTCOMES = {MRDCC: (12.0, True, True), "<1,5,8>[3]<2,7,11>[4]<4,8,11>": (2.0, False, True),
+            "<4,7,_>[0]<4,7,_>[0]<4,7,_>": (50.0, True, False),
+            "<_,_,_>[5]<4,7,_>[2]<4,_,_>": (10.0 - 1e-9, False, False)}
+KEEPS = {"none": {(False, False), (False, True), (True, False), (True, True)},
+         "frequency": {(True, False), (True, True)},
+         "harmony": {(False, True), (True, True)},
+         "both": {(True, True)}}
 
 
 class TestSpec:
-    def test_keep_masks_dispatch(self):
-        table = table_with_counts({MRDCC: 12.0, TEXT_B: 1.0})
-        assert kept(table, "none") == set(table.joint)
-        assert kept(table, "frequency", 10.0) == {key_of(MRDCC)}
-        assert key_of(MRDCC) in kept(table, "harmony")
-        assert kept(table, "both", 10.0) == {key_of(MRDCC)}
-        assert harmony_mask(list(table.joint), ("none", "frequency")) is None
+    def test_each_kind_keeps_the_outcomes_it_tests(self):
+        table = table_with_counts({text: count for text, (count, _f, _h) in OUTCOMES.items()})
+        for text, (count, frequent, harmonic) in OUTCOMES.items():
+            assert (count >= 10.0, harmony_pass(key_of(text))) == (frequent, harmonic)
+        assert list(KEEPS) == list(FILTER_KINDS)
+        for kind, outcomes in KEEPS.items():
+            assert kept(table, kind, 10.0) == {key_of(text) for text, (_c, *outcome)
+                                               in OUTCOMES.items() if tuple(outcome) in outcomes}
+
+    def test_harmony_runs_only_for_a_kind_that_tests_it(self, monkeypatch):
+        keys = [key_of(MRDCC), key_of(TEXT_B)]
+        assert harmony_bits(keys, FILTER_KINDS) == [filters.HARMONIC] * 2
+
+        def refuse(*_args):
+            raise AssertionError("harmony_pass ran")
+
+        monkeypatch.setattr(filters, "harmony_pass", refuse)
+        assert harmony_bits(keys, ("none", "frequency")) == [0, 0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -200,7 +200,7 @@ class TestSpanTableProperty:
             flat.extend(weights)
         assert {piece_id: tuple(map(list, columns))
                 for piece_id, columns in builder.records.items()} == records
-        # evaluation._level takes the chain's type order from builder.keys
+        # run_config and the grid read each level's type keys from builder.keys
         assert list(builder.ids) == builder.keys == first_seen
         for table in builder.tables:
             assert list(table.joint) == first_seen

@@ -161,6 +161,12 @@ class TestPatternText:
         with pytest.raises(PatternSyntaxError):
             parse_pattern("<4,7,_>x")
 
+    def test_digits_are_ascii(self):
+        # str.isdigit also takes "²", which int() rejects, and "٣", which int() reads as 3
+        for bad in ("<٣,_,_>", "<²,_,_>[0]<4,_,_>", "<4,_,_>[٥]<4,_,_>", "<4,_,_>[²]<4,_,_>"):
+            with pytest.raises(PatternSyntaxError, match="expected an interval class"):
+                parse_pattern(bad)
+
     def test_malformed_chords_rejected(self):
         for bad in ("", "<4,7>", "<4,7,_", "4,7,_>", "<4,,_>", "<_*,_,_>"):
             with pytest.raises(PatternSyntaxError):

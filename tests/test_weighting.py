@@ -247,7 +247,7 @@ def test_library_sums_no_floats_with_builtin_sum():
     # From Python 3.12 sum() rounds float sums differently, so the library sums
     # floats with ordered_sum; each built-in sum() left, (file, call), adds integers.
     integer_sums = {("cli.py", "sum((len(p.notes) for p in corpus.pieces))"),
-                    ("evaluation.py", "sum(map(mask.__getitem__, above))"),
+                    ("evaluation.py", "sum(map(tally.__getitem__, kept))"),
                     ("evaluation.py", "sum(self.gaps)"), ("evaluation.py", "sum(gaps)")}
     calls, names = set(), 0
     for path in Path(vlgram.__file__).parent.glob("*.py"):
