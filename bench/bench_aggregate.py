@@ -31,7 +31,7 @@ import pytest
 from vlgram import parse_pattern
 from vlgram.cli import _load_prepared
 from vlgram.corpus import prepare_corpus
-from vlgram.evaluation import (_grid_chain, _query_ranks, _record, _shares,
+from vlgram.evaluation import (LEVEL_CONFIGS, _grid_chain, _query_ranks, _record, _shares,
                                default_skip_configs, default_vocabulary,
                                generate_synthetic_corpus)
 from vlgram.filters import DEFAULT_MIN_COUNT, FILTER_KINDS, harmony_bits
@@ -92,9 +92,9 @@ def planted(tmp_path_factory):
 def test_query_ranks(benchmark, stream):
     harmony = harmony_bits(stream.keys, FILTER_KINDS)
     ranks = benchmark(_query_ranks, stream, harmony, 0, 0, 0, DEFAULT_MIN_COUNT)
-    assert len(ranks) == len(WEIGHT_KINDS)
-    assert all(by_kind["none"] is not None for by_measure in ranks
-               for by_kind in by_measure.values())
+    assert len(ranks) == len(LEVEL_CONFIGS)
+    assert all(rank is not None for (_weight, fkind, _measure), rank in zip(LEVEL_CONFIGS, ranks)
+               if fkind == "none")
 
 
 def test_query_ranks_planted(benchmark, planted):
@@ -102,7 +102,8 @@ def test_query_ranks_planted(benchmark, planted):
     harmony = harmony_bits(builder.keys, FILTER_KINDS)
     ranks = benchmark(_query_ranks, builder, harmony, 0, 0, qtid, DEFAULT_MIN_COUNT)
     # the cadence ranks deep under some measure, as in the grid-diverse workload's grid
-    assert max(by_measure[measure]["none"] for by_measure in ranks for measure in MEASURES) > 1000
+    assert max(rank for (_weight, fkind, _measure), rank in zip(LEVEL_CONFIGS, ranks)
+               if fkind == "none") > 1000
 
 
 def type_counts(pieces, shares):

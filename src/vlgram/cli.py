@@ -35,25 +35,26 @@ _WEIGHT_CLI = {kind.replace("_", "-"): kind for kind in WEIGHT_KINDS}  # --weigh
 _FILTER_CLI = {"none": "none", "freq": "frequency", "harmony": "harmony", "both": "both"}
 
 
+def _number(convert, text: str):
+    """``convert`` the text, refusing "_" and non-ASCII characters, which int and float
+    also read ("1_0" as 10, "٣" as 3)."""
+    if "_" in text or not text.isascii():
+        raise argparse.ArgumentTypeError(f"numbers must be ASCII, without '_', got {text!r}")
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+
+
 def _parse_skip(text: str, n: int) -> skipgram.SkipConfig:
     mode, sep, value = text.partition(":")
     if not sep:
         raise argparse.ArgumentTypeError(
             f"skip must look like fixed:5 or variable:1.0, got {text!r}")
-    if "_" in value or not value.isascii():  # int and float also take "1_0" and "٣"
-        raise argparse.ArgumentTypeError(f"skip value must be ASCII, without '_', got {value!r}")
     if mode == "fixed":
-        try:
-            t = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad fixed skip count {value!r}") from None
-        config = {"t": t}
+        config = {"t": _number(int, value)}
     elif mode in ("variable", "var"):
-        try:
-            w = float(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad variable window {value!r}") from None
-        mode, config = "variable", {"w": w}
+        mode, config = "variable", {"w": _number(float, value)}
     else:
         raise argparse.ArgumentTypeError(f"unknown skip mode {mode!r}")
     try:
@@ -63,12 +64,10 @@ def _parse_skip(text: str, n: int) -> skipgram.SkipConfig:
 
 
 def _at_least(convert, low, at_most=math.inf):
-    """An argparse type: ``convert`` the text, then reject values outside [low, at_most]."""
+    """An argparse type: ``convert`` the text (_number), then reject values outside
+    [low, at_most]."""
     def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+        value = _number(convert, text)
         if not low <= value <= at_most:  # also rejects nan
             bound = f"at least {low}" if at_most == math.inf else f"within [{low}, {at_most}]"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
@@ -296,7 +295,7 @@ def _cmd_report(args) -> int:
     with _open_out(args.output) as out:
         writer = _csv_writer(out)
         writer.writerow(["stage", "level", "n_configs", "mrr", "se_rr"])
-        for stage in ("skip", "weight", "filter", "rank"):
+        for stage in evaluation.BASELINES:
             for level, rrs in grid.groups(stage).items():
                 mean, var = evaluation.mean_var(rrs)
                 se = math.sqrt(var / len(rrs))
@@ -355,15 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
     p.add_argument("--pieces", type=_at_least(int, 1), default=20)
     p.add_argument("--length", type=_at_least(int, 1), default=500)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(int, -math.inf), required=True)
     p.add_argument("--vocab-size", type=_at_least(int, 1), default=12)
     p.add_argument("--pattern", default=None, help="pattern to plant")
     p.add_argument("--gap-min", type=_at_least(int, 0), default=1)
-    p.add_argument("--gap-max", type=int, default=5)
+    p.add_argument("--gap-max", type=_at_least(int, 0), default=5)
     p.add_argument("--rate", type=_at_least(float, 0, at_most=1), default=0.6)
     p.add_argument("--per-piece", type=_at_least(int, 1), default=6)
-    p.add_argument("--ioi-min", type=float, default=0.32)
-    p.add_argument("--ioi-max", type=float, default=0.58)
+    p.add_argument("--ioi-min", type=_at_least(float, 0), default=0.32)
+    p.add_argument("--ioi-max", type=_at_least(float, 0), default=0.58)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", default=None)
     p.set_defaults(func=_cmd_synth)

@@ -372,24 +372,20 @@ def _ranked(population: Counter) -> list[frozenset[int]]:
 
 
 def _reduce(s: Slice, chord: Chord, rankings: Iterable[list[frozenset[int]]]
-            ) -> tuple[Slice, Chord, bool]:
-    """Reduce slice ``s``, of chord ``chord``, to at most three interval classes
-    above the bass; returns the slice, the chord it is voiced from, and
-    whether it was reduced.
+            ) -> tuple[Slice, Chord]:
+    """Reduce slice ``s``, of chord ``chord`` with more than three interval classes
+    above the bass, to at most three; returns the slice and the chord it is voiced from.
 
     ``rankings`` holds the populations of the surrounding slices, the whole
     piece and the whole corpus, each ranked by _ranked. The replacement is
     the best maximal-cardinality subset of the slice's interval classes
-    found in the first of them that offers one. A slice already within the
-    limit is returned unchanged. If no population offers any subset, the
-    three lowest interval classes are kept and a warning is logged. The
+    found in the first of them that offers one. If no population offers any
+    subset, the three lowest interval classes are kept and a warning is logged. The
     kept chord is voiced over the same bass by chord_pitches. Its top class
     is the slice's when that survives, else the kept class nearest it
     (circular distance, smaller class on ties).
     """
     ics, top = chord
-    if len(ics) <= SLOT_COUNT:
-        return s, chord, False
     oversized = frozenset(ics)
     for ranked in rankings:
         kept = next((icset for icset in ranked if icset <= oversized), None)
@@ -403,7 +399,7 @@ def _reduce(s: Slice, chord: Chord, rankings: Iterable[list[frozenset[int]]]
         top = min(kept, key=lambda iv: (min((iv - top) % 12, (top - iv) % 12), iv))
     chord = (tuple(sorted(kept)), top)
     pitches = chord_pitches(chord, s.bass)
-    return Slice(s.piece_id, s.index, s.onset_score, pitches, s.onset_perf), chord, True
+    return Slice(s.piece_id, s.index, s.onset_score, pitches, s.onset_perf), chord
 
 
 @dataclass
@@ -445,8 +441,8 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
             lo = max(0, i - REDUCTION_WINDOW)
             window = sets[lo:i] + sets[i + 1:i + 1 + REDUCTION_WINDOW]
             neighbors = Counter(icset for icset in window if icset <= sets[i])
-            reduced, chord, _ = _reduce(s, chords[i], (_ranked(neighbors), piece_ranked,
-                                                       corpus_ranked))
+            reduced, chord = _reduce(s, chords[i], (_ranked(neighbors), piece_ranked,
+                                                    corpus_ranked))
             piece.slices[i] = reduced
             chords[i] = by_chord.setdefault(chord, (chord, frozenset(chord[0])))[0]
             stats.n_reduced += 1

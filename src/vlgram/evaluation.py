@@ -53,6 +53,10 @@ DEFAULT_PLANNED_COMPARISONS = 6
 
 BASELINES = {"skip": "fixed:0", "weight": "count", "filter": "none", "rank": "counts"}
 _STAGE_FIELDS = dict(skip_mode="skip_mode", weight="weight", filter="filter", rank="measure")
+# The (weight, filter kind, measure) configurations of one skip level, in row order:
+# the one order of default_grid, _query_ranks and the grid's rows.
+LEVEL_CONFIGS = tuple((weight, fkind, measure) for weight in WEIGHT_KINDS
+                      for fkind in FILTER_KINDS for measure in MEASURES)
 
 
 class GenerationError(Exception):
@@ -84,14 +88,8 @@ def default_skip_configs(n: int = 3) -> list[SkipConfig]:
 def default_grid(n: int = 3, min_count: float = DEFAULT_MIN_COUNT,
                  similarity: str = "intersect") -> list[PipelineConfig]:
     """The full configuration grid in canonical order (13 * 5 * 4 * 7 = 1820)."""
-    grid = []
-    for skip in default_skip_configs(n):
-        for weight in WEIGHT_KINDS:
-            for fkind in FILTER_KINDS:
-                for measure in MEASURES:
-                    grid.append(PipelineConfig(
-                        skip, weight, FilterSpec(fkind, min_count, similarity), measure))
-    return grid
+    return [PipelineConfig(skip, weight, FilterSpec(fkind, min_count, similarity), measure)
+            for skip in default_skip_configs(n) for weight, fkind, measure in LEVEL_CONFIGS]
 
 
 @dataclass(frozen=True)
@@ -189,51 +187,47 @@ def run_config(corpus: Corpus, config: PipelineConfig, query: VltPattern | None 
 
 
 def _query_ranks(builder: TableBuilder, harmony: list[int], chain: int, level: int,
-                 qtid: int, min_count: float) -> list[dict[str, dict[str, int | None]]]:
-    """Per weighting, the query's rank under each measure and filter at a level
-    where it occurs: one more than the kept types scoring strictly higher, as
-    rank_types assigns it, or None where the query is unscored or filtered out.
-    score_all scores the query, then returns the positions of the types that
-    score above it, whose filter classes are counted once per measure;
-    ``harmony`` is harmony_bits' for the builder's types.
+                 qtid: int, min_count: float) -> list[int | None]:
+    """The query's rank in each configuration of LEVEL_CONFIGS whose weighting the
+    builder sums, in that order, at a level where it occurs: one more than the kept
+    types scoring strictly higher, as rank_types assigns it, or None where the query
+    is unscored or filtered out. Per weighting, score_all scores the query, then
+    returns the positions of the types that score above it, whose filter classes
+    are counted once per measure; ``harmony`` is harmony_bits' for the builder's types.
     """
     tids, tables = builder.level_tables(level, chain)
     keys, level_harmony = (list(map(seq.__getitem__, tids)) for seq in (builder.keys, harmony))
     qpos = tids.index(qtid)
-    out = []
-    for table in tables:
+    tallies = {}  # (weight, measure) -> the query's class and the classes above it
+    for weight, table in zip(builder.kinds, tables):
         classes = filter_classes(table.counts(tids), min_count, level_harmony)
         query = {m: v[0] for m, v in score_all(table, (keys[qpos],), MEASURES, (qtid,)).items()
                  if v[0] is not None}
-        ranks = {measure: dict.fromkeys(FILTER_KINDS) for measure in MEASURES}
         for measure, above in score_all(table, keys, tuple(query), tids, above=query).items():
-            tally = Counter(map(classes.__getitem__, above))
-            ranks[measure] = {kind: 1 + sum(map(tally.__getitem__, kept))
-                              if classes[qpos] in kept else None for kind, kept in KEPT.items()}
-        out.append(ranks)
-    return out
+            tallies[weight, measure] = classes[qpos], Counter(map(classes.__getitem__, above))
+    # a measure that leaves the query unscored has no tally; no kind keeps class None
+    return [1 + sum(map(tally.__getitem__, KEPT[fkind])) if cls in KEPT[fkind] else None
+            for weight, fkind, measure in LEVEL_CONFIGS if weight in builder.kinds
+            for cls, tally in [tallies.get((weight, measure), (None, None))]]
 
 
 def _grid_chain(chains: Sequence[tuple[SkipConfig, ...]], pieces: list[EncodedPiece],
                 query_key: PatternKey, min_count: float,
                 similarity: str) -> dict[SkipConfig, list[ConfigResult]]:
-    """All (weight, filter, measure) results for each level of each of ``chains``,
-    walked together; a level without the query is neither summed nor scored."""
+    """All LEVEL_CONFIGS results for each level of each of ``chains``, walked
+    together; a level without the query is neither summed nor scored."""
     builder = _record(pieces, chains, WEIGHT_KINDS)
     harmony = harmony_bits(builder.keys, FILTER_KINDS, similarity)
     qtid = builder.ids.get(query_key)
-    absent = [dict.fromkeys(MEASURES, dict.fromkeys(FILTER_KINDS))] * len(WEIGHT_KINDS)
     by_skip = {}
     for c, chain in enumerate(chains):
         reach = len(chain) if qtid is None else builder.narrowest(qtid, c)
         for index, skip in enumerate(chain):
             ranks = (_query_ranks(builder, harmony, c, index, qtid, min_count)
-                     if index >= reach else absent)
+                     if index >= reach else [None] * len(LEVEL_CONFIGS))
             mode, level = skip.label.split(":")
-            by_skip[skip] = [ConfigResult(mode, level, wkind, fkind, measure,
-                                          by_measure[measure][fkind])
-                             for wkind, by_measure in zip(WEIGHT_KINDS, ranks)
-                             for fkind in FILTER_KINDS for measure in MEASURES]
+            by_skip[skip] = [ConfigResult(mode, level, *config, rank)
+                             for config, rank in zip(LEVEL_CONFIGS, ranks)]
     return by_skip
 
 
@@ -265,9 +259,8 @@ def run_grid(corpus: Corpus, query: VltPattern, n: int = 3, *,
     ``jobs`` counts processes, this one included: the chains are dealt into
     up to ``jobs`` shares, this process runs the first, and a process pool
     of one worker per other share runs the rest. Rows appear in
-    ``skip_configs`` order (duplicates included), then canonical weight,
-    filter and measure order, whatever the parallelism, so repeated runs
-    produce identical output.
+    ``skip_configs`` order (duplicates included), then LEVEL_CONFIGS order,
+    whatever the parallelism, so repeated runs produce identical output.
     """
     if len(query) != n:
         raise ValueError(f"query cardinality {len(query)} does not match n={n}")

@@ -54,25 +54,22 @@ def resonance_amplitude(freq_hz: float) -> float:
             - 1.0 / math.sqrt(f2 * f2 + p2 * p2))
 
 
-_PEAK: tuple[float, float] | None = None
-
-
-def resonance_peak() -> tuple[float, float]:
-    """Frequency and value of the response maximum, located numerically once."""
-    global _PEAK
-    if _PEAK is None:
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = 0.01, 10.0
+def _resonance_peak() -> tuple[float, float]:
+    """Frequency and value of the response maximum, by golden-section search."""
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.01, 10.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    for _ in range(200):
+        if resonance_amplitude(c) > resonance_amplitude(d):
+            b = d
+        else:
+            a = c
         c, d = b - gr * (b - a), a + gr * (b - a)
-        for _ in range(200):
-            if resonance_amplitude(c) > resonance_amplitude(d):
-                b = d
-            else:
-                a = c
-            c, d = b - gr * (b - a), a + gr * (b - a)
-        p = 0.5 * (a + b)
-        _PEAK = (p, resonance_amplitude(p))
-    return _PEAK
+    p = 0.5 * (a + b)
+    return p, resonance_amplitude(p)
+
+
+RESONANCE_PEAK = _resonance_peak()  # located once, at import
 
 
 def weigh_all(onsets: Sequence[float], periods: bool = True) -> tuple[float | None, ...]:
@@ -108,7 +105,7 @@ def weigh_all(onsets: Sequence[float], periods: bool = True) -> tuple[float | No
             r, period = rp, p
     res = 0.0
     if period is not None:
-        res = max(resonance_amplitude(1.0 / period), 0.0) / resonance_peak()[1]
+        res = max(resonance_amplitude(1.0 / period), 0.0) / RESONANCE_PEAK[1]
     return (1.0, r, res, proximity, r * res)
 
 

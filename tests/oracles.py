@@ -13,9 +13,9 @@ from typing import Sequence
 from vlgram.corpus import Slice, _ranked, _reduce
 from vlgram.ranking import (RankedList, TableInvariantError, TypeTable, _checked_cell,
                             rank_types)
-from vlgram.vlt import PatternKey, chord_of
-from vlgram.weighting import (PROXIMITY_HALF_LIFE_S, _TWO_PI, _iois,
-                              resonance_amplitude, resonance_peak)
+from vlgram.vlt import SLOT_COUNT, PatternKey, chord_of
+from vlgram.weighting import (PROXIMITY_HALF_LIFE_S, RESONANCE_PEAK, _TWO_PI, _iois,
+                              resonance_amplitude)
 
 
 def wrap_phase(x: float) -> float:
@@ -61,7 +61,7 @@ def _resonance_from_period(period: float | None) -> float:
     if period is None:
         return 0.0
     raw = resonance_amplitude(1.0 / period)
-    return max(raw, 0.0) / resonance_peak()[1]
+    return max(raw, 0.0) / RESONANCE_PEAK[1]
 
 
 def w_count(onsets: Sequence[float]) -> float:
@@ -258,7 +258,10 @@ def rank_table(table: TypeTable, measure: str) -> RankedList:
 def reduce_oversized(s: Slice, neighbors: Counter, piece_pop: Counter,
                      corpus_pop: Counter) -> tuple[Slice, bool]:
     """One slice reduced against its three raw populations (corpus._reduce),
-    each ranked afresh; returns the slice and whether it was reduced."""
-    reduced, _chord, replaced = _reduce(s, chord_of(s.pitches),
-                                        map(_ranked, (neighbors, piece_pop, corpus_pop)))
-    return reduced, replaced
+    each ranked afresh, if it is oversized; returns the slice and whether it was
+    reduced."""
+    chord = chord_of(s.pitches)
+    if len(chord[0]) <= SLOT_COUNT:
+        return s, False
+    reduced, _chord = _reduce(s, chord, map(_ranked, (neighbors, piece_pop, corpus_pop)))
+    return reduced, True

@@ -482,6 +482,9 @@ class TestExitCodes:
         ["mine", "--skip", "fixed:1_0"],
         ["mine", "--skip", "fixed:٣"],
         ["mine", "--skip", "variable:1_0"],
+        ["mine", "--n", "٣"],
+        ["mine", "--min-count", "1_0"],
+        ["grid", "--jobs", "١", "--query", MRDCC_TEXT],
     ])
     def test_invalid_flag_value_is_2(self, fixture_corpus, tmp_path, flags):
         (tmp_path / "sub").mkdir()
@@ -531,6 +534,9 @@ class TestExitCodes:
         ["--length", "5", "--per-piece", "6"],
         ["--length", "60", "--per-piece", "6"],
         ["--manifest", "{tmp}/./c.tsv"],
+        ["--seed", "٣"],
+        ["--length", "40", "--gap-max", "1_0"],
+        ["--ioi-max", "0_6"],
     ])
     def test_synth_invalid_flag_value_is_2(self, tmp_path, flags):
         out = tmp_path / "c.tsv"

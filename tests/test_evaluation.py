@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from vlgram import evaluation
 from vlgram.corpus import Corpus, NoteEvent, PerformanceDataError, Piece, Slice, prepare_corpus
-from vlgram.evaluation import (BASELINES, FIXED_SKIPS, VARIABLE_WINDOWS,
+from vlgram.evaluation import (BASELINES, FIXED_SKIPS, LEVEL_CONFIGS, VARIABLE_WINDOWS,
                                ConfigResult, GenerationError, PipelineConfig,
                                GridResult, PlantSpec, default_grid,
                                default_skip_configs, default_vocabulary,
@@ -415,9 +415,10 @@ def adversarial_builders(draw):
 
 
 def full_ranks(builder, qtid, min_count):
-    """The query's ranks from scoring every type under every measure, each filter
-    keeping by its definition: frequency a weighted count of at least min_count,
-    harmony a type passing harmony_pass, both a type passing the two."""
+    """The query's ranks from scoring every type under every measure of the builder's
+    one weighting, in LEVEL_CONFIGS order, each filter keeping by its definition:
+    frequency a weighted count of at least min_count, harmony a type passing
+    harmony_pass, both a type passing the two."""
     tids, [table] = builder.level_tables(0)
     keys = [builder.keys[tid] for tid in tids]
     frequent = [table.count(key) >= min_count for key in keys]
@@ -426,11 +427,10 @@ def full_ranks(builder, qtid, min_count):
              "both": [f and h for f, h in zip(frequent, harmonic)]}
     scores = score_all(table, keys, MEASURES, tids)
     qpos = tids.index(qtid)
-    return {measure: {kind: None if values[qpos] is None or not mask[qpos] else
-                      1 + sum(keep and s is not None and s > values[qpos]
-                              for s, keep in zip(values, mask))
-                      for kind, mask in masks.items()}
-            for measure, values in scores.items()}
+    return [None if scores[measure][qpos] is None or not masks[kind][qpos] else
+            1 + sum(keep and s is not None and s > scores[measure][qpos]
+                    for s, keep in zip(scores[measure], masks[kind]))
+            for weight, kind, measure in LEVEL_CONFIGS if weight in builder.kinds]
 
 
 class TestQueryRanks:
@@ -460,7 +460,7 @@ class TestQueryRanks:
         harmony = harmony_bits(builder.keys, FILTER_KINDS)
         for qtid in tids:
             assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, min_count) == \
-                [full_ranks(builder, qtid, min_count)]
+                full_ranks(builder, qtid, min_count)
 
     def test_a_clamped_cell_makes_a_candidate(self):
         # in the first table, the neither cell of (a, b) sums to 0.4 - 0.2 -
@@ -493,7 +493,7 @@ class TestQueryRanks:
             harmony = harmony_bits(builder.keys, FILTER_KINDS)
             for qtid in tids:
                 assert evaluation._query_ranks(builder, harmony, 0, 0, qtid, 0.0) == \
-                    [full_ranks(builder, qtid, 0.0)]
+                    full_ranks(builder, qtid, 0.0)
 
     def test_an_underflowing_cell_product_makes_a_candidate(self):
         # the total is about 3, but a, b and c's counts are about 1e-160, so the
@@ -557,12 +557,9 @@ class TestGrid:
         corpus, _ = planted_corpus(seed=41, n_pieces=4, length=30)
         grid = run_grid(corpus, MRDCC, 3)
         assert len(grid.rows) == 1820
-        configs = default_grid(3)
-        for row, config in zip(grid.rows, configs):
-            assert row.skip_mode == config.skip.mode
-            assert row.weight == config.weight
-            assert row.filter == config.filter.kind
-            assert row.measure == config.measure
+        assert [(row.level("skip"), row.weight, row.filter, row.measure) for row in grid.rows] \
+            == [(config.skip.label, config.weight, config.filter.kind, config.measure)
+                for config in default_grid(3)]
 
     def test_grid_agrees_with_run_config(self):
         planted, _ = planted_corpus(seed=43, n_pieces=4, length=36)

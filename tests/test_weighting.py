@@ -8,8 +8,8 @@ import pytest
 
 import vlgram
 from oracles import mean_resultant_length, w_proximity, weigh_onsets, wrap_phase
-from vlgram.weighting import (PROXIMITY_HALF_LIFE_S, WEIGHT_KINDS, resonance_amplitude,
-                              resonance_peak, weigh_all)
+from vlgram.weighting import (PROXIMITY_HALF_LIFE_S, RESONANCE_PEAK, WEIGHT_KINDS,
+                              resonance_amplitude, weigh_all)
 
 
 def onsets_from_iois(iois, start=0.0):
@@ -123,7 +123,8 @@ class TestResonance:
         assert resonance_amplitude(4.374) == 0.012032313725815189
 
     def test_peak_is_normalization_fixed_point(self):
-        p_star, a_star = resonance_peak()
+        p_star, a_star = RESONANCE_PEAK
+        assert RESONANCE_PEAK == (1.9074850695687173, 0.3026774890769801)  # the search's bits
         onsets = onsets_from_iois([1.0 / p_star, 1.0 / p_star])
         assert weight("resonance", onsets) == pytest.approx(1.0, abs=1e-9)
         # fine grid around the peak never exceeds it
@@ -132,7 +133,7 @@ class TestResonance:
 
     def test_half_second_iois(self):
         onsets = onsets_from_iois([0.5, 0.5])
-        expected = resonance_amplitude(2.0) / resonance_peak()[1]
+        expected = resonance_amplitude(2.0) / RESONANCE_PEAK[1]
         assert weight("resonance", onsets) == pytest.approx(expected, abs=1e-12)
 
     def test_vanishing_ioi_limit(self):
@@ -150,7 +151,7 @@ class TestResonance:
         r04 = oracle_circle_map_r(iois, 0.4)
         r10 = oracle_circle_map_r(iois, 1.0)
         chosen = 0.4 if r04 <= r10 else 1.0
-        expected = max(resonance_amplitude(1.0 / chosen), 0.0) / resonance_peak()[1]
+        expected = max(resonance_amplitude(1.0 / chosen), 0.0) / RESONANCE_PEAK[1]
         assert weight("resonance", onsets) == pytest.approx(expected, abs=1e-12)
 
 
@@ -176,7 +177,7 @@ class TestProximity:
 
 class TestResonantPeriodicity:
     def test_product_at_joint_maximum(self):
-        p_star, _ = resonance_peak()
+        p_star, _ = RESONANCE_PEAK
         onsets = onsets_from_iois([1.0 / p_star] * 3)
         assert weight("resonant_periodicity", onsets) == pytest.approx(1.0, abs=1e-9)
 
@@ -247,7 +248,7 @@ def test_library_sums_no_floats_with_builtin_sum():
     # From Python 3.12 sum() rounds float sums differently, so the library sums
     # floats with ordered_sum; each built-in sum() left, (file, call), adds integers.
     integer_sums = {("cli.py", "sum((len(p.notes) for p in corpus.pieces))"),
-                    ("evaluation.py", "sum(map(tally.__getitem__, kept))"),
+                    ("evaluation.py", "sum(map(tally.__getitem__, KEPT[fkind]))"),
                     ("evaluation.py", "sum(self.gaps)"), ("evaluation.py", "sum(gaps)")}
     calls, names = set(), 0
     for path in Path(vlgram.__file__).parent.glob("*.py"):
