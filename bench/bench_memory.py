@@ -128,7 +128,7 @@ def mine_stages(path: Path, out_path: Path) -> dict:
         mark("write")
     finally:
         tracemalloc.stop()
-    assert len(ranked) > 0
+    assert len(ranked.entries) > 0
     return marks
 
 

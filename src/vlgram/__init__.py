@@ -15,10 +15,10 @@ from .evaluation import (GridResult, PipelineConfig, PlantSpec, default_grid,
                          summarize_grid)
 from .filters import FilterSpec, harmony_pass
 from .ranking import MEASURES, RankedList, TypeTable, build_type_table
-from .skipgram import (EncodedPiece, SkipConfig, SkipToken, enumerate_contiguous,
-                       enumerate_corpus, enumerate_piece)
+from .skipgram import (EncodedPiece, SkipConfig, SkipToken, enumerate_corpus,
+                       enumerate_piece)
 from .vlt import (PatternSyntaxError, Vlt, VltPattern, chord_of, chord_pitches,
-                  format_key, format_pattern, parse_pattern)
+                  format_key, parse_pattern)
 from .weighting import WEIGHT_KINDS
 
 __version__ = "0.1.0"

@@ -16,10 +16,10 @@ covers the slice onset. Parsing and expansion are pure per piece, so
 distinct pieces may be processed concurrently and merged in piece order.
 
 Score times stay ``Fraction``s on every note and slice, and in all printed
-text. Parsing reads each distinct time text once per call. Sorting,
-slicing and performed-onset anchoring compare them as exact integer
-ticks at the piece's common denominator (see ``_ticks``), never as
-``Fraction``s.
+text. Parsing reads each distinct time text once per call and keeps each
+piece's notes in input order; expansion alone orders them. Expansion and
+performed-onset anchoring compare times as exact integer ticks at the
+piece's common denominator (see ``_ticks``), never as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -218,11 +218,11 @@ def _iter_sources(source) -> Iterable[tuple[str, Iterable[str]]]:
 def parse_corpus(source: "str | Path | IO") -> Corpus:
     """Parse note events from a file, directory, or open stream.
 
-    Notes are grouped into one piece per distinct piece id (in order of
-    first appearance) and sorted by score onset. Malformed rows raise
-    CorpusParseError naming the line; duplicate (piece, onset, pitch)
-    rows are dropped, each recorded in ``Corpus.warnings`` and all of them
-    logged as one warning; an input with no notes at all raises
+    Notes are grouped, in input order, into one piece per distinct piece
+    id (pieces in order of first appearance); expand sorts them. Malformed
+    rows raise CorpusParseError naming the line; duplicate (piece, onset,
+    pitch) rows are dropped, each recorded in ``Corpus.warnings`` and all
+    of them logged as one warning; an input with no notes at all raises
     EmptyCorpusError. Each distinct time text is parsed once per call, and
     notes whose times have the same text share one ``Fraction``.
     """
@@ -247,12 +247,7 @@ def parse_corpus(source: "str | Path | IO") -> Corpus:
         logger.warning("%s (%d duplicate rows dropped in all)", warnings[0], len(warnings))
     if not pieces:
         raise EmptyCorpusError("corpus contains no note events")
-    ordered = []
-    for piece_id, notes in pieces.items():
-        _, (onsets,) = _ticks([n.onset_score for n in notes])
-        order = sorted(zip(onsets, [n.pitch for n in notes], range(len(notes))))
-        ordered.append(Piece(piece_id, [notes[i] for _, _, i in order]))
-    return Corpus(ordered, warnings)
+    return Corpus([Piece(piece_id, notes) for piece_id, notes in pieces.items()], warnings)
 
 
 def _ticks(*columns: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
@@ -274,7 +269,8 @@ def expand(notes: Sequence[NoteEvent]) -> list[Slice]:
 
     Each slice holds all notes sounding at its onset under half-open
     sounding intervals: a note ending exactly at an onset does not sound
-    in that slice. A slice's onset is its first note's ``Fraction``.
+    in that slice. ``notes`` may come in any order. A slice's onset is its
+    first note's ``Fraction``.
     """
     if not notes:
         raise ValueError("cannot expand an empty piece")
@@ -305,7 +301,8 @@ def assign_performed_onsets(notes: Sequence[NoteEvent],
     A slice whose score onset carries at least one performed note onset is
     anchored to the minimum such time. Other slices are interpolated in
     score time between the nearest anchors, and extrapolated from the two
-    nearest anchors beyond the first and last.
+    nearest anchors beyond the first and last. Two anchors whose beats
+    round to one float cannot bound a slice: PerformanceDataError.
     """
     scale, (note_ticks, slice_ticks) = _ticks([n.onset_score for n in notes],
                                               [s.onset_score for s in slices])
@@ -340,6 +337,10 @@ def assign_performed_onsets(notes: Sequence[NoteEvent],
             lo, hi = len(scores) - 2, len(scores) - 1
         else:
             lo, hi = j - 1, j
+        if scores[hi] == scores[lo]:
+            raise PerformanceDataError(
+                f"piece {notes[0].piece_id}: anchor beats {Fraction(anchors[lo][0], scale)} and "
+                f"{Fraction(anchors[hi][0], scale)} round to one float; cannot interpolate")
         slope = (perfs[hi] - perfs[lo]) / (scores[hi] - scores[lo])
         return perfs[lo] + (x - scores[lo]) * slope
 

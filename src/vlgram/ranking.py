@@ -394,9 +394,7 @@ def score_all(table: TypeTable, keys: Sequence[PatternKey],
                         chi += d * d / e22
                     chi_sum += chi
                 if g2_open:
-                    g2 = 0.0
-                    if f > 0.0:
-                        g2 += f * log(f / e11)
+                    g2 = f * log(f / e11)
                     if o12 > 0.0:
                         g2 += o12 * log(o12 / e12)
                     if o21 > 0.0:
@@ -439,9 +437,6 @@ class RankedList:
 
     measure: str
     entries: list[RankedEntry]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def rank_of(self, key: PatternKey) -> int | None:
         """The type's rank, or None when it is not listed (a scan of the entries)."""

@@ -158,15 +158,6 @@ class EncodedPiece:
         )
 
 
-def enumerate_contiguous(piece: EncodedPiece, n: int) -> Iterator[SkipToken]:
-    """All windows of n consecutive slices: max(k - n + 1, 0) tokens."""
-    if n < 1:
-        raise ValueError("cardinality must be at least 1")
-    k = len(piece)
-    for start in range(0, k - n + 1):
-        yield piece.token_at(range(start, start + n))
-
-
 def _index_tuples(k: int, n: int, budget: int, onsets: Sequence[float],
                   windows: Sequence[float]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Index tuples skipping at most ``budget`` slices (none if negative) or passing
@@ -178,8 +169,6 @@ def _index_tuples(k: int, n: int, budget: int, onsets: Sequence[float],
     Both tests only fail more as a member moves right: its loop stops where
     both fail.
     """
-    if n > k:
-        return
     top = len(windows)
     picked = [0] * n
 

@@ -71,9 +71,6 @@ class Vlt:
     def key(self) -> VltKey:
         return (self.intervals, self.top, self.bass_motion)
 
-    def __str__(self) -> str:
-        return format_chord((self.intervals, self.top))
-
 
 @dataclass(frozen=True)
 class VltPattern:
@@ -98,7 +95,7 @@ class VltPattern:
         return tuple(c.key for c in self.chords)
 
     def __str__(self) -> str:
-        return format_pattern(self)
+        return format_key(self.key)
 
 
 def chord_of(pitches: Sequence[int]) -> Chord:
@@ -142,10 +139,6 @@ def format_key(key: PatternKey) -> str:
             parts.append(f"[{motion}]")
         parts.append(format_chord((intervals, top)))
     return "".join(parts)
-
-
-def format_pattern(pattern: VltPattern) -> str:
-    return format_key(pattern.key)
 
 
 def _skip_ws(text: str, i: int) -> int:

@@ -1,18 +1,21 @@
 """Scalar oracles, one function per weighting (``w_*``) and per measure (``am_*``),
 that the library's one weigher (``weigh_all``) and one scorer (``score_all``) must
-match bit for bit, and the per-slice chord reduction (``reduce_oversized``) that
-``reduce_corpus`` must match. Not named ``test_*``, so pytest collects nothing here."""
+match bit for bit, the per-slice chord reduction (``reduce_oversized``) that
+``reduce_corpus`` must match, and the contiguous n-grams (``enumerate_contiguous``)
+that a zero skip budget must reproduce. Not named ``test_*``, so pytest collects
+nothing here."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from vlgram.corpus import Slice, _ranked, _reduce
 from vlgram.ranking import (RankedList, TableInvariantError, TypeTable, _checked_cell,
                             rank_types)
+from vlgram.skipgram import EncodedPiece, SkipToken
 from vlgram.vlt import SLOT_COUNT, PatternKey, chord_of
 from vlgram.weighting import (PROXIMITY_HALF_LIFE_S, RESONANCE_PEAK, _TWO_PI, _iois,
                               resonance_amplitude)
@@ -265,3 +268,12 @@ def reduce_oversized(s: Slice, neighbors: Counter, piece_pop: Counter,
         return s, False
     reduced, _chord = _reduce(s, chord, map(_ranked, (neighbors, piece_pop, corpus_pop)))
     return reduced, True
+
+
+def enumerate_contiguous(piece: EncodedPiece, n: int) -> Iterator[SkipToken]:
+    """All windows of n consecutive slices: max(k - n + 1, 0) tokens."""
+    if n < 1:
+        raise ValueError("cardinality must be at least 1")
+    k = len(piece)
+    for start in range(0, k - n + 1):
+        yield piece.token_at(range(start, start + n))

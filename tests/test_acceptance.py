@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from harmony_fixtures import HARMONY_CASES
-from oracles import g5_split
+from oracles import enumerate_contiguous, g5_split
 from vlgram.cli import main as cli_main
 from vlgram.corpus import prepare_corpus
 from vlgram.evaluation import (PlantSpec, default_grid, default_skip_configs,
@@ -21,7 +21,7 @@ from vlgram.evaluation import (PlantSpec, default_grid, default_skip_configs,
                                run_grid)
 from vlgram.filters import harmony_pass
 from vlgram.ranking import TableBuilder, score_type
-from vlgram.skipgram import EncodedPiece, SkipConfig, enumerate_contiguous, enumerate_piece
+from vlgram.skipgram import EncodedPiece, SkipConfig, enumerate_piece
 from vlgram.vlt import parse_pattern
 from vlgram.weighting import weigh_all
 

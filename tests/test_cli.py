@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from collections import Counter, defaultdict
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vlgram
 from oracles import weigh_onsets
@@ -37,6 +40,21 @@ a\t1\t1\t65\t0.5\t0.5
 a\t2\t1\t67\t1.0\t0.5
 a\t3\t1\t64\t1.5\t0.5
 """
+
+# two anchors whose beats are distinct but round to one float, and a score-only
+# note before them that extrapolates from both
+CLOSE_ANCHORS = ("a\t0\t1\t60\na\t1\t1\t62\t1.0\t0.5\n"
+                 "a\t10000000000000001/10000000000000000\t1\t64\t1.1\t0.5\n")
+
+# number texts at the edges of float range and precision: score times past 2**53
+# or one ulp above 1, performed times subnormal or near the top of the range
+SCORE_TIMES = ("1", "1e-300", "1e300", "9007199254740993", "10000000000000001/10000000000000000")
+PERFORMED_TIMES = ("1.0", "5e-324", "1e-320", "1e300", "1.0000000000000002")
+EXTREME_ROW = st.tuples(
+    st.sampled_from("ab"), st.sampled_from(("0",) + SCORE_TIMES), st.sampled_from(SCORE_TIMES),
+    st.integers(0, 127),
+    st.none() | st.tuples(st.sampled_from(("0.0",) + PERFORMED_TIMES),
+                          st.sampled_from(PERFORMED_TIMES)))
 
 
 def run_cli(args):
@@ -722,6 +740,35 @@ class TestExitCodes:
         code, _ = run_cli(["mine", "--input", str(corpus), "--n", "2"])
         assert code == 3
         assert "piece p1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["expand", "mine", "grid"])
+    def test_anchor_beats_one_float_apart_are_3(self, tmp_path, capsys, command):
+        corpus = tmp_path / "close.tsv"
+        corpus.write_text(CLOSE_ANCHORS)
+        code, _ = run_cli([command, "--input", str(corpus), "--output", str(tmp_path / "o")]
+                          + {"expand": [], "mine": ["--n", "2"],
+                             "grid": ["--n", "2", "--query", "<4,7,_>[5]<4,_,_>"]}[command])
+        assert code == 3
+        assert "piece a: anchor beats 1 and 10000000000000001/" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["expand"],
+        ["mine", "--n", "2", "--skip", "fixed:2"],
+        ["mine", "--n", "2", "--skip", "variable:1", "--weight", "resonant-periodicity",
+         "--rank", "g2"]], ids=["expand", "mine-fixed", "mine-variable"])
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(EXTREME_ROW, min_size=1, max_size=10))
+    @example(rows=[("a", "0", "1", 60, None), ("a", "1", "1", 62, ("1.0", "0.5")),
+                   ("a", "10000000000000001/10000000000000000", "1", 64, ("1.1", "0.5"))])
+    def test_extreme_numbers_exit_0_or_3(self, flags, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = os.path.join(tmp, "extreme.tsv")
+            with open(corpus, "w", encoding="utf-8") as handle:
+                handle.writelines("\t".join([piece, onset, duration, str(pitch),
+                                             *(perf or ())]) + "\n"
+                                  for piece, onset, duration, pitch, perf in rows)
+            code, _ = run_cli(flags + ["--input", corpus, "--output", os.devnull])
+        assert code in (0, 3)
 
     def test_missing_input_is_3(self, tmp_path):
         code, _ = run_cli(["expand", "--input", str(tmp_path / "nope.tsv")])

@@ -86,12 +86,22 @@ class TestParse:
                             "p\t2/4\t1/3\t60\np\t1/3\t1\t60\n")
         notes = corpus.pieces[0].notes
         assert [(n.onset_score, n.duration_score, n.pitch) for n in notes] == [
-            (Fraction(1, 3), 1, 60), (Fraction(1, 2), 1, 60), (Fraction(1, 2), 1, 64)]
+            (Fraction(1, 2), 1, 64), (Fraction(1, 2), 1, 60), (Fraction(1, 3), 1, 60)]
         assert len(corpus.warnings) == 2
         assert corpus.warnings[0] == ("<stream>:3: duplicate note (p, 1/2, 60); "
                                       "keeping first")
         records = [r for r in caplog.records if r.name == "vlgram.corpus"]
         assert "duplicate note (p, 1/2, 60)" in records[0].getMessage()
+
+    def test_notes_keep_input_order_and_preparation_does_not_read_it(self):
+        rows = ["p\t0\t2\t48\t0.0\t1.0", "p\t1/3\t1\t64", "p\t0\t1\t67\t0.1\t0.5",
+                "p\t1\t1\t60\t0.9\t0.5", "p\t2/3\t1/3\t62", "p\t1\t1\t55\t1.0\t0.5"]
+        forward = parse_text("\n".join(rows) + "\n")
+        backward = parse_text("\n".join(reversed(rows)) + "\n")
+        assert [n.pitch for n in backward.pieces[0].notes] == [55, 62, 60, 67, 64, 48]
+        prepare_corpus(forward)
+        prepare_corpus(backward)
+        assert backward.pieces[0].slices == forward.pieces[0].slices
 
     def test_same_text_shares_one_fraction(self):
         corpus = parse_text("p\t1/3\t1/3\t60\np\t1/3\t2/3\t64\nq\t2/3\t1/3\t62\n")
@@ -315,6 +325,18 @@ class TestPerformedOnsets:
             assign_performed_onsets(notes, expand(notes))
         assert str(err.value) == ("piece p: performed onsets not monotone with score "
                                   "onsets (beat 1/2 at 1.0s, beat 3/2 at 0.5s)")
+
+    def test_anchor_beats_one_float_apart_are_rejected(self):
+        # beats 1 and 1 + 1e-16 are distinct ticks but one float: the slice at
+        # beat 0 would extrapolate through a zero score-time step
+        corpus = parse_text("a\t0\t1\t60\na\t1\t1\t62\t1.0\t0.5\n"
+                            "a\t10000000000000001/10000000000000000\t1\t64\t1.1\t0.5\n")
+        notes = corpus.pieces[0].notes
+        with pytest.raises(PerformanceDataError) as err:
+            assign_performed_onsets(notes, expand(notes))
+        assert str(err.value) == ("piece a: anchor beats 1 and "
+                                  "10000000000000001/10000000000000000 round to one "
+                                  "float; cannot interpolate")
 
     def test_fixed_tempo_rendering(self):
         notes = [note("a", 0, 1, 60), note("a", 2, 1, 62)]

@@ -62,7 +62,7 @@ class TestFrequency:
             for kind in ("frequency", "harmony", "both"):
                 ranked, _ = run_config(corpus, PipelineConfig(
                     skip, "count", FilterSpec(kind, 7.0), measure))
-                assert 0 < len(ranked) < len(unfiltered)
+                assert 0 < len(ranked.entries) < len(unfiltered.entries)
                 for entry in ranked.entries:
                     assert entry.score == scores[entry.key]
 

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import enumerate_contiguous
 from vlgram.corpus import PerformanceDataError, Slice
-from vlgram.skipgram import (EncodedPiece, SkipConfig, enumerate_chains, enumerate_contiguous,
-                             enumerate_piece)
+from vlgram.skipgram import EncodedPiece, SkipConfig, enumerate_chains, enumerate_piece
 from vlgram.vlt import chord_of, format_key, parse_pattern
 
 

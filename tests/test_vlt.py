@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from vlgram.corpus import Slice
 from vlgram.skipgram import EncodedPiece
 from vlgram.vlt import (SLOT_COUNT, PatternSyntaxError, Vlt, VltPattern, chord_of,
-                        chord_pitches, format_chord, format_key, format_pattern,
-                        parse_pattern)
+                        chord_pitches, format_chord, format_key, parse_pattern)
 
 
 def make_slice(pitches, index=0, onset=0):
@@ -100,7 +99,7 @@ class TestCodecRoundTrips:
     def test_formatted_key_parses_back(self, key):
         text = format_key(key)
         assert parse_pattern(text).key == key
-        assert format_pattern(parse_pattern(text)) == text
+        assert str(parse_pattern(text)) == text
 
 
 class TestPatternText:
@@ -130,17 +129,17 @@ class TestPatternText:
                 motion = None if j == 0 else rng.randrange(12)
                 chords.append(Vlt(ivs, top, motion))
             pattern = VltPattern(tuple(chords))
-            text = format_pattern(pattern)
+            text = str(pattern)
             again = parse_pattern(text)
             assert again == pattern
-            assert format_pattern(again) == text
+            assert str(again) == text
 
     def test_parse_canonicalizes_order_and_doublings(self):
-        assert format_pattern(parse_pattern("<7,4,_>")) == "<4,7,_>"
-        assert format_pattern(parse_pattern("<4,4,10>")) == "<4,10,_>"
-        assert format_pattern(parse_pattern("<4,0,7*>")) == "<4,7*,_>"
+        assert str(parse_pattern("<7,4,_>")) == "<4,7,_>"
+        assert str(parse_pattern("<4,4,10>")) == "<4,10,_>"
+        assert str(parse_pattern("<4,0,7*>")) == "<4,7*,_>"
         # a starred 0 means the top doubles the bass: the no-star form
-        assert format_pattern(parse_pattern("<0*,_,_>")) == "<_,_,_>"
+        assert str(parse_pattern("<0*,_,_>")) == "<_,_,_>"
 
     def test_two_stars_rejected(self):
         with pytest.raises(PatternSyntaxError) as err:
