@@ -8,7 +8,8 @@ The input is the mine-poly benchmark workload's at seed 0 (20 five-voice
 pieces x 200 beats, duple and triplet rhythms, four score-only pieces),
 written once by ``perfbench/workloads.write_input``. ``test_parse`` times
 ``parse_corpus`` on that file; ``test_prepare`` times ``prepare_corpus``
-on a fresh parse of it, made outside the timed call.
+on a fresh parse of it, made outside the timed call, and checks that four
+pieces were rendered at the fixed tempo.
 """
 
 import sys
@@ -21,7 +22,7 @@ from vlgram.corpus import parse_corpus, prepare_corpus
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import write_input  # noqa: E402
 
-NOTES, SLICES, REDUCED = 20_018, 14_786, 3_893
+NOTES, SLICES, REDUCED, SYNTHETIC = 20_018, 14_786, 3_893, 4
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,12 @@ def test_parse(benchmark, poly_input):
 
 
 def test_prepare(benchmark, poly_input):
-    stats = benchmark.pedantic(prepare_corpus, setup=lambda: ((parse_corpus(poly_input),), {}),
-                               rounds=7)
+    corpus = []  # the last round's, so that its fixed-tempo pieces can be counted
+
+    def fresh():
+        corpus[:] = [parse_corpus(poly_input)]
+        return (corpus[0],), {}
+
+    stats = benchmark.pedantic(prepare_corpus, setup=fresh, rounds=7)
     assert (stats.n_slices, stats.n_reduced) == (SLICES, REDUCED)
+    assert sum(piece.synthetic_tempo for piece in corpus[0].pieces) == SYNTHETIC

@@ -148,7 +148,7 @@ def _cmd_encode(args) -> int:
     corpus = _load_prepared(args.input)
     with _open_out(args.output) as out:
         for piece in skipgram.encode_corpus(corpus):
-            key = piece.token_at(range(len(piece))).type_key
+            key = piece.key(range(len(piece)))
             for index, (intervals, top, motion) in enumerate(key):
                 out.write(f"{piece.piece_id}\t{index}\t{format_chord((intervals, top))}"
                           f"\t{'' if motion is None else motion}\n")

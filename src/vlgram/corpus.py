@@ -20,6 +20,11 @@ text. Parsing reads each distinct time text once per call and keeps each
 piece's notes in input order; expansion alone orders them. Expansion and
 performed-onset anchoring compare times as exact integer ticks at the
 piece's common denominator (see ``_ticks``), never as ``Fraction``s.
+
+Preparation builds each slice once, in one tick sweep per piece (``_sweep``,
+as expand does), fills in its performed onset in place (``_anchored``, as
+assign_performed_onsets does, or at the fixed tempo), then reduces the
+oversized chords (reduce_corpus).
 """
 
 from __future__ import annotations
@@ -264,21 +269,18 @@ def _ticks(*columns: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
     return scale, [[num * (scale // den) for num, den in column] for column in ratios]
 
 
-def expand(notes: Sequence[NoteEvent]) -> list[Slice]:
-    """Slice a piece at every distinct note onset.
-
-    Each slice holds all notes sounding at its onset under half-open
-    sounding intervals: a note ending exactly at an onset does not sound
-    in that slice. ``notes`` may come in any order. A slice's onset is its
-    first note's ``Fraction``.
+def _sweep(notes: Sequence[NoteEvent]) -> tuple[int, list[int], list[int], list[Slice]]:
+    """A piece's slices, as expand documents them, from one sweep over its
+    notes' ticks, with the ticks' ``scale``, each note's onset tick and each
+    slice's onset tick. Every slice is built once, its performed onset None.
     """
     if not notes:
         raise ValueError("cannot expand an empty piece")
-    _, (onsets, durations) = _ticks([n.onset_score for n in notes],
-                                    [n.duration_score for n in notes])
+    scale, (onsets, durations) = _ticks([n.onset_score for n in notes],
+                                        [n.duration_score for n in notes])
     events = sorted(zip(onsets, [n.pitch for n in notes], durations, range(len(notes))))
     piece_id = notes[0].piece_id
-    slices = []
+    slices, ticks = [], []
     active: list[tuple[int, int]] = []  # (offset tick, pitch) heap
     pos = 0
     while pos < len(events):
@@ -290,22 +292,27 @@ def expand(notes: Sequence[NoteEvent]) -> list[Slice]:
         while active and active[0][0] <= onset:
             heappop(active)
         pitches = tuple(sorted({p for _, p in active}))
+        ticks.append(onset)
         slices.append(Slice(piece_id, len(slices), notes[first].onset_score, pitches))
-    return slices
+    return scale, onsets, ticks, slices
 
 
-def assign_performed_onsets(notes: Sequence[NoteEvent],
-                            slices: Sequence[Slice]) -> list[Slice]:
-    """Attach performed onsets to slices by anchoring and linear interpolation.
+def expand(notes: Sequence[NoteEvent]) -> list[Slice]:
+    """Slice a piece at every distinct note onset.
 
-    A slice whose score onset carries at least one performed note onset is
-    anchored to the minimum such time. Other slices are interpolated in
-    score time between the nearest anchors, and extrapolated from the two
-    nearest anchors beyond the first and last. Two anchors whose beats
-    round to one float cannot bound a slice: PerformanceDataError.
+    Each slice holds all notes sounding at its onset under half-open
+    sounding intervals: a note ending exactly at an onset does not sound
+    in that slice. ``notes`` may come in any order. A slice's onset is its
+    first note's ``Fraction``.
     """
-    scale, (note_ticks, slice_ticks) = _ticks([n.onset_score for n in notes],
-                                              [s.onset_score for s in slices])
+    return _sweep(notes)[3]
+
+
+def _anchored(notes: Sequence[NoteEvent], scale: int, note_ticks: Sequence[int],
+              slice_ticks: Sequence[int]) -> list[float]:
+    """The performed onset at each of ``slice_ticks``, as assign_performed_onsets
+    documents it; ``note_ticks`` are the notes' onsets, all ticks of ``1/scale`` beat."""
+    piece_id = notes[0].piece_id
     anchor_map: dict[int, float] = {}
     for tick, n in zip(note_ticks, notes):
         perf = n.onset_perf
@@ -316,11 +323,11 @@ def assign_performed_onsets(notes: Sequence[NoteEvent],
             anchor_map[tick] = perf
     anchors = sorted(anchor_map.items())
     if len(anchors) < 2:
-        raise PerformanceDataError(f"piece {notes[0].piece_id}: insufficient performance anchors")
+        raise PerformanceDataError(f"piece {piece_id}: insufficient performance anchors")
     for (s0, p0), (s1, p1) in zip(anchors, anchors[1:]):
         if p1 < p0:
             raise PerformanceDataError(
-                f"piece {notes[0].piece_id}: performed onsets not monotone with score onsets "
+                f"piece {piece_id}: performed onsets not monotone with score onsets "
                 f"(beat {Fraction(s0, scale)} at {p0}s, beat {Fraction(s1, scale)} at {p1}s)")
     scores = [tick / scale for tick, _ in anchors]
     perfs = [p for _, p in anchors]
@@ -339,14 +346,35 @@ def assign_performed_onsets(notes: Sequence[NoteEvent],
             lo, hi = j - 1, j
         if scores[hi] == scores[lo]:
             raise PerformanceDataError(
-                f"piece {notes[0].piece_id}: anchor beats {Fraction(anchors[lo][0], scale)} and "
+                f"piece {piece_id}: anchor beats {Fraction(anchors[lo][0], scale)} and "
                 f"{Fraction(anchors[hi][0], scale)} round to one float; cannot interpolate")
         slope = (perfs[hi] - perfs[lo]) / (scores[hi] - scores[lo])
-        return perfs[lo] + (x - scores[lo]) * slope
+        onset = perfs[lo] + (x - scores[lo]) * slope
+        if not 0.0 <= onset < math.inf:  # also nan
+            raise PerformanceDataError(
+                f"piece {piece_id}: beat {Fraction(tick, scale)} interpolates to performed "
+                f"onset {onset}s, not a finite time >= 0")
+        return onset
 
+    return [interpolate(tick) for tick in slice_ticks]
+
+
+def assign_performed_onsets(notes: Sequence[NoteEvent],
+                            slices: Sequence[Slice]) -> list[Slice]:
+    """Attach performed onsets to slices by anchoring and linear interpolation.
+
+    A slice whose score onset carries at least one performed note onset is
+    anchored to the minimum such time. Other slices are interpolated in
+    score time between the nearest anchors, and extrapolated from the two
+    nearest anchors beyond the first and last. Two anchors whose beats
+    round to one float cannot bound a slice, and a slice's onset must come
+    out finite and non-negative: else PerformanceDataError.
+    """
+    scale, (note_ticks, slice_ticks) = _ticks([n.onset_score for n in notes],
+                                              [s.onset_score for s in slices])
     return [
-        Slice(s.piece_id, s.index, s.onset_score, s.pitches, interpolate(tick))
-        for s, tick in zip(slices, slice_ticks)
+        Slice(s.piece_id, s.index, s.onset_score, s.pitches, onset)
+        for s, onset in zip(slices, _anchored(notes, scale, note_ticks, slice_ticks))
     ]
 
 
@@ -414,7 +442,8 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
 
     Reference populations are measured on the original, pre-reduction
     interval-class sets, so the result does not depend on processing order.
-    Each piece's population and the corpus's are ranked once. The chord of
+    Only oversized slices are visited. The corpus's population is ranked
+    once, and a piece's once if the piece has an oversized slice. The chord of
     each distinct pitch tuple is computed once, and each slice's chord is
     kept in ``Piece.chords``: a reduced slice's is the chord it was voiced
     from. Equal chords, and their interval-class sets, are one object
@@ -434,19 +463,19 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
     for piece, entries in zip(corpus.pieces, piece_entries):
         chords = [chord for chord, _ in entries]
         sets = [icset for _, icset in entries]
-        piece_ranked = _ranked(Counter(sets))
-        for i, s in enumerate(piece.slices):
-            stats.n_slices += 1
-            if len(sets[i]) <= SLOT_COUNT:
-                continue
+        stats.n_slices += len(sets)
+        oversized = [i for i, icset in enumerate(sets) if len(icset) > SLOT_COUNT]
+        if oversized:
+            piece_ranked = _ranked(Counter(sets))
+        for i in oversized:
             lo = max(0, i - REDUCTION_WINDOW)
             window = sets[lo:i] + sets[i + 1:i + 1 + REDUCTION_WINDOW]
             neighbors = Counter(icset for icset in window if icset <= sets[i])
-            reduced, chord = _reduce(s, chords[i], (_ranked(neighbors), piece_ranked,
-                                                    corpus_ranked))
+            reduced, chord = _reduce(piece.slices[i], chords[i],
+                                     (_ranked(neighbors), piece_ranked, corpus_ranked))
             piece.slices[i] = reduced
             chords[i] = by_chord.setdefault(chord, (chord, frozenset(chord[0])))[0]
-            stats.n_reduced += 1
+        stats.n_reduced += len(oversized)
         piece.chords = chords
     return stats
 
@@ -454,15 +483,23 @@ def reduce_corpus(corpus: Corpus) -> PrepareStats:
 def prepare_corpus(corpus: Corpus) -> PrepareStats:
     """Expand every piece, assign performed onsets, and reduce oversized chords.
 
+    The result is that of expand, then assign_performed_onsets or
+    render_fixed_tempo, then reduce_corpus, but each slice is built once,
+    in one tick sweep per piece, and gets its performed onset in place.
     Pieces with no performed times anywhere are rendered at FALLBACK_BPM
     and flagged; pieces with performed times on fewer than two distinct
     onsets raise PerformanceDataError.
     """
+    spb = 60.0 / FALLBACK_BPM
     for piece in corpus.pieces:
-        slices = expand(piece.notes)
+        scale, note_ticks, slice_ticks, slices = _sweep(piece.notes)
         if any(n.onset_perf is not None for n in piece.notes):
-            piece.slices = assign_performed_onsets(piece.notes, slices)
+            onsets = _anchored(piece.notes, scale, note_ticks, slice_ticks)
         else:
-            piece.slices = render_fixed_tempo(slices)
+            # tick / scale is float(onset_score) bit for bit (see _ticks)
+            onsets = [tick / scale * spb for tick in slice_ticks]
             piece.synthetic_tempo = True
+        for s, onset in zip(slices, onsets):
+            s.onset_perf = onset
+        piece.slices = slices
     return reduce_corpus(corpus)

@@ -141,23 +141,25 @@ def _record(pieces: list[EncodedPiece], chains: Sequence[Sequence[SkipConfig]],
     """The walk of the chain kernel behind run_grid, run_config and ``vlgram mine``:
     walk ``chains`` (skipgram.enumerate_chains) once over ``pieces`` into a builder.
 
-    Each token is recorded with its narrowest level in each chain and its
-    weights for ``kinds``, weighed every way at once (weigh_all). A count
-    weight is 1.0, so count alone weighs nothing, and only the kinds besides
-    count and proximity need weigh_all's period search. ``dump``, when
-    given, receives each token as it is enumerated, with its first weight.
+    Each walked index tuple is recorded with its narrowest level in each
+    chain, its type key (EncodedPiece.key) and its weights for ``kinds``,
+    weighed every way at once (weigh_all) from the slices' performed
+    onsets; no SkipToken is built. A count weight is 1.0, so count alone
+    weighs nothing, and only the kinds besides count and proximity need
+    weigh_all's period search. ``dump``, when given, receives each token
+    as it is enumerated, with its first weight.
     """
     builder = TableBuilder(chains[0][0].n, len(pieces), kinds, len(chains))
     add, picks = builder.add, [WEIGHT_KINDS.index(kind) for kind in kinds]
     ones = (1.0,) * len(WEIGHT_KINDS) if set(kinds) == {"count"} else None
     periods = not set(kinds) <= {"count", "proximity"}
     for piece in pieces:
-        pid = piece.piece_id
-        for levels, tok in enumerate_chains(piece, chains):
-            ws = ones or weigh_all(tok.onsets_perf, periods)
+        pid, key, onsets = piece.piece_id, piece.key, piece.onsets_perf
+        for levels, indices in enumerate_chains(piece, chains):
+            ws = ones or weigh_all([onsets[i] for i in indices], periods)
             if dump is not None:
-                dump_token(tok, ws[picks[0]], dump)
-            add(pid, tok.type_key, map(ws.__getitem__, picks), levels)
+                dump_token(piece.token_at(indices), ws[picks[0]], dump)
+            add(pid, key(indices), map(ws.__getitem__, picks), levels)
     return builder
 
 

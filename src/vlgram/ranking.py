@@ -449,6 +449,8 @@ def rank_types(scored: Iterable[tuple[PatternKey, float]], table: TypeTable,
 
     ``scored`` may be any iterable, a generator included; it is read once.
     One list is sorted, and its items are replaced by the entries in place.
+    Each entry's count and coverage are read by its type id, looked up once
+    (a key that is no type of ``table`` reads 0.0 and 0).
     """
     texts: dict = {}  # each key member's text, formatted once per call
     ranked = [(score, "".join([texts.get(m) or texts.setdefault(m, format_key((m,)))
@@ -457,10 +459,13 @@ def rank_types(scored: Iterable[tuple[PatternKey, float]], table: TypeTable,
     # without building a sort key per type.
     ranked.sort(key=itemgetter(1))
     ranked.sort(key=itemgetter(0), reverse=True)
+    ids, slots, sums, covers = table.ids, table.slots, table.sums, table.covers
     prev_score: float | None = None
     prev_rank = 0
     for pos, (score, text, key) in enumerate(ranked):
         rank = prev_rank if score == prev_score else pos + 1
-        ranked[pos] = RankedEntry(rank, score, key, table.count(key), table.covered(key), text)
+        tid = ids.get(key)
+        count, coverage = (0.0, 0) if tid is None else (sums[slots[tid][1]], covers[tid])
+        ranked[pos] = RankedEntry(rank, score, key, count, coverage, text)
         prev_score, prev_rank = score, rank
     return RankedList(measure, ranked)

@@ -16,9 +16,11 @@ The levels of one mode are nested: a ``fixed:t`` tuple is a wider
 budget's tuple whose total skip is at most t, and a ``variable:w`` tuple
 is a wider window's tuple that passes the window test at w.
 ``enumerate_chains`` is the one skip walker: it walks a fixed chain and a
-variable chain together, once, tagging each token with the narrowest
-level of each chain that admits it. ``enumerate_piece`` is a one-level
-chain over it.
+variable chain together, once, tagging each index tuple with the
+narrowest level of each chain that admits it. It builds no token:
+``EncodedPiece.key`` gives a tuple's type key, and
+``EncodedPiece.token_at`` the ``SkipToken`` for callers that keep one.
+``enumerate_piece`` is a one-level chain over it that yields tokens.
 ``SkipConfig`` alone validates a level and spells its label.
 """
 
@@ -141,8 +143,8 @@ class EncodedPiece:
     def __len__(self) -> int:
         return len(self.chords)
 
-    def token_at(self, indices: Sequence[int]) -> SkipToken:
-        """Build the token for an explicit index tuple."""
+    def key(self, indices: Sequence[int]) -> PatternKey:
+        """The type key of the token at an explicit index tuple."""
         members = self.members
         bass_pcs = self.bass_pcs
         key = []
@@ -150,11 +152,15 @@ class EncodedPiece:
         for i in indices:
             key.append(members[i][-1 if prev is None else (bass_pcs[i] - bass_pcs[prev]) % 12])
             prev = i
+        return tuple(key)
+
+    def token_at(self, indices: Sequence[int]) -> SkipToken:
+        """Build the token for an explicit index tuple."""
         return SkipToken(
             self.piece_id,
             tuple(indices),
             tuple(self.onsets_perf[i] for i in indices),
-            tuple(key),
+            self.key(indices),
         )
 
 
@@ -203,15 +209,18 @@ def _index_tuples(k: int, n: int, budget: int, onsets: Sequence[float],
 
 
 def enumerate_chains(piece: EncodedPiece, chains: Sequence[Sequence[SkipConfig]]
-                     ) -> Iterator[tuple[tuple[int, ...], SkipToken]]:
-    """Every token some level of ``chains`` admits, with its narrowest levels.
+                     ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The index tuple of every token some level of ``chains`` admits, with its
+    narrowest levels, as ``(levels, indices)``.
 
     ``chains`` holds ascending chains of one n, at most one per mode; a fixed
     budget of None is the widest. Tuples are walked once, in lexicographic
-    order, where the widest budget or window admits them. Each token comes
+    order, where the widest budget or window admits them. Each tuple comes
     with one index per chain, of its narrowest level admitting it or
-    ``len(chain)``; those indexed at most L in a chain are exactly
-    ``enumerate_piece(piece, chain[L])``, in the same order.
+    ``len(chain)``; those indexed at most L in a chain are exactly the
+    indices of ``enumerate_piece(piece, chain[L])``, in the same order. No
+    token is built: ``piece.key(indices)`` is the type key and
+    ``piece.token_at(indices)`` the token.
     """
     for chain in chains:
         if not chain:
@@ -234,13 +243,13 @@ def enumerate_chains(piece: EncodedPiece, chains: Sequence[Sequence[SkipConfig]]
                    if mode == "fixed" else need for mode in modes)
              for need in range(len(variable) + 1)] for spent in range(max(k - n, 0) + 1)]
     for spent, need, indices in _index_tuples(k, n, budget, onsets, [c.w for c in variable]):
-        yield tags[spent][need], piece.token_at(indices)
+        yield tags[spent][need], indices
 
 
 def enumerate_piece(piece: EncodedPiece, config: SkipConfig) -> Iterator[SkipToken]:
     """One skip level's tokens in lexicographic order: a one-level chain."""
-    for _levels, token in enumerate_chains(piece, ((config,),)):
-        yield token
+    for _levels, indices in enumerate_chains(piece, ((config,),)):
+        yield piece.token_at(indices)
 
 
 def encode_corpus(corpus: Corpus) -> list[EncodedPiece]:

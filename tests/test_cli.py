@@ -45,6 +45,15 @@ a\t3\t1\t64\t1.5\t0.5
 # note before them that extrapolates from both
 CLOSE_ANCHORS = ("a\t0\t1\t60\na\t1\t1\t62\t1.0\t0.5\n"
                  "a\t10000000000000001/10000000000000000\t1\t64\t1.1\t0.5\n")
+# anchors whose extrapolation overflows to inf past the last, to -inf before
+# the first, or to a negative time before the first: (rows, the beat named)
+UNBOUNDED_ONSETS = {
+    "inf": ("a\t0\t1\t60\t0.0\t0.5\na\t1e-300\t1\t62\t1e300\t0.5\n"
+            "a\t1\t1\t64\na\t2\t1\t65\n", "1"),
+    "minus-inf": ("a\t1e-300\t1\t60\t0.0\t0.5\na\t2e-300\t1\t62\t1e300\t0.5\n"
+                  "a\t0\t1\t64\n", "0"),
+    "negative": ("a\t0\t1\t60\na\t1\t1\t62\t0.1\t0.5\na\t2\t1\t64\t10.0\t0.5\n", "0"),
+}
 
 # number texts at the edges of float range and precision: score times past 2**53
 # or one ulp above 1, performed times subnormal or near the top of the range
@@ -750,6 +759,20 @@ class TestExitCodes:
                              "grid": ["--n", "2", "--query", "<4,7,_>[5]<4,_,_>"]}[command])
         assert code == 3
         assert "piece a: anchor beats 1 and 10000000000000001/" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corpus", UNBOUNDED_ONSETS)
+    @pytest.mark.parametrize("command", ["expand", "mine", "grid"])
+    def test_onset_not_finite_or_negative_is_3(self, tmp_path, capsys, command, corpus):
+        rows, beat = UNBOUNDED_ONSETS[corpus]
+        path = tmp_path / "unbounded.tsv"
+        path.write_text(rows)
+        code, _ = run_cli([command, "--input", str(path), "--output", str(tmp_path / "o")]
+                          + {"expand": [], "mine": ["--n", "2", "--skip", "variable:1"],
+                             "grid": ["--n", "2", "--query", "<4,7,_>[5]<4,_,_>"]}[command])
+        assert code == 3
+        assert (f"piece a: beat {beat} interpolates to performed onset"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flags", [
         ["expand"],

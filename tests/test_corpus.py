@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlgram.corpus import (CorpusParseError, EmptyCorpusError, NoteEvent,
+from vlgram.corpus import (Corpus, CorpusParseError, EmptyCorpusError, NoteEvent, Piece,
                            PerformanceDataError, Slice, assign_performed_onsets,
-                           expand, parse_corpus, prepare_corpus,
+                           expand, parse_corpus, prepare_corpus, reduce_corpus,
                            render_fixed_tempo)
 from vlgram.vlt import chord_of
 
@@ -281,7 +282,7 @@ class TestPerformedOnsets:
             notes = [note("a", b, 1, 60, t, 0.1) for b, t in zip(beats, times)]
             extra = [note("a", b, 1, 70) for b in rng.sample(range(0, 40), 8)
                      if b not in beats]
-            done = assign_performed_onsets(notes + extra, expand(notes + extra))
+            slices = expand(notes + extra)
 
             def oracle(x):
                 # piecewise linear through the anchor points, end segments extended
@@ -295,8 +296,13 @@ class TestPerformedOnsets:
                 frac = (x - beats[lo]) / (beats[hi] - beats[lo])
                 return times[lo] + frac * (times[hi] - times[lo])
 
-            for s in done:
-                assert s.onset_perf == pytest.approx(oracle(float(s.onset_score)))
+            want = [oracle(float(s.onset_score)) for s in slices]
+            if min(want) < 0:  # extrapolated before the first anchor to a negative time
+                with pytest.raises(PerformanceDataError, match="not a finite time >= 0"):
+                    assign_performed_onsets(notes + extra, slices)
+                continue
+            done = assign_performed_onsets(notes + extra, slices)
+            assert [s.onset_perf for s in done] == pytest.approx(want)
             perf = [s.onset_perf for s in done]
             assert all(a <= b + 1e-12 for a, b in zip(perf, perf[1:]))
 
@@ -362,7 +368,8 @@ def oracle_expand(notes):
 
 
 def oracle_assign(notes, slices):
-    """assign_performed_onsets on Fraction keys and float(Fraction) anchors."""
+    """assign_performed_onsets on Fraction keys and float(Fraction) anchors; an
+    interpolated onset that is not finite or is negative raises."""
     anchor_map = {}
     for n in notes:
         if n.onset_perf is not None:
@@ -388,7 +395,12 @@ def oracle_assign(notes, slices):
         lo, hi = (0, 1) if j == 0 else (
             (len(scores) - 2, len(scores) - 1) if j >= len(scores) else (j - 1, j))
         slope = (perfs[hi] - perfs[lo]) / (scores[hi] - scores[lo])
-        return perfs[lo] + (x - scores[lo]) * slope
+        onset = perfs[lo] + (x - scores[lo]) * slope
+        if not (math.isfinite(onset) and onset >= 0):
+            raise PerformanceDataError(
+                f"piece {notes[0].piece_id}: beat {score} interpolates to performed "
+                f"onset {onset}s, not a finite time >= 0")
+        return onset
 
     return [Slice(s.piece_id, s.index, s.onset_score, s.pitches, interpolate(s.onset_score))
             for s in slices]
@@ -449,6 +461,67 @@ class TestTickPath:
             assert str(got.value) == str(err)
             return
         assert slice_fields(assign_performed_onsets(notes, mixed)) == slice_fields(expected)
+
+
+@st.composite
+def mixed_corpus_notes(draw):
+    """1-4 pieces of notes, each score-only or with some performed onsets.
+
+    Pitches span three octaves and notes overlap, so some slices hold more
+    than three interval classes and are reduced; the tempo may break
+    monotony or extrapolate below zero, as in tick_path_piece.
+    """
+    pieces = []
+    for p in range(draw(st.integers(1, 4))):
+        dens = RHYTHM_DENOMINATORS + draw(st.sampled_from(((), LARGE_DENOMINATORS)))
+        tempo = draw(st.floats(0.2, 2.0))
+        performed = draw(st.booleans())
+        free = st.floats(0.0, 40.0) if draw(st.booleans()) else st.nothing()
+        notes = []
+        for _ in range(draw(st.integers(1, 30))):
+            onset = draw(score_time(dens))
+            perf = (draw(st.one_of(st.none(), st.just(float(onset) * tempo), free))
+                    if performed else None)
+            notes.append(NoteEvent(f"p{p}", onset, draw(score_time(dens, low=1)),
+                                   draw(st.integers(40, 76)), perf,
+                                   None if perf is None else 0.5))
+        pieces.append(notes)
+    return pieces
+
+
+def staged_prepare(corpus):
+    """prepare_corpus as its documented steps: expand, then assign_performed_onsets
+    or render_fixed_tempo, then reduce_corpus."""
+    for piece in corpus.pieces:
+        slices = expand(piece.notes)
+        if any(n.onset_perf is not None for n in piece.notes):
+            piece.slices = assign_performed_onsets(piece.notes, slices)
+        else:
+            piece.slices = render_fixed_tempo(slices)
+            piece.synthetic_tempo = True
+    return reduce_corpus(corpus)
+
+
+class TestOnePassPrepare:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_corpus_notes())
+    def test_prepare_equals_the_staged_steps(self, pieces):
+        def corpus():
+            return Corpus([Piece(notes[0].piece_id, notes) for notes in pieces])
+
+        staged, prepared = corpus(), corpus()
+        try:
+            want = staged_prepare(staged)
+        except PerformanceDataError as err:
+            with pytest.raises(PerformanceDataError) as got:
+                prepare_corpus(prepared)
+            assert str(got.value) == str(err)
+            return
+        assert prepare_corpus(prepared) == want
+        for got, expected in zip(prepared.pieces, staged.pieces, strict=True):
+            assert slice_fields(got.slices) == slice_fields(expected.slices)
+            assert got.chords == expected.chords
+            assert got.synthetic_tempo == expected.synthetic_tempo
 
 
 def classes(s):

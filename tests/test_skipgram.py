@@ -12,9 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_contiguous
-from vlgram.corpus import PerformanceDataError, Slice
-from vlgram.skipgram import EncodedPiece, SkipConfig, enumerate_chains, enumerate_piece
+from vlgram.corpus import Corpus, PerformanceDataError, Piece, Slice
+from vlgram.evaluation import _record
+from vlgram.ranking import TableBuilder
+from vlgram.skipgram import (EncodedPiece, SkipConfig, encode_corpus, enumerate_chains,
+                             enumerate_piece)
 from vlgram.vlt import chord_of, format_key, parse_pattern
+from vlgram.weighting import WEIGHT_KINDS, weigh_all
 
 
 def piece_of(k, seed=0, iois=None):
@@ -214,6 +218,25 @@ def two_chain_cases(draw):
     return piece_with_onsets(onsets[:k]), chains
 
 
+@st.composite
+def two_chain_corpora(draw):
+    """1-3 pieces of chords from a small pool, a fixed chain and a variable chain
+    (as in two_chain_cases), and the weight kinds to record."""
+    _, chains = draw(two_chain_cases())
+    pieces = []
+    for p in range(draw(st.integers(1, 3))):
+        onset, slices = 0.0, []
+        for i in range(draw(st.integers(0, 12))):
+            bass = draw(st.integers(40, 47))
+            intervals = draw(st.sampled_from([(), (4, 7), (3, 8), (5,), (4, 7, 10)]))
+            slices.append(Slice(f"p{p}", i, Fraction(i),
+                                tuple(bass + iv for iv in (0, *intervals)), onset))
+            onset += draw(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7]))
+        pieces.append(Piece(f"p{p}", [], slices))
+    kinds = draw(st.sampled_from([WEIGHT_KINDS, ("count",), ("proximity", "count")]))
+    return encode_corpus(Corpus([piece for piece in pieces if piece.slices])), chains, kinds
+
+
 def level_oracle(piece, skip):
     """Brute force: a level's (indices, key) pairs in lexicographic order."""
     onsets = piece.onsets_perf
@@ -234,8 +257,8 @@ class TestNested:
     @given(nested_cases())
     def test_levels_reproduce_each_level_enumeration(self, case):
         piece, chain = case
-        tagged = [(level, tok.indices, tok.type_key)
-                  for (level,), tok in enumerate_chains(piece, (chain,))]
+        tagged = [(level, indices, piece.key(indices))
+                  for (level,), indices in enumerate_chains(piece, (chain,))]
         assert all(0 <= level < len(chain) for level, _, _ in tagged)
         for at, skip in enumerate(chain):
             assert [(indices, key) for level, indices, key in tagged
@@ -245,8 +268,8 @@ class TestNested:
     @given(two_chain_cases())
     def test_two_chains_walked_together_reproduce_each_level(self, case):
         piece, chains = case
-        tagged = [(levels, tok.indices, tok.type_key)
-                  for levels, tok in enumerate_chains(piece, chains)]
+        tagged = [(levels, indices, piece.key(indices))
+                  for levels, indices in enumerate_chains(piece, chains)]
         # one lexicographic walk of the union: every token is admitted by
         # some level, and no tuple comes twice
         assert all(any(level < len(chain) for level, chain in zip(levels, chains))
@@ -259,13 +282,39 @@ class TestNested:
                 assert [(indices, key) for levels, indices, key in tagged
                         if levels[c] <= at] == level_oracle(piece, skip)
 
+    @settings(max_examples=200, deadline=None)
+    @given(two_chain_corpora())
+    def test_index_tuples_key_and_record_as_tokens_do(self, case):
+        pieces, chains, kinds = case
+        for piece in pieces:
+            for _levels, indices in enumerate_chains(piece, chains):
+                assert piece.key(indices) == piece.token_at(indices).type_key
+        # a builder fed each level's tokens, every token tagged with the
+        # narrowest level of each chain that enumerates it
+        n = chains[0][0].n
+        fresh = TableBuilder(n, len(pieces), kinds, len(chains))
+        for piece in pieces:
+            tokens, levels = {}, {}
+            for c, chain in enumerate(chains):
+                for level in reversed(range(len(chain))):
+                    for tok in enumerate_piece(piece, chain[level]):
+                        tokens[tok.indices] = tok
+                        levels.setdefault(tok.indices, [len(ch) for ch in chains])[c] = level
+            for indices in sorted(tokens):
+                tok, ws = tokens[indices], weigh_all(tokens[indices].onsets_perf)
+                fresh.add(tok.piece_id, tok.type_key,
+                          [ws[WEIGHT_KINDS.index(kind)] for kind in kinds], levels[indices])
+        builder = _record(pieces, chains, kinds)
+        assert builder.keys == fresh.keys
+        assert builder.records == fresh.records
+
     def test_two_chains_outreach_each_other(self):
         # window tuples that skip past the widest budget, and budget tuples
         # that no window admits, are both walked
         piece = piece_with_onsets([0.0, 0.1, 0.2, 0.3, 5.0, 5.1])
         fixed = (SkipConfig("fixed", 2, t=0), SkipConfig("fixed", 2, t=1))
         variable = (SkipConfig("variable", 2, w=0.05), SkipConfig("variable", 2, w=0.3))
-        tagged = {tok.indices: levels for levels, tok in enumerate_chains(piece, (fixed, variable))}
+        tagged = {indices: levels for levels, indices in enumerate_chains(piece, (fixed, variable))}
         assert tagged[0, 3] == (2, 1)
         assert tagged[3, 4] == (0, 2)
         assert tagged[2, 4] == (1, 2)
@@ -286,7 +335,7 @@ class TestNested:
         # the recomputed IOI, 0.20000000000000004, would exceed the window
         piece = piece_with_onsets([0.0, 0.1, 0.1 + 0.2])
         chain = [SkipConfig("variable", 2, w=0.1), SkipConfig("variable", 2, w=0.2)]
-        tagged = {tok.indices: level for (level,), tok in enumerate_chains(piece, (chain,))}
+        tagged = {indices: level for (level,), indices in enumerate_chains(piece, (chain,))}
         assert tagged == {(0, 1): 0, (1, 2): 1}
         assert index_set(enumerate_piece(piece, SkipConfig("variable", 2, w=0.2))) == \
             [(0, 1), (1, 2)]
